@@ -4,14 +4,15 @@ time-averaged wealth growth for stochastic vs smooth block rewards."""
 __version__ = "0.1.0"
 
 from .errors import (CertainRuinError, ConvergenceError, MineconError,
-                     NoRootError, NoViableStrategyError,
+                     NoRootError, NoViableStrategyError, NumericalError,
                      UnsupportedLatticeError, ValidationError)
 from .growth import (FeeBound, GameRound, GrowthBreakdown, MinerPlan,
-                     OptimalSplit, conditional_reward, max_pool_fee,
-                     min_viable_wealth, optimize_gamma, smooth_growth_rate,
-                     smooth_optimal_gamma, stochastic_growth_rate,
-                     t_max, tane_growth_rate, tane_growth_upper_bound,
-                     wealth_trajectory, win_rate_lambda)
+                     OptimalSplit, ViableWealth, conditional_reward,
+                     max_pool_fee, min_viable_wealth, optimize_gamma,
+                     smooth_growth_rate, smooth_optimal_gamma,
+                     stochastic_growth_rate, t_max, tane_growth_rate,
+                     tane_growth_upper_bound, wealth_trajectory,
+                     win_rate_lambda)
 from .mcsim import (EpochBatch, FirstWinResult, SimConfig, SimReport,
                     WealthPath, estimate_first_win_time, round_oracle,
                     round_payoffs, simulate_epochs, simulate_wealth_path)

@@ -18,12 +18,14 @@ import numpy as np
 
 from . import __version__, growth, mcsim, rewarddist, waiting
 from .errors import (CertainRuinError, ConvergenceError, MineconError,
-                     NoRootError, NoViableStrategyError, ValidationError)
+                     NoRootError, NoViableStrategyError, NumericalError,
+                     ValidationError)
 
 _COMMANDS = ("dist", "wait", "growth", "optimize", "fee", "simulate",
              "verify")
 _NUMERIC_KEYS = ("E", "M", "P0", "W", "c_e", "c_r", "tau", "gamma")
 _REQUIRED_KEYS = ("E", "M", "P0", "W", "c_e", "c_r", "tau", "N")
+_MAX_GRID_ROWS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def load_scenario(path) -> Scenario:
 def _fmt(x) -> str:
     value = float(x)
     if not math.isfinite(value):
-        raise AssertionError(f"non-finite value {value!r} in output")
+        raise NumericalError(f"non-finite value {value!r} in output")
     return format(value, ".17g")
 
 
@@ -292,55 +294,26 @@ def _cmd_growth(scenario: Scenario, args, out: Path) -> None:
     _write_json(out / "growth.json", payload)
 
 
-def _optimal_rate(scenario: Scenario, wealth: float, args) -> float:
-    return growth.optimize_gamma(
-        wealth, scenario.c_e, scenario.c_r, scenario.P0, scenario.M,
-        scenario.E, grid_size=args.grid_size,
-        quad_tol=args.quad_tol).growth_rate
-
-
-def _expand_bracket(scenario: Scenario, args) -> tuple:
-    # geometric expansion from the scenario wealth until g* changes sign
-    start = scenario.W
-    g_start = _optimal_rate(scenario, start, args)
-    if g_start < 0.0:
-        lo, hi = start, start
-        for _ in range(60):
-            hi *= 2.0
-            if _optimal_rate(scenario, hi, args) > 0.0:
-                return lo, hi
-        raise NoRootError(
-            "g* stayed negative up to 2^60 times the scenario wealth")
-    lo, hi = start, start
-    for _ in range(60):
-        lo *= 0.5
-        if _optimal_rate(scenario, lo, args) < 0.0:
-            return lo, hi
-    raise NoRootError(
-        "g* stayed nonnegative down to 2^-60 times the scenario wealth")
-
-
 def _cmd_optimize(scenario: Scenario, args, out: Path) -> None:
+    network = scenario.baseline_network()
     opt = growth.optimize_gamma(scenario.W, scenario.c_e, scenario.c_r,
-                                scenario.P0, scenario.M, scenario.E,
-                                grid_size=args.grid_size,
+                                network, grid_size=args.grid_size,
                                 quad_tol=args.quad_tol)
     payload = _envelope("optimize", scenario, args.seed)
     payload.update({"split": opt.split, "growth_rate": opt.growth_rate})
     if args.wmin:
-        bracket = _expand_bracket(scenario, args)
-        wmin = growth.min_viable_wealth(
-            scenario.c_e, scenario.c_r, scenario.P0, scenario.M, scenario.E,
-            bracket, grid_size=args.grid_size, quad_tol=args.quad_tol)
-        payload["min_viable_wealth"] = wmin
-        payload["bracket"] = list(bracket)
+        root = growth.min_viable_wealth(
+            scenario.W, scenario.c_e, scenario.c_r, network,
+            grid_size=args.grid_size, quad_tol=args.quad_tol)
+        payload["min_viable_wealth"] = root.wealth
+        payload["bracket"] = list(root.bracket)
     _write_json(out / "optimize.json", payload)
 
 
 def _cmd_fee(scenario: Scenario, args, out: Path) -> None:
     bound = growth.max_pool_fee(scenario.W, scenario.c_e, scenario.c_r,
-                                scenario.P0, scenario.M, scenario.E,
-                                scenario.tau, grid_size=args.grid_size,
+                                scenario.baseline_network(), scenario.tau,
+                                grid_size=args.grid_size,
                                 quad_tol=args.quad_tol)
     payload = _envelope("fee", scenario, args.seed)
     payload.update({
@@ -629,9 +602,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    # flags argparse types but does not range-check
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValidationError("--seed must lie in [0, 2**64)")
+    if args.command == "wait":
+        if not (math.isfinite(args.grid_step) and args.grid_step > 0):
+            raise ValidationError("--grid-step must be positive and finite")
+        if not (math.isfinite(args.grid_max) and args.grid_max >= 0):
+            raise ValidationError("--grid-max must be nonnegative and finite")
+        if args.grid_max / args.grid_step >= _MAX_GRID_ROWS:
+            raise ValidationError(
+                f"--grid-max/--grid-step exceeds {_MAX_GRID_ROWS} grid rows")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         scenario = load_scenario(args.scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

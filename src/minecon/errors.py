@@ -31,6 +31,11 @@ class ConvergenceError(MineconError, RuntimeError):
         self.achieved_error = achieved_error
 
 
+class NumericalError(MineconError, ArithmeticError):
+    """A numerical invariant failed at run time: a non-finite result, a
+    series that never terminated, or a value outside its proven range."""
+
+
 class NoViableStrategyError(MineconError, ValueError):
     """No budget split produces a finite growth rate."""
 

@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (CertainRuinError, ConvergenceError, MineconError,
-                     NoRootError, NoViableStrategyError, ValidationError)
+                     NoRootError, NoViableStrategyError, NumericalError,
+                     ValidationError)
 from .quadrature import adaptive_simpson
 from .rewarddist import NetworkParams
 
@@ -114,6 +115,11 @@ class FeeBound:
 class OptimalSplit(NamedTuple):
     split: float
     growth_rate: float
+
+
+class ViableWealth(NamedTuple):
+    wealth: float
+    bracket: tuple
 
 
 def tane_growth_rate(rounds: list, initial_wealth: float) -> float:
@@ -229,7 +235,8 @@ def stochastic_growth_rate(plan: MinerPlan, network: NetworkParams,
                    + log(gamma) e^{-lambda t_max} ],
     with R the conditional reward per win. The win branch is integrated by
     adaptive Simpson at quad_tol; the integrand's log argument can never
-    drop below gamma, which is asserted at every quadrature node.
+    drop below gamma, which is checked at every quadrature node
+    (NumericalError otherwise).
     """
     _require(quad_tol > 0, "quad_tol must be positive")
     lam = win_rate_lambda(plan, network)
@@ -242,7 +249,8 @@ def stochastic_growth_rate(plan: MinerPlan, network: NetworkParams,
 
     def integrand(t):
         arg = 1.0 - drain * t + rho
-        assert np.all(arg >= floor), "log argument fell below gamma"
+        if not np.all(arg >= floor):
+            raise NumericalError("log argument fell below gamma")
         return lam * np.exp(-lam * t) * np.log(arg)
 
     # scale of the integral, for an absolute floor under the relative
@@ -328,6 +336,7 @@ def smooth_growth_rate(plan: MinerPlan, network: NetworkParams,
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_TOL = 1e-9  # golden-section bracket width for the optimal split
 
 
 def _golden_max(f: Callable, lo: float, hi: float, tol: float) -> tuple:
@@ -348,21 +357,17 @@ def _golden_max(f: Callable, lo: float, hi: float, tol: float) -> tuple:
 
 
 def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
-                   baseline_power: float, block_reward: float,
-                   expected_blocks: float, grid_size: int = 1024,
-                   refine_tol: float = 1e-9,
+                   network: NetworkParams, grid_size: int = 1024,
                    quad_tol: float = 1e-10) -> OptimalSplit:
     """Maximize the stochastic growth rate over the split gamma.
 
-    Scans a uniform grid on (1e-6, 1 - 1e-6), then sharpens the best
-    bracket with golden-section search down to width refine_tol. A finite
+    network.power is the baseline P0 before this miner joins. Scans a
+    uniform grid of grid_size points on (1e-6, 1 - 1e-6), then sharpens the
+    best bracket with golden-section search down to width 1e-9. A finite
     -difference second derivative certifies the result is a local maximum
     up to quadrature noise; failure raises ConvergenceError.
     """
     _require(grid_size >= 3, "grid must hold at least 3 points")
-    _require(refine_tol > 0, "refine_tol must be positive")
-    network = NetworkParams(expected_blocks=expected_blocks,
-                            block_reward=block_reward, power=baseline_power)
 
     def rate(gamma_: float) -> float:
         plan = MinerPlan(wealth=wealth, split=gamma_,
@@ -379,7 +384,7 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     best_idx = int(np.nanargmax(values))
     lo = grid[best_idx - 1] if best_idx > 0 else grid[0]
     hi = grid[best_idx + 1] if best_idx < grid_size - 1 else grid[-1]
-    split, best = _golden_max(rate, float(lo), float(hi), refine_tol)
+    split, best = _golden_max(rate, float(lo), float(hi), _REFINE_TOL)
     if values[best_idx] > best:
         split, best = float(grid[best_idx]), float(values[best_idx])
 
@@ -396,33 +401,42 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     return OptimalSplit(split=split, growth_rate=best)
 
 
-def min_viable_wealth(equipment_rate: float, running_rate: float,
-                      baseline_power: float, block_reward: float,
-                      expected_blocks: float, bracket: tuple,
-                      grid_size: int = 1024, refine_tol: float = 1e-9,
-                      quad_tol: float = 1e-10) -> float:
+def min_viable_wealth(start_wealth: float, equipment_rate: float,
+                      running_rate: float, network: NetworkParams,
+                      grid_size: int = 1024,
+                      quad_tol: float = 1e-10) -> ViableWealth:
     """Smallest wealth with nonnegative optimal growth, g*(W_min) = 0.
 
-    bracket = (w_lo, w_hi) must straddle the sign change, g*(w_lo) < 0 <
-    g*(w_hi); bisection then shrinks it until the relative width is below
-    1e-6 and |g*| at the midpoint is below 1e-8.
+    From start_wealth the wealth is doubled while g* < 0, or halved while
+    g* >= 0, up to 60 times, until g* changes sign; NoRootError if it never
+    does. Bisection then shrinks that bracket until the relative width is
+    below 1e-6 and |g*| at the midpoint is below 1e-8. Each optimize_gamma
+    run (grid_size, quad_tol) is at a wealth not evaluated before. Returns
+    the root with the bracket the expansion found.
     """
-    w_lo, w_hi = bracket
-    _require(0 < w_lo < w_hi and math.isfinite(w_hi),
-             "bracket must satisfy 0 < w_lo < w_hi")
-
     def best_rate(w: float) -> float:
-        return optimize_gamma(w, equipment_rate, running_rate, baseline_power,
-                              block_reward, expected_blocks,
-                              grid_size=grid_size, refine_tol=refine_tol,
+        return optimize_gamma(w, equipment_rate, running_rate, network,
+                              grid_size=grid_size,
                               quad_tol=quad_tol).growth_rate
 
-    g_lo = best_rate(w_lo)
-    g_hi = best_rate(w_hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise NoRootError(
-            f"bracket [{w_lo!r}, {w_hi!r}] does not straddle a sign change "
-            f"(g* = {g_lo!r}, {g_hi!r})")
+    w_lo = w_hi = start_wealth
+    if best_rate(start_wealth) < 0.0:
+        for _ in range(60):
+            w_hi *= 2.0
+            if best_rate(w_hi) > 0.0:
+                break
+        else:
+            raise NoRootError(
+                "g* stayed negative up to 2^60 times the start wealth")
+    else:
+        for _ in range(60):
+            w_lo *= 0.5
+            if best_rate(w_lo) < 0.0:
+                break
+        else:
+            raise NoRootError(
+                "g* stayed nonnegative down to 2^-60 times the start wealth")
+    bracket = (w_lo, w_hi)
 
     mid = 0.5 * (w_lo + w_hi)
     g_mid = best_rate(mid)
@@ -434,33 +448,30 @@ def min_viable_wealth(equipment_rate: float, running_rate: float,
         mid = 0.5 * (w_lo + w_hi)
         g_mid = best_rate(mid)
         if (w_hi - w_lo) <= 1e-6 * mid and abs(g_mid) <= 1e-8:
-            return mid
+            return ViableWealth(wealth=mid, bracket=bracket)
     raise ConvergenceError(
         "bisection for the minimum viable wealth stalled",
         best_estimate=mid, achieved_error=abs(g_mid))
 
 
 def max_pool_fee(wealth: float, equipment_rate: float, running_rate: float,
-                 baseline_power: float, block_reward: float,
-                 expected_blocks: float, tau: float, grid_size: int = 1024,
-                 refine_tol: float = 1e-9,
+                 network: NetworkParams, tau: float, grid_size: int = 1024,
                  quad_tol: float = 1e-10) -> FeeBound:
     """Fee-rate ceilings for joining a pool that smooths rewards.
 
     Pooled growth g_smooth - x beats solo mining while x < g_smooth - g*,
     and stays profitable outright while x < g_smooth; both bounds are
-    returned together with the strategies behind them.
+    returned together with the strategies behind them. g_smooth is taken
+    at the smooth-optimal split for period tau, g* from optimize_gamma
+    (grid_size, quad_tol).
     """
     gamma_s = smooth_optimal_gamma(tau, equipment_rate, running_rate)
-    network = NetworkParams(expected_blocks=expected_blocks,
-                            block_reward=block_reward, power=baseline_power)
     smooth_plan = MinerPlan(wealth=wealth, split=gamma_s,
                             equipment_rate=equipment_rate,
                             running_rate=running_rate)
     g_smooth = smooth_growth_rate(smooth_plan, network, tau)
-    opt = optimize_gamma(wealth, equipment_rate, running_rate, baseline_power,
-                         block_reward, expected_blocks, grid_size=grid_size,
-                         refine_tol=refine_tol, quad_tol=quad_tol)
+    opt = optimize_gamma(wealth, equipment_rate, running_rate, network,
+                         grid_size=grid_size, quad_tol=quad_tol)
     return FeeBound(relative_bound=g_smooth - opt.growth_rate,
                     profitability_bound=g_smooth,
                     smooth_split=gamma_s, stochastic_split=opt.split,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import growth
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .rewarddist import MinerShare, NetworkParams
 
 
@@ -117,7 +117,7 @@ def _poisson_cdf_table(mean: float) -> np.ndarray:
         cum += term
         cdf.append(min(cum, 1.0))
         if k > 10_000_000:
-            raise AssertionError("Poisson table failed to terminate")
+            raise NumericalError("Poisson table failed to terminate")
     return np.array(cdf)
 
 

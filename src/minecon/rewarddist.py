@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import UnsupportedLatticeError, ValidationError
+from .errors import (NumericalError, UnsupportedLatticeError,
+                     ValidationError)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -223,7 +224,7 @@ def epoch_reward_pmf(network: NetworkParams, share: MinerShare,
         cumulative += mass
         j += 1
         if j > 1_000_000:
-            raise AssertionError("reward pmf failed to accumulate mass")
+            raise NumericalError("reward pmf failed to accumulate mass")
     return LatticePmf(step=m, masses=tuple(masses), tail_tol=tail_tol)
 
 

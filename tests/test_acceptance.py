@@ -229,7 +229,7 @@ def test_07_averaged_game_never_beats_its_mean_bound(capsys):
 
 def test_08_optimizer_matches_a_dense_scan(capsys):
     with criterion(capsys, 8, "optimal split against a dense scan", 120.0):
-        cases = [(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0)]
+        cases = [(100.0, 1.0, 0.001, reference_network())]
         rng = np.random.default_rng(808)
         attempts = 0
         while len(cases) < 10 and attempts < 600:
@@ -239,7 +239,7 @@ def test_08_optimizer_matches_a_dense_scan(capsys):
             if not 0.1 <= product <= 20.0:
                 continue
             candidate = (plan.wealth, plan.equipment_rate, plan.running_rate,
-                         net.power, net.block_reward, net.expected_blocks)
+                         net)
             # coarse screen: keep scenarios with a clearly profitable,
             # clearly interior optimum; the real comparisons rerun at
             # full settings below
@@ -254,10 +254,8 @@ def test_08_optimizer_matches_a_dense_scan(capsys):
 
         edge = 1e-6
         grid = np.linspace(edge, 1.0 - edge, 10_240)
-        for wealth, c_e, c_r, p0, m, e_blocks in cases:
-            opt = optimize_gamma(wealth, c_e, c_r, p0, m, e_blocks)
-            net = NetworkParams(expected_blocks=e_blocks, block_reward=m,
-                                power=p0)
+        for wealth, c_e, c_r, net in cases:
+            opt = optimize_gamma(wealth, c_e, c_r, net)
 
             def rate(gamma, tol=1e-8):
                 plan = MinerPlan(wealth=wealth, split=float(gamma),
@@ -320,7 +318,7 @@ def test_09_smooth_growth_dual_evaluation(capsys):
 def test_10_fee_margin_flips_the_wealth_comparison(capsys):
     with criterion(capsys, 10, "fee margin decides pooled versus solo",
                    60.0):
-        cases = [(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0, 1.0)]
+        cases = [(100.0, 1.0, 0.001, reference_network(), 1.0)]
         rng = np.random.default_rng(1010)
         attempts = 0
         while len(cases) < 5 and attempts < 100:
@@ -328,8 +326,7 @@ def test_10_fee_margin_flips_the_wealth_comparison(capsys):
             plan, net = draw_plan_and_network(rng)
             tau = float(10.0 ** rng.uniform(-0.3, 1.0))
             candidate = (plan.wealth, plan.equipment_rate, plan.running_rate,
-                         net.power, net.block_reward, net.expected_blocks,
-                         tau)
+                         net, tau)
             # coarse screen; the asserted comparison reruns at full settings
             try:
                 bound = max_pool_fee(*candidate, grid_size=96,
@@ -342,8 +339,8 @@ def test_10_fee_margin_flips_the_wealth_comparison(capsys):
             cases.append(candidate)
         assert len(cases) == 5
 
-        for wealth, c_e, c_r, p0, m, e_blocks, tau in cases:
-            bound = max_pool_fee(wealth, c_e, c_r, p0, m, e_blocks, tau)
+        for wealth, c_e, c_r, net, tau in cases:
+            bound = max_pool_fee(wealth, c_e, c_r, net, tau)
             solo = wealth_trajectory(wealth, bound.stochastic_growth, 1000.0)
             undercharged = wealth_trajectory(
                 wealth, bound.smooth_growth - (bound.relative_bound - 1e-6),

@@ -289,6 +289,44 @@ class TestExitCodes:
         assert run_cli("growth", path, "--out", tmp_path) == 3
         assert capsys.readouterr().err.startswith("error: no-solution:")
 
+    @pytest.mark.parametrize("flags", [
+        ("--grid-step", "0"), ("--grid-step", "-1"), ("--grid-step", "nan"),
+        ("--grid-step", "inf"), ("--grid-max", "-1"), ("--grid-max", "nan"),
+        ("--grid-max", "inf"), ("--grid-step", "1e-300"),
+        ("--grid-max", "1e7"),  # one row past the 10**7 cap
+    ])
+    def test_bad_wait_grid_rejected(self, reference_file, tmp_path, capsys,
+                                    flags):
+        assert run_cli("wait", reference_file, "--out", tmp_path,
+                       *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "wait_grid.csv").exists()
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64])
+    @pytest.mark.parametrize("command", ["dist", "wait", "growth",
+                                         "optimize", "fee", "simulate",
+                                         "verify"])
+    def test_seed_out_of_range_rejected(self, reference_file, tmp_path,
+                                        capsys, command, seed):
+        assert run_cli(command, reference_file, "--out", tmp_path,
+                       "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: --seed")
+        assert err.count("\n") == 1
+
+    def test_non_finite_output_is_numeric_failure(self, tmp_path, capsys):
+        # against P0 = 1e160 the win rate squared underflows, so the wait
+        # variance 1/rate^2 overflows to inf before it is written
+        path = write_scenario(tmp_path, P0=1e160)
+        assert run_cli("wait", path, "--out", tmp_path,
+                       "--grid-max", 2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: non-finite value inf")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "wait_summary.json").exists()
+
     def test_usage_error_exits_two(self, reference_file):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("frobnicate", reference_file)

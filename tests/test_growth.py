@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from minecon import growth
 from minecon.errors import (CertainRuinError, NoRootError, ValidationError)
 from minecon.growth import (FeeBound, GameRound, MinerPlan,
                             conditional_reward, max_pool_fee,
@@ -266,15 +267,15 @@ class TestSmoothGrowth:
 
 class TestOptimizeGamma:
     def test_deterministic_across_calls(self):
-        first = optimize_gamma(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0,
+        first = optimize_gamma(100.0, 1.0, 0.001, REF_NET,
                                grid_size=128, quad_tol=1e-8)
-        second = optimize_gamma(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0,
+        second = optimize_gamma(100.0, 1.0, 0.001, REF_NET,
                                 grid_size=128, quad_tol=1e-8)
         assert first.split == second.split
         assert first.growth_rate == second.growth_rate
 
     def test_beats_random_probes(self):
-        opt = optimize_gamma(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0,
+        opt = optimize_gamma(100.0, 1.0, 0.001, REF_NET,
                              grid_size=192, quad_tol=1e-8)
         rng = np.random.default_rng(99)
         for gamma in rng.uniform(1e-4, 1.0 - 1e-4, size=100):
@@ -284,7 +285,7 @@ class TestOptimizeGamma:
             assert opt.growth_rate >= probe - 1e-9
 
     def test_matches_denser_grid(self):
-        opt = optimize_gamma(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0,
+        opt = optimize_gamma(100.0, 1.0, 0.001, REF_NET,
                              grid_size=128, quad_tol=1e-8)
         grid = np.linspace(1e-6, 1.0 - 1e-6, 1280)
         values = [stochastic_growth_rate(MinerPlan(100.0, float(g), 1.0,
@@ -295,7 +296,9 @@ class TestOptimizeGamma:
         assert abs(opt.split - dense_best) <= 1e-3
 
     def test_block_reward_monotonicity(self):
-        rates = [optimize_gamma(100.0, 1.0, 0.001, 1000.0, m, 10.0,
+        rates = [optimize_gamma(100.0, 1.0, 0.001,
+                                NetworkParams(expected_blocks=10.0,
+                                              block_reward=m, power=1000.0),
                                 grid_size=96, quad_tol=1e-8).growth_rate
                  for m in (0.5, 1.0, 2.0)]
         assert rates[0] <= rates[1] + 1e-12
@@ -303,27 +306,21 @@ class TestOptimizeGamma:
 
 
 class TestMinViableWealth:
-    def args(self):
-        return dict(equipment_rate=1.0, running_rate=0.001,
-                    baseline_power=1000.0, block_reward=1.0,
-                    expected_blocks=10.0, grid_size=96, quad_tol=1e-8)
+    def args(self, network=REF_NET, running_rate=0.001):
+        return dict(equipment_rate=1.0, running_rate=running_rate,
+                    network=network, grid_size=96, quad_tol=1e-8)
 
     def optimal_rate(self, wealth):
-        a = self.args()
-        return optimize_gamma(wealth, a["equipment_rate"],
-                              a["running_rate"], a["baseline_power"],
-                              a["block_reward"], a["expected_blocks"],
-                              grid_size=a["grid_size"],
-                              quad_tol=a["quad_tol"]).growth_rate
+        return optimize_gamma(wealth, **self.args()).growth_rate
 
     def test_root_contract(self):
-        wmin = min_viable_wealth(bracket=(0.5, 100.0), **self.args())
+        wmin = min_viable_wealth(100.0, **self.args()).wealth
         delta = 1e-3 * wmin
         assert self.optimal_rate(wmin - delta) < 0.0
         assert self.optimal_rate(wmin + delta) > 0.0
 
     def test_matches_log_spaced_scan(self):
-        wmin = min_viable_wealth(bracket=(0.5, 100.0), **self.args())
+        wmin = min_viable_wealth(100.0, **self.args()).wealth
         grid = np.geomspace(0.5, 100.0, 120)
         signs = np.array([self.optimal_rate(float(w)) for w in grid])
         first_pos = int(np.argmax(signs > 0))
@@ -332,25 +329,35 @@ class TestMinViableWealth:
     def test_cheaper_running_cost_helps(self):
         # at higher running cost the breakeven wealth can stop existing
         # altogether, so compare two rates where both roots are real
-        a = self.args()
-        lo = min_viable_wealth(a["equipment_rate"], 0.0005,
-                               a["baseline_power"], a["block_reward"],
-                               a["expected_blocks"], (1e-3, 100.0),
-                               grid_size=96, quad_tol=1e-8)
-        hi = min_viable_wealth(a["equipment_rate"], 0.001,
-                               a["baseline_power"], a["block_reward"],
-                               a["expected_blocks"], (1e-3, 100.0),
-                               grid_size=96, quad_tol=1e-8)
-        assert lo <= hi + 1e-9
+        lo = min_viable_wealth(100.0, **self.args(running_rate=0.0005))
+        hi = min_viable_wealth(100.0, **self.args(running_rate=0.001))
+        assert lo.wealth <= hi.wealth + 1e-9
 
-    def test_bad_bracket_raises(self):
+    def test_no_sign_change_raises(self):
+        # with no block reward every split only drains wealth, so g* < 0
+        # at every wealth the expansion tries
+        dead = NetworkParams(expected_blocks=10.0, block_reward=0.0,
+                             power=1000.0)
         with pytest.raises(NoRootError):
-            min_viable_wealth(bracket=(50.0, 100.0), **self.args())
+            min_viable_wealth(100.0, **self.args(network=dead))
+
+    def test_each_wealth_is_optimized_once(self, monkeypatch):
+        seen = []
+
+        def counted(wealth, *args, **kwargs):
+            seen.append(wealth)
+            return optimize_gamma(wealth, *args, **kwargs)
+
+        monkeypatch.setattr(growth, "optimize_gamma", counted)
+        root = min_viable_wealth(100.0, **self.args())
+        assert len(seen) == len(set(seen))
+        assert root.bracket[0] <= root.wealth <= root.bracket[1]
+        assert root.wealth in seen
 
 
 class TestMaxPoolFee:
     def test_reference_recomputation(self):
-        bound = max_pool_fee(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0, 1.0,
+        bound = max_pool_fee(100.0, 1.0, 0.001, REF_NET, 1.0,
                              grid_size=192, quad_tol=1e-9)
         assert isinstance(bound, FeeBound)
         assert bound.relative_bound == pytest.approx(
@@ -360,7 +367,7 @@ class TestMaxPoolFee:
         assert bound.smooth_split == pytest.approx(gamma_s, abs=0.0)
 
     def test_fee_below_bound_wins_at_long_horizon(self):
-        bound = max_pool_fee(100.0, 1.0, 0.001, 1000.0, 1.0, 10.0, 1.0,
+        bound = max_pool_fee(100.0, 1.0, 0.001, REF_NET, 1.0,
                              grid_size=192, quad_tol=1e-9)
         t = 1000.0
         solo = wealth_trajectory(100.0, bound.stochastic_growth, t)
