@@ -26,6 +26,8 @@ _COMMANDS = ("dist", "wait", "growth", "optimize", "fee", "simulate",
 _NUMERIC_KEYS = ("E", "M", "P0", "W", "c_e", "c_r", "tau", "gamma")
 _REQUIRED_KEYS = ("E", "M", "P0", "W", "c_e", "c_r", "tau", "N")
 _MAX_GRID_ROWS = 10 ** 7
+_MAX_EPOCHS = 10 ** 7           # window length N for dist and verify
+_MAX_WINDOW_DRAWS = 10 ** 8     # epochs drawn for verify's window rows
 
 
 @dataclass(frozen=True)
@@ -222,10 +224,18 @@ def _envelope(command: str, scenario: Scenario, seed: int) -> dict:
 # -- command handlers -------------------------------------------------------
 
 
+def _window(scenario: Scenario) -> list:
+    """The scenario's N identical epochs, refused past _MAX_EPOCHS."""
+    if scenario.N > _MAX_EPOCHS:
+        raise ValidationError(
+            f"scenario: N = {scenario.N} exceeds {_MAX_EPOCHS} epochs")
+    return rewarddist.identical_epochs(scenario.joined_network(),
+                                       scenario.share(), scenario.N)
+
+
 def _cmd_dist(scenario: Scenario, args, out: Path) -> None:
-    network = scenario.joined_network()
     share = scenario.share()
-    epochs = rewarddist.identical_epochs(network, share, scenario.N)
+    epochs = _window(scenario)
     pmf = rewarddist.total_reward_pmf(epochs)
 
     payload = _envelope("dist", scenario, args.seed)
@@ -417,6 +427,12 @@ def _verify_rows(scenario: Scenario, args) -> list:
     seed = args.seed
     samples = args.samples
     rows = []
+    n_paths = max(2000, (samples * 10) // scenario.N)
+    if n_paths * scenario.N > _MAX_WINDOW_DRAWS:
+        raise ValidationError(
+            f"window rows would draw {n_paths} x {scenario.N} epochs, more "
+            f"than {_MAX_WINDOW_DRAWS}")
+    epochs = _window(scenario)
 
     # protocol-level epoch batch: Poisson mean and win-count pmf
     batch = mcsim.simulate_epochs(joined, share,
@@ -493,8 +509,6 @@ def _verify_rows(scenario: Scenario, args) -> list:
         "quadrature vs closed-form antiderivative"))
 
     # window moments: Monte Carlo vs expected total and thinned variance
-    n_paths = max(2000, (samples * 10) // max(scenario.N, 1))
-    epochs = rewarddist.identical_epochs(joined, share, scenario.N)
     want_mean = rewarddist.expected_total_reward(epochs)
     want_var = rewarddist.variance_thinned(epochs)
     window = mcsim.simulate_epochs(

@@ -1,18 +1,21 @@
 """Distributions and moments of a miner's block wins and rewards.
 
-Per-epoch win counts marginalize a Binomial over the Poisson block count;
-rewards live on the lattice {0, M, 2M, ...} and multi-epoch totals are
-lattice convolutions.
+Per-epoch win counts marginalize a Binomial over the Poisson block count,
+which thins to Poisson(E*q). Rewards live on the lattice {0, M, 2M, ...};
+independent Poisson win counts add up to one Poisson, so a whole window
+on one lattice is a single Poisson pmf. Masses come from Loader's
+saddle-point form (C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000), which keeps full relative accuracy at large means.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .errors import (NumericalError, UnsupportedLatticeError,
-                     ValidationError)
+from .errors import UnsupportedLatticeError, ValidationError
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -142,12 +145,59 @@ class LatticePmf:
         return "\n".join(lines) + "\n"
 
 
-def _poisson_pmf(v: int, mean: float) -> float:
+# stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n), exact for n = 1..15
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+# masses one lattice pmf may hold (80 MB as a float64 array)
+_MAX_MASSES = 10 ** 7
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    # the table up to 15, the Stirling series 1/(12n) - 1/(360n^3) + ...
+    # above, where its fifth term is below 1e-17 of the first
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn)
+                                   / nn) / nn) / nn) / n
+    return np.where(n <= 15, _STIRLERR[np.minimum(n, 15).astype(np.intp)],
+                    series)
+
+
+def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
+    # x log(x/mean) + mean - x for x > 0. The direct form cancels near
+    # x = mean: switched at Loader's |v| = 0.1 it still costs up to 6e-12
+    # relative in the pmf at mean ~ 3e4, so for 1/2 < x/mean < 2 it is
+    # summed as d v + 2 x sum_j v^(2j+1)/(2j+1), v = d/(x + mean),
+    # |v| < 1/3, where 18 terms reach 1e-18
+    d = x - mean
+    v = d / (x + mean)
+    v2 = v * v
+    tail = np.zeros_like(v)
+    for j in range(18, 0, -1):
+        tail = (tail + 1.0 / (2 * j + 1)) * v2
+    series = d * v + 2.0 * x * v * tail
+    direct = x * np.log1p(d / mean) - d
+    return np.where(np.abs(v) < 1.0 / 3.0, series, direct)
+
+
+def _poisson_pmf(k, mean: float) -> np.ndarray:
+    """Poisson(mean) masses at the counts k (an int or an array of ints).
+
+    Loader's saddle-point form exp(-stirlerr(k) - bd0(k, mean))/sqrt(2 pi k),
+    with exp(-mean) at k = 0. Masses above 1e-290 agree with exact ones
+    to 3e-13 relative for means 1e-3 to 1e6, where exp(-mean) mean^k / k!
+    through lgamma loses digits as the mean grows.
+    """
+    k = np.asarray(k, dtype=float)
     if mean == 0.0:
-        return 1.0 if v == 0 else 0.0
-    if v == 0:
-        return math.exp(-mean)
-    return math.exp(-mean + v * math.log(mean) - math.lgamma(v + 1))
+        return np.where(k == 0, 1.0, 0.0)
+    pos = np.maximum(k, 1.0)
+    masses = np.exp(-_stirlerr(pos) - _bd0(pos, mean)) \
+        / np.sqrt(2.0 * math.pi * pos)
+    return np.where(k == 0, math.exp(-mean), masses)
 
 
 def win_count_pmf_series(v: int, expected_blocks: float, win_probability: float,
@@ -200,12 +250,18 @@ def win_count_pmf_closed(v: int, expected_blocks: float,
     _require(v >= 0, "win count must be nonnegative")
     _require(expected_blocks > 0, "expected_blocks must be positive")
     _require(0.0 <= win_probability <= 1.0, "win probability must lie in [0, 1]")
-    return _poisson_pmf(v, expected_blocks * win_probability)
+    return float(_poisson_pmf(v, expected_blocks * win_probability))
 
 
 def epoch_reward_pmf(network: NetworkParams, share: MinerShare,
                      tail_tol: float = 1e-12) -> LatticePmf:
     """Reward distribution for one epoch on the lattice {0, M, 2M, ...}.
+
+    The win count is Poisson(mu), mu = E*q. Masses are computed in one call
+    for k = 0..floor(mu + 40 sqrt(mu) + 40), past which the tail is
+    negligible, then cut where the omitted upper tail, summed from the top
+    end, falls below 1e-3 * tail_tol; the lower tail is kept. A pmf that
+    would need more than 10**7 masses is refused before any is computed.
 
     For M = 0 every outcome pays nothing and the pmf degenerates to a unit
     mass at 0 (reported on a unit lattice since the step would vanish).
@@ -214,79 +270,92 @@ def epoch_reward_pmf(network: NetworkParams, share: MinerShare,
     m = network.block_reward
     if m == 0.0:
         return LatticePmf(step=1.0, masses=(1.0,), tail_tol=tail_tol)
-    e, q = network.expected_blocks, share.win_probability
-    masses = []
-    cumulative = 0.0
-    j = 0
-    while cumulative < 1.0 - tail_tol:
-        mass = win_count_pmf_closed(j, e, q)
-        masses.append(mass)
-        cumulative += mass
-        j += 1
-        if j > 1_000_000:
-            raise NumericalError("reward pmf failed to accumulate mass")
-    return LatticePmf(step=m, masses=tuple(masses), tail_tol=tail_tol)
+    mean = network.expected_blocks * share.win_probability
+    top = math.floor(mean + 40.0 * math.sqrt(mean) + 40.0)
+    _require(top < _MAX_MASSES,
+             f"reward pmf at win mean {mean:.6g} needs {top + 1} masses, "
+             f"more than {_MAX_MASSES}")
+    masses = _poisson_pmf(np.arange(top + 1), mean)
+    # tails[k] = sum of masses[k:], accumulated from the smallest mass up
+    tails = np.cumsum(masses[::-1])[::-1]
+    below = tails < 1e-3 * tail_tol
+    count = int(np.argmax(below)) if below[-1] else len(masses)
+    return LatticePmf(step=m, masses=tuple(masses[:count].tolist()),
+                      tail_tol=tail_tol)
+
+
+def _runs(epochs: list) -> list:
+    """(epoch, count) for each run of equal consecutive epochs."""
+    return [(ep, len(list(group))) for ep, group in itertools.groupby(epochs)]
 
 
 def total_reward_pmf(epochs: list, tail_tol: float = 1e-12) -> LatticePmf:
-    """Distribution of the summed reward over a window, by lattice convolution.
+    """Distribution of the summed reward over a window, as one Poisson pmf.
 
-    All epochs must share one block reward M so the per-epoch lattices line
-    up; heterogeneous rewards have no common lattice here and are delegated
-    to the Monte Carlo estimator in mcsim.
+    Epoch i wins Poisson(E_i q_i) blocks, independently, so the window wins
+    Poisson(sum_i E_i q_i): the pmf of one pooled epoch with sum_i E_i blocks
+    and the block-weighted share, whose win mean is that sum. All epochs
+    must share one block reward M so their lattices line up; heterogeneous
+    rewards have no common lattice here and are delegated to the Monte
+    Carlo estimator in mcsim.
     """
     _require(len(epochs) > 0, "window must contain at least one epoch")
     _require(0 < tail_tol < 1, "tail_tol must lie in (0, 1)")
-    rewards = {ep.network.block_reward for ep in epochs}
+    runs = _runs(epochs)
+    rewards = {ep.network.block_reward for ep, _ in runs}
     if len(rewards) > 1:
         raise UnsupportedLatticeError(
             "epochs carry different block rewards and share no common "
             "lattice; use mcsim.simulate_epochs to estimate the total")
-    # finer per-epoch truncation so the convolution keeps >= 1 - tail_tol
-    per_tol = tail_tol / len(epochs)
-    pmfs = [epoch_reward_pmf(ep.network, ep.share, per_tol) for ep in epochs]
-    acc = np.asarray(pmfs[0].masses)
-    for pmf in pmfs[1:]:
-        acc = np.convolve(acc, np.asarray(pmf.masses))
-    return LatticePmf(step=pmfs[0].step, masses=tuple(float(x) for x in acc),
-                      tail_tol=tail_tol)
+    blocks = math.fsum(n * ep.network.expected_blocks for ep, n in runs)
+    wins = math.fsum(n * (ep.network.expected_blocks
+                          * ep.share.win_probability) for ep, n in runs)
+    pooled = NetworkParams(expected_blocks=blocks,
+                           block_reward=rewards.pop(), power=1.0)
+    share = MinerShare.from_probability(wins / blocks, pooled.power)
+    return epoch_reward_pmf(pooled, share, tail_tol)
 
 
 def expected_total_reward(epochs: list) -> float:
     """Expected window reward: sum over epochs of E * M * q."""
     _require(len(epochs) > 0, "window must contain at least one epoch")
-    return math.fsum(ep.network.expected_blocks * ep.network.block_reward
-                     * ep.share.win_probability for ep in epochs)
+    return math.fsum(n * (ep.network.expected_blocks * ep.network.block_reward
+                          * ep.share.win_probability)
+                     for ep, n in _runs(epochs))
 
 
 def variance_paper(epochs: list) -> float:
     """Window reward variance, closed form with the exponential integral.
 
-    Evaluates, term by term,
-        e^{-E} * E^2 * M^2 * [1 + q(1-q) * (Ei(E) - log(E) - gamma)],
-    summed over the window. Dimensionally inconsistent with the thinning
-    derivation (see variance_thinned); reported side by side so Monte Carlo
-    can adjudicate, never silently corrected.
+    Evaluates, for each run of n equal epochs,
+        n * e^{-E} * E^2 * M^2 * [1 + q(1-q) * (Ei(E) - log(E) - gamma)],
+    summed over the window, so a window of identical epochs costs one Ei.
+    Dimensionally inconsistent with the thinning derivation (see
+    variance_thinned); reported side by side so Monte Carlo can adjudicate,
+    never silently corrected.
     """
     _require(len(epochs) > 0, "window must contain at least one epoch")
-    total = 0.0
-    for ep in epochs:
+    terms = []
+    for ep, n in _runs(epochs):
         e = ep.network.expected_blocks
         m = ep.network.block_reward
         q = ep.share.win_probability
         bracket = 1.0 + q * (1.0 - q) * (specfun.exp_integral_ei(e)
                                          - math.log(e)
                                          - specfun.EULER_MASCHERONI)
-        total += math.exp(-e) * e * e * m * m * bracket
-    return total
+        terms.append(n * (math.exp(-e) * e * e * m * m * bracket))
+    return math.fsum(terms)
 
 
 def variance_thinned(epochs: list) -> float:
     """Window reward variance via Poisson thinning: sum of M^2 * E * q.
 
     Independent oracle for variance_paper: per-epoch wins are Poisson(E*q),
-    so rewards have variance M^2 E q per epoch, and independent epochs add.
+    so rewards have variance M^2 E q per epoch, and independent epochs add;
+    each run of n equal epochs contributes n times its term.
     """
     _require(len(epochs) > 0, "window must contain at least one epoch")
-    return math.fsum(ep.network.block_reward ** 2 * ep.network.expected_blocks
-                     * ep.share.win_probability for ep in epochs)
+    return math.fsum(n * (ep.network.block_reward ** 2
+                          * ep.network.expected_blocks
+                          * ep.share.win_probability)
+                     for ep, n in _runs(epochs))

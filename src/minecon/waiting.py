@@ -7,7 +7,7 @@ the first win is exponential with that rate, hence memoryless.
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -61,16 +61,35 @@ def waiting_pdf(x: float, params: WaitParams) -> float:
     return params.rate * math.exp(-x * params.rate)
 
 
+def _divisor_rate(params: WaitParams, what: str) -> float:
+    # E q for a moment that divides by it: q = 0 is outside the domain, and
+    # a rate that underflowed (0 or subnormal, so 1/rate overflows) is a
+    # numerical failure rather than a ZeroDivisionError
+    _require(params.win_probability > 0, f"{what} diverges at rate 0")
+    rate = params.rate
+    if rate == 0.0 or math.isinf(1.0 / rate):
+        raise NumericalError(f"win rate {rate!r} underflows; {what} "
+                             "is not finite")
+    return rate
+
+
 def expected_wait(params: WaitParams) -> float:
     """Mean epochs until the first win, 1/(E q)."""
-    _require(params.rate > 0, "expected wait diverges at rate 0")
-    return 1.0 / params.rate
+    return 1.0 / _divisor_rate(params, "expected wait")
 
 
 def wait_variance(params: WaitParams) -> float:
-    """Variance of the wait, 1/(E q)^2."""
-    _require(params.rate > 0, "wait variance diverges at rate 0")
-    return 1.0 / (params.rate * params.rate)
+    """Variance of the wait, 1/(E q)^2.
+
+    Raises NumericalError where (E q)^2 underflows to 0; where it is
+    subnormal the result overflows to inf, which callers must check.
+    """
+    rate = _divisor_rate(params, "wait variance")
+    square = rate * rate
+    if square == 0.0:
+        raise NumericalError(f"win rate {rate!r} squared underflows to 0; "
+                             "wait variance is not finite")
+    return 1.0 / square
 
 
 def bankruptcy_horizon(inputs: BankruptcyInputs) -> int:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import minecon
 from conftest import REFERENCE, run_cli, write_scenario
 from minecon import __version__
 from minecon.cli import load_scenario
@@ -127,6 +130,17 @@ class TestArtifacts:
         header, rows = read_csv(out / "dist_pmf.csv")
         assert header == ["lattice_point", "probability"]
         assert len(rows) == payload["mass_count"]
+
+    def test_dist_long_window_keeps_unit_mass(self, tmp_path):
+        # E = 200, N = 2000: win mean 1.9e4, where N - 1 convolutions of
+        # lgamma pmfs overshot the mass bound at 1 + 1.8e-12
+        path = write_scenario(tmp_path, E=200, N=2000)
+        out = tmp_path / "artifacts"
+        assert run_cli("dist", path, "--out", out) == 0
+        payload = read_json(out / "dist_moments.json")
+        assert abs(payload["total_mass"] - 1.0) <= 1e-12
+        assert payload["pmf_mean"] == pytest.approx(
+            payload["expected_total_reward"], rel=1e-9)
 
     def test_growth_breakdown_reference_values(self, reference_file,
                                                tmp_path):
@@ -326,6 +340,55 @@ class TestExitCodes:
         assert err.startswith("error: numeric: non-finite value inf")
         assert err.count("\n") == 1
         assert not (tmp_path / "wait_summary.json").exists()
+
+    def test_wait_rate_underflow_is_numeric_failure(self, tmp_path, capsys):
+        # against P0 = 1e300 the win rate squared underflows to 0
+        path = write_scenario(tmp_path, P0=1e300)
+        assert run_cli("wait", path, "--out", tmp_path,
+                       "--grid-max", 2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: win rate")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "wait_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["dist", "verify"])
+    def test_huge_window_rejected_under_memory_cap(self, tmp_path, command):
+        # in a child capped at 3 GB of address space, so a regression that
+        # allocates the window fails here instead of exhausting the machine
+        path = write_scenario(tmp_path, N=10 ** 9)
+        script = ("import resource, sys\n"
+                  "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, hard))\n"
+                  "from minecon.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(minecon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", script, command, str(path), "--out",
+             str(tmp_path / "artifacts")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: validation:")
+        assert result.stderr.count("\n") == 1
+
+    def test_dist_refuses_oversized_pmf(self, tmp_path, capsys):
+        # N = 2e6 is a legal window, but its win mean 1.9e7 needs 1.9e7
+        # masses
+        path = write_scenario(tmp_path, E=200, N=2 * 10 ** 6)
+        assert run_cli("dist", path, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: reward pmf")
+        assert err.count("\n") == 1
+
+    def test_verify_refuses_oversized_window_draws(self, tmp_path, capsys):
+        # 2000 paths of N = 1e5 epochs would draw 2e8 epochs
+        path = write_scenario(tmp_path, N=10 ** 5)
+        assert run_cli("verify", path, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: window rows")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "verify.json").exists()
 
     def test_usage_error_exits_two(self, reference_file):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,10 +3,14 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from minecon import rewarddist, specfun
 from minecon.errors import UnsupportedLatticeError, ValidationError
 from minecon.rewarddist import (EpochSpec, LatticePmf, MinerShare,
                                 NetworkParams, epoch_reward_pmf,
@@ -23,6 +27,27 @@ def make_epoch(e, q, m):
     network = NetworkParams(expected_blocks=e, block_reward=m, power=1000.0)
     share = MinerShare.from_probability(q, network.power)
     return EpochSpec(network=network, share=share)
+
+
+def convolved_window_pmf(epochs, tail_tol=1e-12):
+    """The window pmf by N - 1 lattice convolutions of per-epoch pmfs.
+
+    Oracle for total_reward_pmf: each epoch is truncated at tail_tol / N,
+    so the convolution keeps at least 1 - tail_tol of the mass.
+    """
+    per_tol = tail_tol / len(epochs)
+    acc = np.array([1.0])
+    for ep in epochs:
+        pmf = epoch_reward_pmf(ep.network, ep.share, per_tol)
+        acc = np.convolve(acc, np.asarray(pmf.masses))
+    return acc
+
+
+def padded_gap(a, b):
+    """Largest absolute difference of two mass arrays, the shorter padded."""
+    n = max(len(a), len(b))
+    return float(np.max(np.abs(np.pad(a, (0, n - len(a)))
+                               - np.pad(b, (0, n - len(b))))))
 
 
 class TestWinCountPmf:
@@ -74,6 +99,32 @@ class TestWinCountPmf:
             win_count_pmf_closed(0, 1.0, 1.5)
 
 
+class TestSaddlePointPmf:
+    # plus the worst means of a denser scan: 27756.375 with bd0's series
+    # switched at Loader's |v| = 0.1, 2894.266 with it at 1/3
+    @pytest.mark.parametrize("mean", np.geomspace(1e-3, 1e6, 19).tolist()
+                             + [27756.375, 2894.266])
+    def test_matches_mpmath(self, mean):
+        # the bulk, both tails out to 40 sd, and the first 30 counts
+        spread = 40.0 * math.sqrt(mean) + 40.0
+        ks = np.unique(np.concatenate([
+            np.arange(30),
+            np.linspace(max(0.0, mean - spread), mean + spread,
+                        300).astype(int)]))
+        got = rewarddist._poisson_pmf(ks, mean)
+        with mpmath.workdps(40):
+            mu = mpmath.mpf(mean)
+            for k, mass in zip(ks.tolist(), got.tolist()):
+                want = mpmath.exp(-mu + k * mpmath.log(mu)
+                                  - mpmath.loggamma(k + 1))
+                if want > mpmath.mpf("1e-290"):
+                    assert abs(mass - want) <= 1e-12 * want, (mean, k)
+
+    def test_scalar_count(self):
+        assert rewarddist._poisson_pmf(0, 2.0) == math.exp(-2.0)
+        assert rewarddist._poisson_pmf(3, 0.0) == 0.0
+
+
 class TestEpochRewardPmf:
     def test_zero_share_is_unit_mass_at_zero(self):
         pmf = epoch_reward_pmf(make_epoch(10.0, 0.0, 2.0).network,
@@ -94,6 +145,29 @@ class TestEpochRewardPmf:
             epoch = make_epoch(e, q, 1.0)
             pmf = epoch_reward_pmf(epoch.network, epoch.share)
             assert 1.0 - 1e-12 <= pmf.total_mass() <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(mean=st.floats(1e-3, 1e5), step=st.floats(1e-3, 1e3))
+    def test_lattice_pmf_properties(self, mean, step):
+        network = NetworkParams(expected_blocks=mean, block_reward=step,
+                                power=1.0)
+        pmf = epoch_reward_pmf(network, MinerShare.from_probability(1.0, 1.0))
+        assert 1.0 - 1e-12 <= pmf.total_mass() <= 1.0 + 1e-13
+        assert pmf.mean() == pytest.approx(mean * step, rel=1e-9)
+        assert pmf.variance() == pytest.approx(mean * step * step, rel=1e-6)
+
+    def test_upper_tail_cut_below_budget(self):
+        epoch = make_epoch(200.0, 0.05, 1.0)
+        pmf = epoch_reward_pmf(epoch.network, epoch.share, tail_tol=1e-6)
+        omitted = stats.poisson(10.0).sf(len(pmf.masses) - 1)
+        assert omitted < 1e-9
+        assert stats.poisson(10.0).sf(len(pmf.masses) - 2) >= 1e-9
+
+    def test_oversized_pmf_refused(self):
+        network = NetworkParams(expected_blocks=2e7, block_reward=1.0,
+                                power=1.0)
+        with pytest.raises(ValidationError, match="masses"):
+            epoch_reward_pmf(network, MinerShare.from_probability(0.5, 1.0))
 
 
 class TestTotalRewardPmf:
@@ -128,6 +202,40 @@ class TestTotalRewardPmf:
         pmf = total_reward_pmf(epochs)
         assert pmf.variance() == pytest.approx(variance_thinned(epochs),
                                                rel=1e-8)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_convolution_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 21))
+        epochs = [make_epoch(float(rng.uniform(0.1, 30.0)),
+                             float(rng.uniform(0.0, 0.5)), 2.5)
+                  for _ in range(n - 1)]
+        epochs.insert(int(rng.integers(0, n)), make_epoch(5.0, 0.0, 2.5))
+        pooled = total_reward_pmf(epochs)
+        assert pooled.step == 2.5
+        assert padded_gap(np.asarray(pooled.masses),
+                          convolved_window_pmf(epochs)) <= 1e-14
+
+    def test_identical_epochs_match_convolution_oracle(self):
+        epochs = identical_epochs(make_epoch(10.0, 0.05, 1.0).network,
+                                  make_epoch(10.0, 0.05, 1.0).share, 20)
+        assert padded_gap(np.asarray(total_reward_pmf(epochs).masses),
+                          convolved_window_pmf(epochs)) <= 1e-14
+
+    def test_one_pmf_per_window(self, monkeypatch):
+        calls = []
+        real = rewarddist.epoch_reward_pmf
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rewarddist, "epoch_reward_pmf", counting)
+        epochs = identical_epochs(make_epoch(10.0, 0.05, 1.0).network,
+                                  make_epoch(10.0, 0.05, 1.0).share, 5000)
+        pmf = total_reward_pmf(epochs)
+        assert len(calls) == 1
+        assert pmf.mean() == pytest.approx(2500.0, rel=1e-9)
 
     def test_mixed_rewards_rejected(self):
         epochs = [make_epoch(1.0, 0.05, 1.0), make_epoch(1.0, 0.05, 2.0)]
@@ -166,6 +274,30 @@ class TestMoments:
         # e^{-1} (1 + 0.25 (Ei(1) - ln 1 - gamma)) at E=1, M=1, q=0.5
         got = variance_paper([make_epoch(1.0, 0.5, 1.0)])
         assert got == pytest.approx(0.48908671792036423, rel=1e-13)
+
+
+    def test_identical_window_costs_one_ei(self, monkeypatch):
+        calls = []
+        real = specfun.exp_integral_ei
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(specfun, "exp_integral_ei", counting)
+        epoch = make_epoch(1.0, 0.5, 1.0)
+        got = variance_paper(identical_epochs(epoch.network, epoch.share,
+                                              1000))
+        assert calls == [1.0]
+        assert got == pytest.approx(1000 * 0.48908671792036423, rel=1e-13)
+
+    def test_moments_weight_runs_by_length(self):
+        a, b = make_epoch(2.0, 0.1, 3.0), make_epoch(7.0, 0.02, 3.0)
+        epochs = [a, a, a, b, b, a]
+        for moment in (expected_total_reward, variance_thinned,
+                       variance_paper):
+            want = math.fsum(moment([ep]) for ep in epochs)
+            assert moment(epochs) == pytest.approx(want, rel=1e-14)
 
 
 class TestLatticePmf:

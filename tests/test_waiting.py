@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy import integrate
 
-from minecon.errors import ValidationError
+from minecon.errors import NumericalError, ValidationError
 from minecon.waiting import (BankruptcyInputs, WaitParams,
                              bankruptcy_horizon, bankruptcy_probability,
                              expected_wait, wait_variance, waiting_cdf,
@@ -72,6 +72,27 @@ def test_wait_variance_and_std():
     assert wait_variance(p) == pytest.approx(1e8, rel=1e-13)
     assert math.sqrt(wait_variance(p)) == pytest.approx(expected_wait(p),
                                                         rel=1e-13)
+
+
+def test_underflowed_rate_is_numerical_error():
+    # E q = 5e-298: 1/rate is finite but rate^2 underflows to 0
+    p = params(10.0, 5e-299)
+    assert expected_wait(p) == pytest.approx(2e297, rel=1e-14)
+    with pytest.raises(NumericalError):
+        wait_variance(p)
+    # E q = 1e-310 is subnormal, so 1/rate overflows
+    tiny = params(1e-10, 1e-300)
+    with pytest.raises(NumericalError):
+        expected_wait(tiny)
+    with pytest.raises(NumericalError):
+        wait_variance(tiny)
+
+
+def test_zero_share_wait_is_outside_the_domain():
+    with pytest.raises(ValidationError):
+        expected_wait(params(5.0, 0.0))
+    with pytest.raises(ValidationError):
+        wait_variance(params(5.0, 0.0))
 
 
 def test_memoryless_tail_ratio():
