@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import (CertainRuinError, ConvergenceError, MineconError,
                      NoRootError, NoViableStrategyError, NumericalError,
-                     UnsupportedLatticeError, ValidationError)
+                     ValidationError)
 from .growth import (FeeBound, GameRound, GrowthBreakdown, MinerPlan,
                      OptimalSplit, ViableWealth, conditional_reward,
                      max_pool_fee, min_viable_wealth, optimize_gamma,
@@ -17,11 +17,10 @@ from .mcsim import (EpochBatch, FirstWinResult, SimConfig, SimReport,
                     WealthPath, estimate_first_win_time, round_oracle,
                     round_payoffs, simulate_epochs, simulate_wealth_path)
 from .quadrature import adaptive_simpson
-from .rewarddist import (EpochSpec, LatticePmf, MinerShare, NetworkParams,
+from .rewarddist import (LatticePmf, MinerShare, NetworkParams,
                          epoch_reward_pmf, expected_total_reward,
-                         identical_epochs, total_reward_pmf, variance_paper,
-                         variance_thinned, win_count_pmf_closed,
-                         win_count_pmf_series)
+                         total_reward_pmf, variance_paper, variance_thinned,
+                         win_count_pmf_closed, win_count_pmf_series)
 from .specfun import EULER_MASCHERONI, euler_mascheroni, exp_integral_ei
 from .waiting import (BankruptcyInputs, WaitParams, bankruptcy_horizon,
                       bankruptcy_probability, expected_wait, wait_variance,

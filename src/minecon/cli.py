@@ -3,7 +3,8 @@
 Scenario files are flat ``key = value`` text (``#`` comments allowed) or a
 JSON object with the same keys. Every JSON artifact embeds the scenario
 echo, library version, and seed; floats are printed with 17 significant
-digits so outputs round-trip exactly.
+digits so outputs round-trip exactly. A command renders all its artifacts
+before it writes the first, so a failure leaves none behind.
 """
 
 import argparse
@@ -197,23 +198,26 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_json_text(payload) + "\n")
-    print(f"wrote {path}")
+def _json_file(path: Path, payload: dict) -> tuple:
+    return path, _json_text(payload) + "\n"
 
 
-def _write_table(base: Path, fmt: str, columns: list, rows) -> None:
+def _table_file(base: Path, fmt: str, columns: list, rows) -> tuple:
     if fmt == "csv":
-        path = base.with_suffix(".csv")
         lines = [",".join(columns)]
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        return base.with_suffix(".csv"), "\n".join(lines) + "\n"
+    return _json_file(base.with_suffix(".json"),
+                      {"columns": list(columns),
+                       "rows": [list(row) for row in rows]})
+
+
+def _write(*files) -> None:
+    """Write (path, text) pairs, all rendered before the first is written,
+    so a value that fails to serialize leaves no artifact behind."""
+    for path, text in files:
+        path.write_text(text)
         print(f"wrote {path}")
-    else:
-        path = base.with_suffix(".json")
-        payload = {"columns": list(columns),
-                   "rows": [list(row) for row in rows]}
-        _write_json(path, payload)
 
 
 def _envelope(command: str, scenario: Scenario, seed: int) -> dict:
@@ -224,38 +228,36 @@ def _envelope(command: str, scenario: Scenario, seed: int) -> dict:
 # -- command handlers -------------------------------------------------------
 
 
-def _window(scenario: Scenario) -> list:
-    """The scenario's N identical epochs, refused past _MAX_EPOCHS."""
+def _epochs(scenario: Scenario) -> int:
+    """The scenario's window length N, refused past _MAX_EPOCHS."""
     if scenario.N > _MAX_EPOCHS:
         raise ValidationError(
             f"scenario: N = {scenario.N} exceeds {_MAX_EPOCHS} epochs")
-    return rewarddist.identical_epochs(scenario.joined_network(),
-                                       scenario.share(), scenario.N)
+    return scenario.N
 
 
 def _cmd_dist(scenario: Scenario, args, out: Path) -> None:
     share = scenario.share()
-    epochs = _window(scenario)
-    pmf = rewarddist.total_reward_pmf(epochs)
+    window = (scenario.joined_network(), share, _epochs(scenario))
+    pmf = rewarddist.total_reward_pmf(*window)
 
     payload = _envelope("dist", scenario, args.seed)
     payload.update({
         "epochs": scenario.N,
         "win_probability": share.win_probability,
-        "expected_total_reward": rewarddist.expected_total_reward(epochs),
-        "variance_thinned": rewarddist.variance_thinned(epochs),
-        "variance_paper": rewarddist.variance_paper(epochs),
+        "expected_total_reward": rewarddist.expected_total_reward(*window),
+        "variance_thinned": rewarddist.variance_thinned(*window),
+        "variance_paper": rewarddist.variance_paper(*window),
         "pmf_mean": pmf.mean(),
         "pmf_variance": pmf.variance(),
         "lattice_step": pmf.step,
         "mass_count": len(pmf.masses),
         "total_mass": pmf.total_mass(),
     })
-    _write_json(out / "dist_moments.json", payload)
-    points = pmf.points()
-    _write_table(out / "dist_pmf", args.format,
-                 ["lattice_point", "probability"],
-                 zip(points.tolist(), pmf.masses))
+    _write(_json_file(out / "dist_moments.json", payload),
+           _table_file(out / "dist_pmf", args.format,
+                       ["lattice_point", "probability"],
+                       zip(pmf.points().tolist(), pmf.masses.tolist())))
 
 
 def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
@@ -270,8 +272,6 @@ def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
     xs = [k * args.grid_step for k in range(count)]
     rows = [(x, waiting.waiting_cdf(x, params), waiting.waiting_pdf(x, params))
             for x in xs]
-    _write_table(out / "wait_grid", args.format,
-                 ["x", "cdf", "pdf"], rows)
 
     payload = _envelope("wait", scenario, args.seed)
     payload.update({
@@ -283,7 +283,9 @@ def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
         "bankruptcy_probability": waiting.bankruptcy_probability(inputs,
                                                                  params),
     })
-    _write_json(out / "wait_summary.json", payload)
+    _write(_table_file(out / "wait_grid", args.format, ["x", "cdf", "pdf"],
+                       rows),
+           _json_file(out / "wait_summary.json", payload))
 
 
 def _breakdown_dict(b: growth.GrowthBreakdown) -> dict:
@@ -301,7 +303,7 @@ def _cmd_growth(scenario: Scenario, args, out: Path) -> None:
     payload.update(_breakdown_dict(breakdown))
     payload["smooth_growth_rate"] = growth.smooth_growth_rate(
         scenario.plan(), scenario.baseline_network(), scenario.tau)
-    _write_json(out / "growth.json", payload)
+    _write(_json_file(out / "growth.json", payload))
 
 
 def _cmd_optimize(scenario: Scenario, args, out: Path) -> None:
@@ -317,7 +319,7 @@ def _cmd_optimize(scenario: Scenario, args, out: Path) -> None:
             grid_size=args.grid_size, quad_tol=args.quad_tol)
         payload["min_viable_wealth"] = root.wealth
         payload["bracket"] = list(root.bracket)
-    _write_json(out / "optimize.json", payload)
+    _write(_json_file(out / "optimize.json", payload))
 
 
 def _cmd_fee(scenario: Scenario, args, out: Path) -> None:
@@ -334,7 +336,7 @@ def _cmd_fee(scenario: Scenario, args, out: Path) -> None:
         "smooth_growth": bound.smooth_growth,
         "stochastic_growth": bound.stochastic_growth,
     })
-    _write_json(out / "fee.json", payload)
+    _write(_json_file(out / "fee.json", payload))
 
 
 def _report_dict(report: mcsim.SimReport) -> dict:
@@ -348,6 +350,7 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
     payload = _envelope("simulate", scenario, args.seed)
     payload["kind"] = args.sim
     payload["stream_id"] = args.stream_id
+    tables = []
 
     if args.sim == "rounds":
         mode = args.reward_mode.replace("-", "_")
@@ -360,9 +363,10 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
             payoffs = mcsim.round_payoffs(scenario.plan(),
                                           scenario.baseline_network(),
                                           config, reward_mode=mode)
-            _write_table(out / "simulate_trials", args.format,
-                         ["trial", "log_payoff"],
-                         enumerate(payoffs.tolist(), start=1))
+            tables.append(_table_file(
+                out / "simulate_trials", args.format,
+                ["trial", "log_payoff"],
+                enumerate(payoffs.tolist(), start=1)))
     elif args.sim == "epochs":
         batch = mcsim.simulate_epochs(scenario.joined_network(),
                                       scenario.share(), config)
@@ -378,17 +382,17 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
             rows = [(k, int(v), float(r)) for k, v, r in
                     zip(range(1, len(batch) + 1), batch.blocks_won,
                         batch.rewards)]
-            _write_table(out / "simulate_trials", args.format,
-                         ["epoch", "wins", "reward"], rows)
+            tables.append(_table_file(out / "simulate_trials", args.format,
+                                      ["epoch", "wins", "reward"], rows))
     elif args.sim == "first-win":
         result = mcsim.estimate_first_win_time(scenario.joined_network(),
                                                scenario.share(), config)
         payload["report"] = _report_dict(result.report)
         payload["censored"] = result.censored
-        _write_table(out / "simulate_ecdf", args.format,
-                     ["epoch", "cumulative_probability"],
-                     zip(result.grid.tolist(),
-                         result.empirical_cdf.tolist()))
+        tables.append(_table_file(out / "simulate_ecdf", args.format,
+                                  ["epoch", "cumulative_probability"],
+                                  zip(result.grid.tolist(),
+                                      result.empirical_cdf.tolist())))
     else:  # wealth
         path = mcsim.simulate_wealth_path(scenario.plan(),
                                           scenario.baseline_network(),
@@ -398,11 +402,12 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
         payload["bankrupt_epoch"] = path.bankrupt_epoch
         payload["final_wealth"] = float(path.wealth[-1])
         payload["epochs_recorded"] = int(len(path.wealth))
-        _write_table(out / "simulate_path", args.format,
-                     ["epoch", "wins", "wealth"],
-                     zip(range(1, len(path.wealth) + 1),
-                         path.wins.tolist(), path.wealth.tolist()))
-    _write_json(out / "simulate.json", payload)
+        tables.append(_table_file(out / "simulate_path", args.format,
+                                  ["epoch", "wins", "wealth"],
+                                  zip(range(1, len(path.wealth) + 1),
+                                      path.wins.tolist(),
+                                      path.wealth.tolist())))
+    _write(*tables, _json_file(out / "simulate.json", payload))
 
 
 # -- verify: closed forms vs Monte Carlo ------------------------------------
@@ -432,7 +437,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
         raise ValidationError(
             f"window rows would draw {n_paths} x {scenario.N} epochs, more "
             f"than {_MAX_WINDOW_DRAWS}")
-    epochs = _window(scenario)
+    window = (joined, share, _epochs(scenario))
 
     # protocol-level epoch batch: Poisson mean and win-count pmf
     batch = mcsim.simulate_epochs(joined, share,
@@ -455,14 +460,16 @@ def _verify_rows(scenario: Scenario, args) -> list:
                      tv, 0.0, tv_band,
                      "total-variation distance, empirical vs thinned pmf"))
 
-    # first-win waiting time vs the discrete-geometric mean 1/p0 - 1/2
+    # first-win waiting time vs the discrete-geometric mean 1/p0 - 1/2; the
+    # band takes the geometric law's sd sqrt(1 - p0)/p0, not the sample's,
+    # which is 0 when every trial wins in epoch 1
     trials = max(2000, samples // 5)
     first = mcsim.estimate_first_win_time(
         joined, share, mcsim.SimConfig(seed, trials, stream_id=2))
     p0 = -math.expm1(-scenario.E * q)
     rows.append(_stat_row(
         "first-win-mean", first.report.estimate, 1.0 / p0 - 0.5,
-        3.0 * first.report.std_error,
+        3.0 * math.sqrt(math.exp(-scenario.E * q) / trials) / p0,
         "midpoint-recorded waiting time vs exact discrete mean"))
 
     # pure-drain ruin epoch and the no-win bankruptcy frequency
@@ -509,12 +516,12 @@ def _verify_rows(scenario: Scenario, args) -> list:
         "quadrature vs closed-form antiderivative"))
 
     # window moments: Monte Carlo vs expected total and thinned variance
-    want_mean = rewarddist.expected_total_reward(epochs)
-    want_var = rewarddist.variance_thinned(epochs)
-    window = mcsim.simulate_epochs(
+    want_mean = rewarddist.expected_total_reward(*window)
+    want_var = rewarddist.variance_thinned(*window)
+    draws = mcsim.simulate_epochs(
         joined, share,
         mcsim.SimConfig(seed, n_paths * scenario.N, stream_id=4))
-    totals = window.rewards.reshape(n_paths, scenario.N).sum(axis=1)
+    totals = draws.rewards.reshape(n_paths, scenario.N).sum(axis=1)
     mean = float(np.mean(totals))
     var = float(np.var(totals, ddof=1))
     rows.append(_stat_row(
@@ -529,7 +536,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
         "window-variance", var, want_var, 3.0 * se_var,
         f"variance of total reward over N={scenario.N} epochs"))
     rows.append(_row(
-        "variance-paper", "REPORT", rewarddist.variance_paper(epochs),
+        "variance-paper", "REPORT", rewarddist.variance_paper(*window),
         want_var, 0.0,
         "closed-form variance as printed; reported, not asserted"))
     return rows
@@ -543,7 +550,7 @@ def _cmd_verify(scenario: Scenario, args, out: Path) -> None:
     failures = sum(1 for r in rows if r["status"] == "FAIL")
     payload["failures"] = failures
     payload["passed"] = failures == 0
-    _write_json(out / "verify.json", payload)
+    _write(_json_file(out / "verify.json", payload))
 
     name_w = max(len(r["name"]) for r in rows)
     print(f"{'check':<{name_w}}  {'status':<6}  {'observed':<24}"

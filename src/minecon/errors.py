@@ -9,11 +9,6 @@ class ValidationError(MineconError, ValueError):
     """Bad input: parameter outside its documented domain."""
 
 
-class UnsupportedLatticeError(ValidationError):
-    """Epochs with heterogeneous block rewards share no common lattice;
-    use the Monte Carlo estimator in mcsim instead."""
-
-
 class CertainRuinError(MineconError, ValueError):
     """A positive-probability outcome drives wealth to zero or below,
     so the log-growth rate is -inf."""

@@ -17,7 +17,7 @@ from .errors import (CertainRuinError, ConvergenceError, MineconError,
                      NoRootError, NoViableStrategyError, NumericalError,
                      ValidationError)
 from .quadrature import adaptive_simpson
-from .rewarddist import NetworkParams
+from .rewarddist import NetworkParams, win_count_pmf_series
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -189,36 +189,20 @@ def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
     return network.expected_blocks * p / (network.power + p)
 
 
-def _no_win_mass_series(expected_blocks: float, win_probability: float,
-                        term_tol: float = 1e-16) -> float:
-    # sum_w Poisson(w; E) (1-q)^w, truncated like the win-count series
-    e, q = expected_blocks, win_probability
-    term = math.exp(-e)
-    terms = [term]
-    bulk = e + 10.0 * math.sqrt(e)
-    w = 0
-    while True:
-        w += 1
-        term *= e * (1.0 - q) / w
-        terms.append(term)
-        if w > bulk and (term == 0.0 or term < term_tol * math.fsum(terms)):
-            return math.fsum(terms)
-
-
 def conditional_reward(plan: MinerPlan, network: NetworkParams) -> float:
     """Expected reward per win, M q / (1 - sum_w Poisson(w; E)(1-q)^w).
 
     The no-win mass collapses to exp(-E q); both that closed form and the
-    truncated series are evaluated and must agree to 1e-12 (absolute, the
-    sharpest the series route supports once the mass is folded into the
-    denominator) before the closed form is used. Zero only in the
-    degenerate M = 0 network.
+    truncated series (rewarddist.win_count_pmf_series at v = 0) are
+    evaluated and must agree to 1e-12 (absolute, the sharpest the series
+    route supports once the mass is folded into the denominator) before the
+    closed form is used. Zero only in the degenerate M = 0 network.
     """
     p = plan.power
     q = p / (network.power + p)
     e = network.expected_blocks
     denom = -math.expm1(-e * q)
-    denom_series = 1.0 - _no_win_mass_series(e, q)
+    denom_series = 1.0 - win_count_pmf_series(0, e, q)
     if abs(denom_series - denom) > 1e-12:
         raise MineconError(
             f"no-win mass series {1.0 - denom_series!r} disagrees with "

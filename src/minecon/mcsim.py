@@ -154,16 +154,24 @@ def poisson_sample(rng: np.random.Generator, mean: float,
     return _poisson_ptrs(rng, mean, size)
 
 
+def _largest_draw(mean: float) -> int:
+    """The largest count poisson_sample can return at this mean."""
+    if mean <= _PTRS_THRESHOLD:
+        return len(_poisson_cdf_table(mean)) - 1
+    # PTRS rejects proposals past its lgamma table, ~60 sigma out
+    return int(mean + 60.0 * math.sqrt(mean) + 200.0)
+
+
 def _poisson_ptrs(rng: np.random.Generator, mean: float,
                   size: int) -> np.ndarray:
     # transformed rejection with squeeze (Hormann's PTRS), vectorized;
-    # proposals beyond the lgamma table sit ~60 sigma out and are rejected
+    # proposals beyond the lgamma table are rejected
     b = 0.931 + 2.53 * math.sqrt(mean)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     log_mean = math.log(mean)
-    k_cap = int(mean + 60.0 * math.sqrt(mean) + 200.0)
+    k_cap = _largest_draw(mean)
     lgamma_table = np.array([math.lgamma(k + 1.0) for k in range(k_cap + 1)])
 
     out = np.empty(size, dtype=np.int64)
@@ -223,8 +231,7 @@ def exponential_sample(rng: np.random.Generator, rate: float,
 
 @dataclass(frozen=True)
 class EpochBatch:
-    """Simulated epochs; iterates as (epoch_index, blocks_total, blocks_won,
-    reward) starting from epoch 1."""
+    """Simulated epochs: per-epoch block totals, blocks won and rewards."""
 
     blocks_total: np.ndarray
     blocks_won: np.ndarray
@@ -232,11 +239,6 @@ class EpochBatch:
 
     def __len__(self):
         return len(self.blocks_total)
-
-    def __iter__(self):
-        for k in range(len(self.blocks_total)):
-            yield (k + 1, int(self.blocks_total[k]), int(self.blocks_won[k]),
-                   float(self.rewards[k]))
 
 
 def simulate_epochs(network: NetworkParams, share: MinerShare,
@@ -268,12 +270,9 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     e = network.expected_blocks
     q = share.win_probability
 
-    if e <= _PTRS_THRESHOLD:
-        table_len = len(_poisson_cdf_table(e))
-    else:
-        table_len = int(e + 60.0 * math.sqrt(e) + 201.0)
-    win_given_w = -np.expm1(np.log1p(-q) * np.arange(table_len + 1)) \
-        if q < 1.0 else (np.arange(table_len + 1) > 0).astype(float)
+    counts = np.arange(_largest_draw(e) + 1)
+    win_given_w = -np.expm1(np.log1p(-q) * counts) \
+        if q < 1.0 else (counts > 0).astype(float)
 
     times = np.full(n, np.inf)
     active = np.arange(n)

@@ -5,6 +5,8 @@ matching array of values; subdivision is driven per interval, with the local
 error budget keyed to both an absolute and a relative tolerance.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError
@@ -41,6 +43,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
 
     accepted_value = 0.0
     accepted_error = 0.0
+    # what the error reports if no level runs (max_depth < 0)
+    best, achieved = float(simpson[0]), math.inf
     for depth in range(max_depth + 1):
         mid = 0.5 * (left + right)
         lm = 0.5 * (left + mid)
@@ -65,15 +69,10 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
         keep = ~done
         if not np.any(keep):
             return accepted_value, accepted_error
-
         if depth == max_depth:
             best = accepted_value + float(np.sum(s2[keep] + err[keep]))
             achieved = accepted_error + float(np.sum(np.abs(err[keep])))
-            raise ConvergenceError(
-                f"adaptive Simpson did not reach tolerance within "
-                f"{max_depth} refinement levels (achieved error "
-                f"{achieved:.3e})",
-                best_estimate=best, achieved_error=achieved)
+            break
 
         # children: [left, mid] and [mid, right]
         left, right = (np.concatenate([left[keep], mid[keep]]),
@@ -83,4 +82,7 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
                              np.concatenate([f_mid[keep], f_hi[keep]]))
         simpson = np.concatenate([s_left[keep], s_right[keep]])
 
-    raise AssertionError("unreachable")
+    raise ConvergenceError(
+        f"adaptive Simpson did not reach tolerance within {max_depth} "
+        f"refinement levels (achieved error {achieved:.3e})",
+        best_estimate=best, achieved_error=achieved)

@@ -1,21 +1,22 @@
 """Distributions and moments of a miner's block wins and rewards.
 
 Per-epoch win counts marginalize a Binomial over the Poisson block count,
-which thins to Poisson(E*q). Rewards live on the lattice {0, M, 2M, ...};
-independent Poisson win counts add up to one Poisson, so a whole window
-on one lattice is a single Poisson pmf. Masses come from Loader's
-saddle-point form (C. Loader, "Fast and Accurate Computation of Binomial
-Probabilities", 2000), which keeps full relative accuracy at large means.
+which thins to Poisson(E*q). Rewards live on the lattice {0, M, 2M, ...}.
+A window is N identical epochs, given by one epoch's network and share and
+the count N. Independent Poisson win counts add up to one Poisson, so the
+window's reward is the pmf of one epoch with N*E blocks, and each moment is
+N times its one-epoch term. Masses come from Loader's saddle-point form
+(C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
+2000), which keeps full relative accuracy at large means.
 """
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import specfun
-from .errors import UnsupportedLatticeError, ValidationError
+from .errors import ValidationError
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -71,45 +72,31 @@ class MinerShare:
         return cls(power=power, win_probability=power / network_power)
 
 
-@dataclass(frozen=True)
-class EpochSpec:
-    """Network state and miner share for one epoch of a window."""
-
-    network: NetworkParams
-    share: MinerShare
-
-    def __post_init__(self):
-        _require(self.share.power <= self.network.power,
-                 "miner power cannot exceed network power")
-        _require(self.share.win_probability == self.share.power / self.network.power,
-                 "win probability must equal miner power / network power")
-
-
-def identical_epochs(network: NetworkParams, share: MinerShare,
-                     count: int) -> list[EpochSpec]:
-    """A window of `count` epochs with constant parameters."""
-    _require(count >= 1, "window must contain at least one epoch")
-    return [EpochSpec(network, share)] * count
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticePmf:
     """Probability masses on the uniform lattice {0, step, 2*step, ...}.
 
-    Truncated so the retained mass is within tail_tol of 1; immutable.
+    Truncated so the retained mass is within tail_tol of 1; immutable, with
+    the masses held as a read-only float array (a writeable one is copied).
     """
 
     step: float
-    masses: tuple
+    masses: np.ndarray
     tail_tol: float
 
     def __post_init__(self):
+        masses = np.asarray(self.masses, dtype=float)
+        if masses.flags.writeable:
+            masses = masses.copy()
+            masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
         _require(math.isfinite(self.step) and self.step > 0,
                  "lattice step must be positive")
-        _require(len(self.masses) > 0, "pmf must carry at least one mass")
-        _require(all(m >= 0 for m in self.masses), "masses must be nonnegative")
+        _require(masses.ndim == 1 and masses.size > 0,
+                 "pmf must carry at least one mass")
+        _require(bool(np.all(masses >= 0)), "masses must be nonnegative")
         _require(0 < self.tail_tol < 1, "tail_tol must lie in (0, 1)")
-        total = math.fsum(self.masses)
+        total = self.total_mass()
         _require(1.0 - self.tail_tol <= total <= 1.0 + 1e-12,
                  f"total mass {total!r} outside [1 - tail_tol, 1]")
 
@@ -117,32 +104,17 @@ class LatticePmf:
         return self.step * np.arange(len(self.masses))
 
     def total_mass(self) -> float:
-        return math.fsum(self.masses)
+        return math.fsum(self.masses.tolist())
 
     def mean(self) -> float:
-        return math.fsum(m * j * self.step for j, m in enumerate(self.masses))
+        return math.fsum(m * j * self.step
+                         for j, m in enumerate(self.masses.tolist()))
 
     def variance(self) -> float:
         mu = self.mean()
         second = math.fsum(m * (j * self.step) ** 2
-                           for j, m in enumerate(self.masses))
+                           for j, m in enumerate(self.masses.tolist()))
         return second - mu * mu
-
-    def to_json_dict(self) -> dict:
-        return {"step": self.step, "masses": list(self.masses),
-                "tail_tol": self.tail_tol}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LatticePmf":
-        return cls(step=float(data["step"]),
-                   masses=tuple(float(m) for m in data["masses"]),
-                   tail_tol=float(data["tail_tol"]))
-
-    def to_csv_text(self) -> str:
-        lines = ["lattice_point,probability"]
-        for j, m in enumerate(self.masses):
-            lines.append(f"{j * self.step:.17g},{m:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n), exact for n = 1..15
@@ -269,7 +241,7 @@ def epoch_reward_pmf(network: NetworkParams, share: MinerShare,
     _require(0 < tail_tol < 1, "tail_tol must lie in (0, 1)")
     m = network.block_reward
     if m == 0.0:
-        return LatticePmf(step=1.0, masses=(1.0,), tail_tol=tail_tol)
+        return LatticePmf(step=1.0, masses=np.ones(1), tail_tol=tail_tol)
     mean = network.expected_blocks * share.win_probability
     top = math.floor(mean + 40.0 * math.sqrt(mean) + 40.0)
     _require(top < _MAX_MASSES,
@@ -280,82 +252,62 @@ def epoch_reward_pmf(network: NetworkParams, share: MinerShare,
     tails = np.cumsum(masses[::-1])[::-1]
     below = tails < 1e-3 * tail_tol
     count = int(np.argmax(below)) if below[-1] else len(masses)
-    return LatticePmf(step=m, masses=tuple(masses[:count].tolist()),
-                      tail_tol=tail_tol)
+    masses.flags.writeable = False
+    return LatticePmf(step=m, masses=masses[:count], tail_tol=tail_tol)
 
 
-def _runs(epochs: list) -> list:
-    """(epoch, count) for each run of equal consecutive epochs."""
-    return [(ep, len(list(group))) for ep, group in itertools.groupby(epochs)]
+def total_reward_pmf(network: NetworkParams, share: MinerShare,
+                     epochs: int) -> LatticePmf:
+    """Distribution of the summed reward over a window of identical epochs.
 
-
-def total_reward_pmf(epochs: list, tail_tol: float = 1e-12) -> LatticePmf:
-    """Distribution of the summed reward over a window, as one Poisson pmf.
-
-    Epoch i wins Poisson(E_i q_i) blocks, independently, so the window wins
-    Poisson(sum_i E_i q_i): the pmf of one pooled epoch with sum_i E_i blocks
-    and the block-weighted share, whose win mean is that sum. All epochs
-    must share one block reward M so their lattices line up; heterogeneous
-    rewards have no common lattice here and are delegated to the Monte
-    Carlo estimator in mcsim.
+    Each epoch wins Poisson(E q) blocks independently, so the window wins
+    Poisson(epochs * E * q): the reward pmf of one epoch with epochs * E
+    expected blocks, on the same lattice {0, M, 2M, ...}.
     """
-    _require(len(epochs) > 0, "window must contain at least one epoch")
-    _require(0 < tail_tol < 1, "tail_tol must lie in (0, 1)")
-    runs = _runs(epochs)
-    rewards = {ep.network.block_reward for ep, _ in runs}
-    if len(rewards) > 1:
-        raise UnsupportedLatticeError(
-            "epochs carry different block rewards and share no common "
-            "lattice; use mcsim.simulate_epochs to estimate the total")
-    blocks = math.fsum(n * ep.network.expected_blocks for ep, n in runs)
-    wins = math.fsum(n * (ep.network.expected_blocks
-                          * ep.share.win_probability) for ep, n in runs)
-    pooled = NetworkParams(expected_blocks=blocks,
-                           block_reward=rewards.pop(), power=1.0)
-    share = MinerShare.from_probability(wins / blocks, pooled.power)
-    return epoch_reward_pmf(pooled, share, tail_tol)
+    _require(epochs >= 1, "window must contain at least one epoch")
+    pooled = replace(network,
+                     expected_blocks=epochs * network.expected_blocks)
+    return epoch_reward_pmf(pooled, share)
 
 
-def expected_total_reward(epochs: list) -> float:
-    """Expected window reward: sum over epochs of E * M * q."""
-    _require(len(epochs) > 0, "window must contain at least one epoch")
-    return math.fsum(n * (ep.network.expected_blocks * ep.network.block_reward
-                          * ep.share.win_probability)
-                     for ep, n in _runs(epochs))
+def expected_total_reward(network: NetworkParams, share: MinerShare,
+                          epochs: int) -> float:
+    """Expected window reward: epochs * E * M * q."""
+    _require(epochs >= 1, "window must contain at least one epoch")
+    return epochs * (network.expected_blocks * network.block_reward
+                     * share.win_probability)
 
 
-def variance_paper(epochs: list) -> float:
+def variance_paper(network: NetworkParams, share: MinerShare,
+                   epochs: int) -> float:
     """Window reward variance, closed form with the exponential integral.
 
-    Evaluates, for each run of n equal epochs,
-        n * e^{-E} * E^2 * M^2 * [1 + q(1-q) * (Ei(E) - log(E) - gamma)],
-    summed over the window, so a window of identical epochs costs one Ei.
-    Dimensionally inconsistent with the thinning derivation (see
-    variance_thinned); reported side by side so Monte Carlo can adjudicate,
-    never silently corrected.
+    Evaluates
+        epochs * e^{-E} * E^2 * M^2 * [1 + q(1-q) * (Ei(E) - log(E) - gamma)],
+    so a window costs one Ei. Dimensionally inconsistent with the thinning
+    derivation (see variance_thinned); reported side by side so Monte Carlo
+    can adjudicate, never silently corrected.
     """
-    _require(len(epochs) > 0, "window must contain at least one epoch")
-    terms = []
-    for ep, n in _runs(epochs):
-        e = ep.network.expected_blocks
-        m = ep.network.block_reward
-        q = ep.share.win_probability
-        bracket = 1.0 + q * (1.0 - q) * (specfun.exp_integral_ei(e)
-                                         - math.log(e)
-                                         - specfun.EULER_MASCHERONI)
-        terms.append(n * (math.exp(-e) * e * e * m * m * bracket))
-    return math.fsum(terms)
+    _require(epochs >= 1, "window must contain at least one epoch")
+    e = network.expected_blocks
+    m = network.block_reward
+    q = share.win_probability
+    bracket = 1.0 + q * (1.0 - q) * (specfun.exp_integral_ei(e)
+                                     - math.log(e)
+                                     - specfun.EULER_MASCHERONI)
+    return epochs * (math.exp(-e) * e * e * m * m * bracket)
 
 
-def variance_thinned(epochs: list) -> float:
-    """Window reward variance via Poisson thinning: sum of M^2 * E * q.
+def variance_thinned(network: NetworkParams, share: MinerShare,
+                     epochs: int) -> float:
+    """Window reward variance via Poisson thinning: epochs * M^2 * E * q.
 
     Independent oracle for variance_paper: per-epoch wins are Poisson(E*q),
-    so rewards have variance M^2 E q per epoch, and independent epochs add;
-    each run of n equal epochs contributes n times its term.
+    so rewards have variance M^2 E q per epoch, and independent epochs add.
     """
-    _require(len(epochs) > 0, "window must contain at least one epoch")
-    return math.fsum(n * (ep.network.block_reward ** 2
-                          * ep.network.expected_blocks
-                          * ep.share.win_probability)
-                     for ep, n in _runs(epochs))
+    _require(epochs >= 1, "window must contain at least one epoch")
+    return epochs * (network.block_reward ** 2 * network.expected_blocks
+                     * share.win_probability)
+
+
+

@@ -19,9 +19,9 @@ from minecon.growth import (GameRound, MinerPlan, _smooth_growth_parts,
                             wealth_trajectory, win_rate_lambda)
 from minecon.mcsim import (SimConfig, estimate_first_win_time, round_oracle,
                            simulate_epochs, simulate_wealth_path)
-from minecon.rewarddist import (MinerShare, NetworkParams, identical_epochs,
-                                variance_paper, variance_thinned,
-                                win_count_pmf_closed, win_count_pmf_series)
+from minecon.rewarddist import (MinerShare, NetworkParams, variance_paper,
+                                variance_thinned, win_count_pmf_closed,
+                                win_count_pmf_series)
 from minecon.waiting import (BankruptcyInputs, WaitParams,
                              bankruptcy_probability, waiting_cdf)
 
@@ -130,9 +130,8 @@ def test_04_window_moments_with_both_variances(capsys):
             totals[k * chunk:(k + 1) * chunk] = \
                 batch.rewards.reshape(chunk, window).sum(axis=1)
 
-        epochs = identical_epochs(net, share, window)
-        v_thinned = variance_thinned(epochs)
-        v_paper = variance_paper(epochs)
+        v_thinned = variance_thinned(net, share, window)
+        v_paper = variance_paper(net, share, window)
         assert v_thinned == pytest.approx(5.0, rel=1e-12)
 
         mean = float(totals.mean())

@@ -11,7 +11,7 @@ import pytest
 
 import minecon
 from conftest import REFERENCE, run_cli, write_scenario
-from minecon import __version__
+from minecon import __version__, rewarddist
 from minecon.cli import load_scenario
 from minecon.errors import ValidationError
 
@@ -141,6 +141,17 @@ class TestArtifacts:
         assert abs(payload["total_mass"] - 1.0) <= 1e-12
         assert payload["pmf_mean"] == pytest.approx(
             payload["expected_total_reward"], rel=1e-9)
+
+    def test_dist_csv_round_trips_the_pmf(self, reference_file, tmp_path):
+        out = tmp_path / "artifacts"
+        assert run_cli("dist", reference_file, "--out", out) == 0
+        scenario = load_scenario(reference_file)
+        pmf = rewarddist.total_reward_pmf(scenario.joined_network(),
+                                          scenario.share(), scenario.N)
+        _, rows = read_csv(out / "dist_pmf.csv")
+        assert [float(p) for _, p in rows] == pmf.masses.tolist()
+        assert [float(x) for x, _ in rows] == [j * scenario.M
+                                              for j in range(len(rows))]
 
     def test_growth_breakdown_reference_values(self, reference_file,
                                                tmp_path):
@@ -340,6 +351,7 @@ class TestExitCodes:
         assert err.startswith("error: numeric: non-finite value inf")
         assert err.count("\n") == 1
         assert not (tmp_path / "wait_summary.json").exists()
+        assert not (tmp_path / "wait_grid.csv").exists()
 
     def test_wait_rate_underflow_is_numeric_failure(self, tmp_path, capsys):
         # against P0 = 1e300 the win rate squared underflows to 0
@@ -350,6 +362,7 @@ class TestExitCodes:
         assert err.startswith("error: numeric: win rate")
         assert err.count("\n") == 1
         assert not (tmp_path / "wait_summary.json").exists()
+        assert not (tmp_path / "wait_grid.csv").exists()
 
     @pytest.mark.parametrize("command", ["dist", "verify"])
     def test_huge_window_rejected_under_memory_cap(self, tmp_path, command):
@@ -438,6 +451,18 @@ class TestVerify:
         payload = read_json(tmp_path / "verify.json")
         statuses = {row["status"] for row in payload["rows"]}
         assert statuses <= {"PASS", "REPORT"}
+
+    def test_first_win_band_survives_certain_first_epoch_wins(self,
+                                                              tmp_path):
+        # at E = 200 every trial wins in epoch 1, so the sample standard
+        # error of the first-win mean is 0; the band must not be
+        path = write_scenario(tmp_path, E=200)
+        assert run_cli("verify", path, "--out", tmp_path, "--seed", 42,
+                       "--samples", 50000) == 0
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        assert rows["first-win-mean"]["status"] == "PASS"
+        assert rows["first-win-mean"]["band"] > 0
 
 
 class TestConsoleEntry:

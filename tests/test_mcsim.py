@@ -141,13 +141,6 @@ class TestSimulateEpochs:
         assert (batch.blocks_won <= batch.blocks_total).all()
         np.testing.assert_allclose(batch.rewards, 2.5 * batch.blocks_won)
 
-    def test_iteration_yields_tuples(self):
-        batch = simulate_epochs(network(), MinerShare.from_probability(
-            0.01, 1000.0), SimConfig(seed=8, sample_count=3))
-        rows = list(batch)
-        assert len(rows) == 3
-        assert rows[0][0] == 1
-
 
 class TestFirstWinTime:
     def test_mean_against_waiting_model(self):

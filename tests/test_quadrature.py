@@ -82,3 +82,9 @@ def test_invalid_bounds_and_tolerances():
         adaptive_simpson(np.exp, 1.0, 0.0)
     with pytest.raises(ValueError):
         adaptive_simpson(np.exp, 0.0, 1.0, rel_tol=0.0, abs_tol=0.0)
+
+
+def test_no_refinement_level_raises_convergence_error():
+    with pytest.raises(ConvergenceError,
+                       match="^adaptive Simpson did not reach tolerance"):
+        adaptive_simpson(np.exp, 0.0, 1.0, max_depth=-1)

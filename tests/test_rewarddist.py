@@ -1,6 +1,5 @@
 """Win-count and reward distributions against series, scipy, and moments."""
 
-import json
 import math
 
 import mpmath
@@ -11,10 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from minecon import rewarddist, specfun
-from minecon.errors import UnsupportedLatticeError, ValidationError
-from minecon.rewarddist import (EpochSpec, LatticePmf, MinerShare,
-                                NetworkParams, epoch_reward_pmf,
-                                expected_total_reward, identical_epochs,
+from minecon.errors import ValidationError
+from minecon.rewarddist import (LatticePmf, MinerShare, NetworkParams,
+                                epoch_reward_pmf, expected_total_reward,
                                 total_reward_pmf, variance_paper,
                                 variance_thinned, win_count_pmf_closed,
                                 win_count_pmf_series)
@@ -23,23 +21,23 @@ E_GRID = [0.1, 1.0, 10.0]
 Q_GRID = [1e-4, 1e-3, 0.05, 0.5]
 
 
-def make_epoch(e, q, m):
+def make_epoch(e, q, m, count=1):
+    """(network, share, count): a window of `count` epochs."""
     network = NetworkParams(expected_blocks=e, block_reward=m, power=1000.0)
     share = MinerShare.from_probability(q, network.power)
-    return EpochSpec(network=network, share=share)
+    return network, share, count
 
 
-def convolved_window_pmf(epochs, tail_tol=1e-12):
-    """The window pmf by N - 1 lattice convolutions of per-epoch pmfs.
+def convolved_window_pmf(network, share, count, tail_tol=1e-12):
+    """The window pmf by count - 1 lattice convolutions of one-epoch pmfs.
 
-    Oracle for total_reward_pmf: each epoch is truncated at tail_tol / N,
-    so the convolution keeps at least 1 - tail_tol of the mass.
+    Oracle for total_reward_pmf: each epoch is truncated at tail_tol /
+    count, so the convolution keeps at least 1 - tail_tol of the mass.
     """
-    per_tol = tail_tol / len(epochs)
+    epoch = epoch_reward_pmf(network, share, tail_tol / count)
     acc = np.array([1.0])
-    for ep in epochs:
-        pmf = epoch_reward_pmf(ep.network, ep.share, per_tol)
-        acc = np.convolve(acc, np.asarray(pmf.masses))
+    for _ in range(count):
+        acc = np.convolve(acc, epoch.masses)
     return acc
 
 
@@ -127,14 +125,14 @@ class TestSaddlePointPmf:
 
 class TestEpochRewardPmf:
     def test_zero_share_is_unit_mass_at_zero(self):
-        pmf = epoch_reward_pmf(make_epoch(10.0, 0.0, 2.0).network,
-                               make_epoch(10.0, 0.0, 2.0).share)
-        assert pmf.masses == (1.0,)
+        network, share, _ = make_epoch(10.0, 0.0, 2.0)
+        pmf = epoch_reward_pmf(network, share)
+        np.testing.assert_array_equal(pmf.masses, [1.0])
         assert pmf.mean() == 0.0
 
     def test_lattice_masses(self):
-        epoch = make_epoch(10.0, 0.005, 2.0)
-        pmf = epoch_reward_pmf(epoch.network, epoch.share)
+        network, share, _ = make_epoch(10.0, 0.005, 2.0)
+        pmf = epoch_reward_pmf(network, share)
         assert pmf.step == 2.0
         assert pmf.masses[0] == pytest.approx(0.951229424500714, abs=1e-15)
         assert pmf.masses[1] == pytest.approx(0.0475614712250357, abs=1e-15)
@@ -142,8 +140,8 @@ class TestEpochRewardPmf:
 
     def test_total_mass_tolerance(self):
         for e, q in [(0.1, 1e-4), (1.0, 0.05), (10.0, 0.5)]:
-            epoch = make_epoch(e, q, 1.0)
-            pmf = epoch_reward_pmf(epoch.network, epoch.share)
+            network, share, _ = make_epoch(e, q, 1.0)
+            pmf = epoch_reward_pmf(network, share)
             assert 1.0 - 1e-12 <= pmf.total_mass() <= 1.0 + 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -157,8 +155,8 @@ class TestEpochRewardPmf:
         assert pmf.variance() == pytest.approx(mean * step * step, rel=1e-6)
 
     def test_upper_tail_cut_below_budget(self):
-        epoch = make_epoch(200.0, 0.05, 1.0)
-        pmf = epoch_reward_pmf(epoch.network, epoch.share, tail_tol=1e-6)
+        network, share, _ = make_epoch(200.0, 0.05, 1.0)
+        pmf = epoch_reward_pmf(network, share, tail_tol=1e-6)
         omitted = stats.poisson(10.0).sf(len(pmf.masses) - 1)
         assert omitted < 1e-9
         assert stats.poisson(10.0).sf(len(pmf.masses) - 2) >= 1e-9
@@ -172,55 +170,49 @@ class TestEpochRewardPmf:
 
 class TestTotalRewardPmf:
     def test_single_epoch_matches_epoch_pmf(self):
-        epoch = make_epoch(1.0, 0.05, 3.0)
-        single = total_reward_pmf([epoch])
-        direct = epoch_reward_pmf(epoch.network, epoch.share,
-                                  tail_tol=1e-12)
+        network, share, _ = make_epoch(1.0, 0.05, 3.0)
+        single = total_reward_pmf(network, share, 1)
+        direct = epoch_reward_pmf(network, share, tail_tol=1e-12)
         assert single.step == direct.step
         np.testing.assert_allclose(single.masses, direct.masses, atol=1e-15)
 
     def test_three_epochs_collapse_to_poisson(self):
         # three thinned epochs add up to Poisson(0.03) on the reward lattice
-        epochs = identical_epochs(make_epoch(10.0, 0.001, 1.0).network,
-                                  make_epoch(10.0, 0.001, 1.0).share, 3)
-        pmf = total_reward_pmf(epochs)
+        pmf = total_reward_pmf(*make_epoch(10.0, 0.001, 1.0, 3))
         for k, mass in enumerate(pmf.masses):
             want = math.exp(-0.03) * 0.03**k / math.factorial(k)
             # truncated per-epoch tails cost at most the 1e-12 mass budget
             assert mass == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_mean_matches_expected_total(self):
-        epochs = identical_epochs(make_epoch(10.0, 0.05, 2.5).network,
-                                  make_epoch(10.0, 0.05, 2.5).share, 40)
-        pmf = total_reward_pmf(epochs)
-        assert pmf.mean() == pytest.approx(expected_total_reward(epochs),
+        window = make_epoch(10.0, 0.05, 2.5, 40)
+        pmf = total_reward_pmf(*window)
+        assert pmf.mean() == pytest.approx(expected_total_reward(*window),
                                            rel=1e-9)
 
     def test_variance_matches_thinned(self):
-        epochs = identical_epochs(make_epoch(5.0, 0.02, 1.5).network,
-                                  make_epoch(5.0, 0.02, 1.5).share, 25)
-        pmf = total_reward_pmf(epochs)
-        assert pmf.variance() == pytest.approx(variance_thinned(epochs),
+        window = make_epoch(5.0, 0.02, 1.5, 25)
+        pmf = total_reward_pmf(*window)
+        assert pmf.variance() == pytest.approx(variance_thinned(*window),
                                                rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_convolution_oracle(self, seed):
+        # a random identical window, and the same window at q = 0
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 21))
-        epochs = [make_epoch(float(rng.uniform(0.1, 30.0)),
-                             float(rng.uniform(0.0, 0.5)), 2.5)
-                  for _ in range(n - 1)]
-        epochs.insert(int(rng.integers(0, n)), make_epoch(5.0, 0.0, 2.5))
-        pooled = total_reward_pmf(epochs)
-        assert pooled.step == 2.5
-        assert padded_gap(np.asarray(pooled.masses),
-                          convolved_window_pmf(epochs)) <= 1e-14
+        e, q = float(rng.uniform(0.1, 30.0)), float(rng.uniform(0.0, 0.5))
+        count = int(rng.integers(2, 21))
+        for window in (make_epoch(e, q, 2.5, count),
+                       make_epoch(e, 0.0, 2.5, count)):
+            pooled = total_reward_pmf(*window)
+            assert pooled.step == 2.5
+            assert padded_gap(pooled.masses,
+                              convolved_window_pmf(*window)) <= 1e-14
 
     def test_identical_epochs_match_convolution_oracle(self):
-        epochs = identical_epochs(make_epoch(10.0, 0.05, 1.0).network,
-                                  make_epoch(10.0, 0.05, 1.0).share, 20)
-        assert padded_gap(np.asarray(total_reward_pmf(epochs).masses),
-                          convolved_window_pmf(epochs)) <= 1e-14
+        window = make_epoch(10.0, 0.05, 1.0, 20)
+        assert padded_gap(total_reward_pmf(*window).masses,
+                          convolved_window_pmf(*window)) <= 1e-14
 
     def test_one_pmf_per_window(self, monkeypatch):
         calls = []
@@ -231,48 +223,39 @@ class TestTotalRewardPmf:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rewarddist, "epoch_reward_pmf", counting)
-        epochs = identical_epochs(make_epoch(10.0, 0.05, 1.0).network,
-                                  make_epoch(10.0, 0.05, 1.0).share, 5000)
-        pmf = total_reward_pmf(epochs)
+        pmf = total_reward_pmf(*make_epoch(10.0, 0.05, 1.0, 5000))
         assert len(calls) == 1
         assert pmf.mean() == pytest.approx(2500.0, rel=1e-9)
 
-    def test_mixed_rewards_rejected(self):
-        epochs = [make_epoch(1.0, 0.05, 1.0), make_epoch(1.0, 0.05, 2.0)]
-        with pytest.raises(UnsupportedLatticeError):
-            total_reward_pmf(epochs)
-
     def test_empty_window_rejected(self):
         with pytest.raises(ValidationError):
-            total_reward_pmf([])
+            total_reward_pmf(*make_epoch(1.0, 0.05, 1.0, 0))
 
 
 class TestMoments:
     def test_expected_total_reward_direct(self):
-        epoch = make_epoch(0.1, 0.01, 6.25)
-        assert expected_total_reward([epoch]) == pytest.approx(0.00625,
+        window = make_epoch(0.1, 0.01, 6.25)
+        assert expected_total_reward(*window) == pytest.approx(0.00625,
                                                                rel=1e-14)
 
     def test_expected_total_reward_zero_share(self):
-        epochs = identical_epochs(make_epoch(2.0, 0.0, 4.0).network,
-                                  make_epoch(2.0, 0.0, 4.0).share, 7)
-        assert expected_total_reward(epochs) == 0.0
+        assert expected_total_reward(*make_epoch(2.0, 0.0, 4.0, 7)) == 0.0
 
     def test_variance_thinned_single_epoch(self):
-        assert variance_thinned([make_epoch(10.0, 0.001, 1.0)]) == (
+        assert variance_thinned(*make_epoch(10.0, 0.001, 1.0)) == (
             pytest.approx(0.01, rel=1e-14))
-        assert variance_thinned([make_epoch(10.0, 0.0, 1.0)]) == 0.0
+        assert variance_thinned(*make_epoch(10.0, 0.0, 1.0)) == 0.0
 
     def test_variance_paper_zero_share(self):
         # bracket collapses to 1, leaving e^{-E} E^2 M^2
         for e, m in [(1.0, 1.0), (2.0, 3.0)]:
             want = math.exp(-e) * e * e * m * m
-            assert variance_paper([make_epoch(e, 0.0, m)]) == pytest.approx(
+            assert variance_paper(*make_epoch(e, 0.0, m)) == pytest.approx(
                 want, rel=1e-14)
 
     def test_variance_paper_half_share(self):
         # e^{-1} (1 + 0.25 (Ei(1) - ln 1 - gamma)) at E=1, M=1, q=0.5
-        got = variance_paper([make_epoch(1.0, 0.5, 1.0)])
+        got = variance_paper(*make_epoch(1.0, 0.5, 1.0))
         assert got == pytest.approx(0.48908671792036423, rel=1e-13)
 
 
@@ -285,37 +268,20 @@ class TestMoments:
             return real(x)
 
         monkeypatch.setattr(specfun, "exp_integral_ei", counting)
-        epoch = make_epoch(1.0, 0.5, 1.0)
-        got = variance_paper(identical_epochs(epoch.network, epoch.share,
-                                              1000))
+        got = variance_paper(*make_epoch(1.0, 0.5, 1.0, 1000))
         assert calls == [1.0]
         assert got == pytest.approx(1000 * 0.48908671792036423, rel=1e-13)
 
-    def test_moments_weight_runs_by_length(self):
-        a, b = make_epoch(2.0, 0.1, 3.0), make_epoch(7.0, 0.02, 3.0)
-        epochs = [a, a, a, b, b, a]
-        for moment in (expected_total_reward, variance_thinned,
-                       variance_paper):
-            want = math.fsum(moment([ep]) for ep in epochs)
-            assert moment(epochs) == pytest.approx(want, rel=1e-14)
-
 
 class TestLatticePmf:
-    def test_json_round_trip(self):
-        epoch = make_epoch(1.0, 0.05, 2.0)
-        pmf = epoch_reward_pmf(epoch.network, epoch.share)
-        clone = LatticePmf.from_json_dict(json.loads(
-            json.dumps(pmf.to_json_dict())))
-        assert clone.step == pmf.step
-        assert clone.masses == pmf.masses
-
-    def test_csv_text_round_trips_floats(self):
-        epoch = make_epoch(1.0, 0.05, 2.0)
-        pmf = epoch_reward_pmf(epoch.network, epoch.share)
-        lines = pmf.to_csv_text().strip().splitlines()
-        assert lines[0] == "lattice_point,probability"
-        for line, mass in zip(lines[1:], pmf.masses):
-            assert float(line.split(",")[1]) == mass
+    def test_masses_are_read_only(self):
+        pmf = total_reward_pmf(*make_epoch(10.0, 0.05, 1.0, 20))
+        with pytest.raises(ValueError):
+            pmf.masses[0] = 0.5
+        given = np.array([0.25, 0.75])
+        pmf = LatticePmf(step=1.0, masses=given, tail_tol=1e-12)
+        given[0] = 0.5
+        assert pmf.masses[0] == 0.25
 
     def test_rejects_leaky_mass(self):
         with pytest.raises(ValidationError):
@@ -333,8 +299,5 @@ class TestShareValidation:
         assert share.win_probability == share.power / 1000.0
 
     def test_share_cannot_exceed_network(self):
-        network = NetworkParams(expected_blocks=1.0, block_reward=1.0,
-                                power=10.0)
-        share = MinerShare.from_powers(50.0, 1050.0)
         with pytest.raises(ValidationError):
-            EpochSpec(network=network, share=share)
+            MinerShare.from_powers(2000.0, 1050.0)
