@@ -107,13 +107,14 @@ class LatticePmf:
         return math.fsum(self.masses.tolist())
 
     def mean(self) -> float:
-        return math.fsum(m * j * self.step
-                         for j, m in enumerate(self.masses.tolist()))
+        # (m j) step, not m (j step): the last bits of pmf_mean depend on it
+        j = np.arange(len(self.masses))
+        return math.fsum((self.masses * j * self.step).tolist())
 
     def variance(self) -> float:
         mu = self.mean()
-        second = math.fsum(m * (j * self.step) ** 2
-                           for j, m in enumerate(self.masses.tolist()))
+        points = self.points()
+        second = math.fsum((self.masses * (points * points)).tolist())
         return second - mu * mu
 
 

@@ -385,6 +385,35 @@ class TestExitCodes:
         assert result.stderr.startswith("error: validation:")
         assert result.stderr.count("\n") == 1
 
+    def test_quadrature_blowup_is_convergence_failure_under_memory_cap(
+            self, tmp_path):
+        # at --quad-tol 1e-12 this scenario's win-branch integral keeps
+        # most intervals open at every level (11.7 million by 3 s without
+        # a cap); the open-interval cap ends it with exit 2 well inside a
+        # 1.5 GB address space
+        path = write_scenario(tmp_path, E=13.040137914516626,
+                              M=3.387072673501163, P0=5117.794266526807,
+                              W=6077.389262852754, gamma=0.2539707959746659,
+                              c_e=1.2724858899622544,
+                              c_r=0.0002296703841974319)
+        script = ("import resource, sys\n"
+                  "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, hard))\n"
+                  "from minecon.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(minecon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "growth", str(path), "--out",
+             str(tmp_path / "artifacts"), "--quad-tol", "1e-12"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert result.stderr.startswith(
+            "error: convergence: adaptive Simpson did not reach tolerance")
+        assert "over the cap of" in result.stderr
+        assert result.stderr.count("\n") == 1
+
     def test_dist_refuses_oversized_pmf(self, tmp_path, capsys):
         # N = 2e6 is a legal window, but its win mean 1.9e7 needs 1.9e7
         # masses

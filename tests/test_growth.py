@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from minecon import growth
-from minecon.errors import (CertainRuinError, NoRootError, ValidationError)
+from minecon.errors import (CertainRuinError, ConvergenceError, NoRootError,
+                            NumericalError, ValidationError)
 from minecon.growth import (FeeBound, GameRound, MinerPlan,
                             conditional_reward, max_pool_fee,
                             min_viable_wealth, optimize_gamma,
@@ -303,6 +304,106 @@ class TestOptimizeGamma:
                  for m in (0.5, 1.0, 2.0)]
         assert rates[0] <= rates[1] + 1e-12
         assert rates[1] <= rates[2] + 1e-12
+
+
+def acceptance_draw(rng):
+    # (wealth, c_e, c_r, network) from the acceptance-test ranges
+    wealth = float(10.0 ** rng.uniform(1.0, 4.0))
+    c_e = float(10.0 ** rng.uniform(-1.0, 1.0))
+    c_r = float(10.0 ** rng.uniform(-4.0, -2.0))
+    net = NetworkParams(
+        expected_blocks=float(10.0 ** rng.uniform(math.log10(0.5),
+                                                  math.log10(20.0))),
+        block_reward=float(rng.uniform(0.5, 5.0)),
+        power=float(10.0 ** rng.uniform(2.0, 5.0)))
+    return wealth, c_e, c_r, net
+
+
+# a wealth 2^17 times an acceptance-range draw's, where the split 1e-6
+# cannot reach quadrature tolerance within 50 levels
+STALLING = (66.48673598352909 * 2.0 ** 17, 4.114944413413739,
+            0.000344136432248918,
+            NetworkParams(expected_blocks=1.344072832389793,
+                          block_reward=0.8189680290357055,
+                          power=2521.3111330074507))
+
+
+class TestBatchedGrowth:
+    GRID = np.linspace(1e-6, 1.0 - 1e-6, 1024)
+
+    def test_batch_matches_single_splits_bit_for_bit(self):
+        rng = np.random.default_rng(5151)
+        cases = [(100.0, 1.0, 0.001, REF_NET)]
+        cases += [acceptance_draw(rng) for _ in range(4)]
+        splits = self.GRID[::16]
+        for wealth, c_e, c_r, net in cases:
+            batch = growth._growth_parts(wealth, c_e, c_r, net, splits,
+                                         1e-10)
+            for i, split in enumerate(splits):
+                alone = stochastic_growth_rate(
+                    MinerPlan(wealth, float(split), c_e, c_r), net)
+                assert alone == growth.GrowthBreakdown(
+                    *(float(part[i]) for part in batch))
+
+    def test_log_argument_failure_in_one_split_propagates(self,
+                                                          monkeypatch):
+        # a reward of -W/2 for one split drives its log argument below
+        # gamma at t_max; the batch raises that split's NumericalError
+        target = float(self.GRID[5])
+        real = growth.conditional_reward
+
+        def broken(plan, network):
+            if plan.split == target:
+                return -0.5 * plan.wealth
+            return real(plan, network)
+
+        monkeypatch.setattr(growth, "conditional_reward", broken)
+        with pytest.raises(NumericalError, match="log argument"):
+            growth._growth_parts(100.0, 1.0, 0.001, REF_NET,
+                                 self.GRID[:64], 1e-10)
+
+    def test_convergence_failure_in_one_split_propagates(self):
+        wealth, c_e, c_r, net = STALLING
+        with pytest.raises(ConvergenceError) as batch:
+            growth._growth_parts(wealth, c_e, c_r, net, self.GRID[:64],
+                                 1e-10)
+        with pytest.raises(ConvergenceError) as alone:
+            stochastic_growth_rate(MinerPlan(wealth, float(self.GRID[0]),
+                                             c_e, c_r), net)
+        assert str(batch.value).startswith(
+            "adaptive Simpson did not reach tolerance within 50 "
+            "refinement levels (achieved error ")
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.best_estimate == alone.value.best_estimate
+        assert batch.value.achieved_error == alone.value.achieved_error
+        # the other 63 splits converge on their own
+        growth._growth_parts(wealth, c_e, c_r, net, self.GRID[1:64], 1e-10)
+
+    def test_optimizer_scans_in_batches_of_64(self, monkeypatch):
+        batches, singles = [], []
+        real_parts = growth._growth_parts
+        real_single = growth.stochastic_growth_rate
+
+        def counted_parts(*args):
+            batches.append(len(args[4]))
+            return real_parts(*args)
+
+        def counted_single(plan, network, quad_tol):
+            singles.append(plan.split)
+            return real_single(plan, network, quad_tol=quad_tol)
+
+        monkeypatch.setattr(growth, "_growth_parts", counted_parts)
+        monkeypatch.setattr(growth, "stochastic_growth_rate", counted_single)
+        grid_size = 200
+        opt = optimize_gamma(100.0, 1.0, 0.001, REF_NET,
+                             grid_size=grid_size, quad_tol=1e-8)
+        # each single evaluation is a batch of one
+        assert batches == [64, 64, 64, 8] + [1] * len(singles)
+        # golden section inside the best grid bracket, then the two
+        # concavity probes at +-1e-4: no split of the scan is re-evaluated
+        step = (1.0 - 2e-6) / (grid_size - 1)
+        assert 3 <= len(singles) <= 60
+        assert all(abs(s - opt.split) <= 2.0 * step + 1e-4 for s in singles)
 
 
 class TestMinViableWealth:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from minecon import quadrature
 from minecon.errors import ConvergenceError
-from minecon.quadrature import adaptive_simpson
+from minecon.quadrature import adaptive_simpson, simpson_batch
 
 
 def test_polynomial_is_nearly_exact():
@@ -88,3 +89,61 @@ def test_no_refinement_level_raises_convergence_error():
     with pytest.raises(ConvergenceError,
                        match="^adaptive Simpson did not reach tolerance"):
         adaptive_simpson(np.exp, 0.0, 1.0, max_depth=-1)
+
+
+def exp_densities(t, owner, rates):
+    rate = rates[owner]
+    return rate * np.exp(-rate * t)
+
+
+def test_batch_values_match_single_integrals_bit_for_bit():
+    rates = np.array([0.5, 1.0, 7.0, 30.0])
+    uppers = np.array([80.0, 3.0, 1.0, 0.25])
+    values, errors = simpson_batch(
+        lambda t, owner: exp_densities(t, owner, rates),
+        np.zeros(4), uppers, rel_tol=1e-12, abs_tol=0.0)
+    for rate, upper, value, error in zip(rates, uppers, values, errors):
+        alone = adaptive_simpson(lambda t: rate * np.exp(-rate * t),
+                                 0.0, upper, rel_tol=1e-12)
+        assert (value, error) == alone
+
+
+def test_batch_zero_width_integral_is_zero():
+    values, errors = simpson_batch(lambda t, owner: np.exp(t),
+                                   np.array([0.0, 2.0]),
+                                   np.array([1.0, 2.0]), 1e-10, 0.0)
+    assert values[0] == pytest.approx(math.e - 1.0, rel=1e-10)
+    assert (values[1], errors[1]) == (0.0, 0.0)
+
+
+def test_batch_failure_carries_the_failing_integral():
+    # per-integral tolerances: the exponential converges, the sqrt kink
+    # cannot within 30 levels; the error is the kink's own
+    def f(t, owner):
+        return np.where(owner == 0, np.exp(t), np.sqrt(np.abs(t)))
+
+    with pytest.raises(ConvergenceError) as batch:
+        simpson_batch(f, np.zeros(2), np.ones(2),
+                      rel_tol=np.array([1e-10, 1e-15]), abs_tol=0.0,
+                      max_depth=30)
+    with pytest.raises(ConvergenceError) as alone:
+        adaptive_simpson(lambda t: np.sqrt(np.abs(t)), 0.0, 1.0,
+                         rel_tol=1e-15, max_depth=30)
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.best_estimate == alone.value.best_estimate
+    assert batch.value.achieved_error == alone.value.achieved_error
+
+
+def test_open_interval_cap_raises_with_best_estimate(monkeypatch):
+    # every interval of sin(200 t) stays open until they are short, so the
+    # live set doubles each level until it passes the cap
+    monkeypatch.setattr(quadrature, "MAX_OPEN_INTERVALS", 256)
+    with pytest.raises(ConvergenceError,
+                       match="^adaptive Simpson did not reach tolerance "
+                             r"within \d+ refinement levels \(achieved error "
+                             r".*over the cap of 256$") as info:
+        adaptive_simpson(lambda t: np.sin(200.0 * t), 0.0, 1.0,
+                         rel_tol=1e-12)
+    exact = (1.0 - math.cos(200.0)) / 200.0
+    assert abs(info.value.best_estimate - exact) <= 1e-3
+    assert info.value.achieved_error > 0

@@ -287,6 +287,19 @@ class TestLatticePmf:
         with pytest.raises(ValidationError):
             LatticePmf(step=1.0, masses=(0.5, 0.4), tail_tol=1e-12)
 
+    @pytest.mark.parametrize("m", [1.0, 0.37, 3.3871])
+    def test_moments_match_python_loops(self, m):
+        # the scalar loops as reference: the mean keeps its product order
+        # and is exact; the second moment squares with x * x where the
+        # loop used libm pow, so it may move by rounding only
+        pmf = total_reward_pmf(*make_epoch(10.0, 0.05, m, 400))
+        terms = list(enumerate(pmf.masses.tolist()))
+        mean = math.fsum(p * j * pmf.step for j, p in terms)
+        second = math.fsum(p * (j * pmf.step) ** 2 for j, p in terms)
+        assert pmf.mean() == mean
+        assert pmf.variance() == pytest.approx(second - mean * mean,
+                                               rel=1e-13)
+
 
 class TestShareValidation:
     def test_from_powers_canonical(self):
