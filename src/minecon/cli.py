@@ -29,6 +29,7 @@ _REQUIRED_KEYS = ("E", "M", "P0", "W", "c_e", "c_r", "tau", "N")
 _MAX_GRID_ROWS = 10 ** 7
 _MAX_EPOCHS = 10 ** 7           # window length N for dist and verify
 _MAX_WINDOW_DRAWS = 10 ** 8     # epochs drawn for verify's window rows
+_RENDER_ROWS = 4096             # table rows formatted per batch
 
 
 @dataclass(frozen=True)
@@ -202,14 +203,38 @@ def _json_file(path: Path, payload: dict) -> tuple:
     return path, _json_text(payload) + "\n"
 
 
-def _table_file(base: Path, fmt: str, columns: list, rows) -> tuple:
+def _table_file(base: Path, fmt: str, columns: dict) -> tuple:
+    """Render named 1-D columns as a CSV or JSON table with one format call
+    per row: integer columns print as ``{}``, float columns as ``{:.17g}``,
+    the same text _cell gives each value."""
+    cols = [np.asarray(c) for c in columns.values()]
+    finite = [np.isfinite(c) for c in cols if c.dtype.kind == "f"]
+    if not all(f.all() for f in finite):
+        row = min(int(np.argmin(f)) for f in finite if not f.all())
+        value = next(float(c[row]) for c in cols
+                     if c.dtype.kind == "f" and not np.isfinite(c[row]))
+        raise NumericalError(f"non-finite value {value!r} in output")
+    specs = ["{:.17g}" if c.dtype.kind == "f" else "{}" for c in cols]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        return base.with_suffix(".csv"), "\n".join(lines) + "\n"
-    return _json_file(base.with_suffix(".json"),
-                      {"columns": list(columns),
-                       "rows": [list(row) for row in rows]})
+        template, sep = ",".join(specs), "\n"
+    else:
+        # the layout _json_text gives {"columns": [...], "rows": [[...], ...]}
+        template = ("    [\n" + ",\n".join("      " + s for s in specs)
+                    + "\n    ]")
+        sep = ",\n"
+    # rows are formatted _RENDER_ROWS at a time, so only that many rows of
+    # Python numbers and strings are alive at once
+    rows = len(cols[0])
+    chunks = (sep.join(map(template.format,
+                           *(c[lo:lo + _RENDER_ROWS].tolist() for c in cols)))
+              for lo in range(0, rows, _RENDER_ROWS))
+    if fmt == "csv":
+        return base.with_suffix(".csv"), "\n".join([",".join(columns),
+                                                   *chunks, ""])
+    body = f"[\n{sep.join(chunks)}\n  ]" if rows else "[]"
+    return base.with_suffix(".json"), (
+        f'{{\n  "columns": {_json_text(list(columns), 1)},\n'
+        f'  "rows": {body}\n}}\n')
 
 
 def _write(*files) -> None:
@@ -256,8 +281,8 @@ def _cmd_dist(scenario: Scenario, args, out: Path) -> None:
     })
     _write(_json_file(out / "dist_moments.json", payload),
            _table_file(out / "dist_pmf", args.format,
-                       ["lattice_point", "probability"],
-                       zip(pmf.points().tolist(), pmf.masses.tolist())))
+                       {"lattice_point": pmf.points(),
+                        "probability": pmf.masses}))
 
 
 def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
@@ -269,9 +294,12 @@ def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
                                       epoch_cost=plan.run_cost_per_epoch)
 
     count = int(math.floor(args.grid_max / args.grid_step)) + 1
-    xs = [k * args.grid_step for k in range(count)]
-    rows = [(x, waiting.waiting_cdf(x, params), waiting.waiting_pdf(x, params))
-            for x in xs]
+    xs = np.arange(count) * args.grid_step
+    grid = {"x": xs,
+            "cdf": np.array([waiting.waiting_cdf(x, params)
+                             for x in xs.tolist()]),
+            "pdf": np.array([waiting.waiting_pdf(x, params)
+                             for x in xs.tolist()])}
 
     payload = _envelope("wait", scenario, args.seed)
     payload.update({
@@ -283,8 +311,7 @@ def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
         "bankruptcy_probability": waiting.bankruptcy_probability(inputs,
                                                                  params),
     })
-    _write(_table_file(out / "wait_grid", args.format, ["x", "cdf", "pdf"],
-                       rows),
+    _write(_table_file(out / "wait_grid", args.format, grid),
            _json_file(out / "wait_summary.json", payload))
 
 
@@ -365,8 +392,8 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
                                           config, reward_mode=mode)
             tables.append(_table_file(
                 out / "simulate_trials", args.format,
-                ["trial", "log_payoff"],
-                enumerate(payoffs.tolist(), start=1)))
+                {"trial": np.arange(1, payoffs.size + 1),
+                 "log_payoff": payoffs}))
     elif args.sim == "epochs":
         batch = mcsim.simulate_epochs(scenario.joined_network(),
                                       scenario.share(), config)
@@ -379,20 +406,19 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
         payload["total_blocks"] = int(batch.blocks_total.sum())
         payload["total_wins"] = int(batch.blocks_won.sum())
         if args.per_trial:
-            rows = [(k, int(v), float(r)) for k, v, r in
-                    zip(range(1, len(batch) + 1), batch.blocks_won,
-                        batch.rewards)]
-            tables.append(_table_file(out / "simulate_trials", args.format,
-                                      ["epoch", "wins", "reward"], rows))
+            tables.append(_table_file(
+                out / "simulate_trials", args.format,
+                {"epoch": np.arange(1, len(batch) + 1),
+                 "wins": batch.blocks_won, "reward": batch.rewards}))
     elif args.sim == "first-win":
         result = mcsim.estimate_first_win_time(scenario.joined_network(),
                                                scenario.share(), config)
         payload["report"] = _report_dict(result.report)
         payload["censored"] = result.censored
         tables.append(_table_file(out / "simulate_ecdf", args.format,
-                                  ["epoch", "cumulative_probability"],
-                                  zip(result.grid.tolist(),
-                                      result.empirical_cdf.tolist())))
+                                  {"epoch": result.grid,
+                                   "cumulative_probability":
+                                       result.empirical_cdf}))
     else:  # wealth
         path = mcsim.simulate_wealth_path(scenario.plan(),
                                           scenario.baseline_network(),
@@ -403,10 +429,10 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
         payload["final_wealth"] = float(path.wealth[-1])
         payload["epochs_recorded"] = int(len(path.wealth))
         tables.append(_table_file(out / "simulate_path", args.format,
-                                  ["epoch", "wins", "wealth"],
-                                  zip(range(1, len(path.wealth) + 1),
-                                      path.wins.tolist(),
-                                      path.wealth.tolist())))
+                                  {"epoch": np.arange(1, path.wealth.size
+                                                      + 1),
+                                   "wins": path.wins,
+                                   "wealth": path.wealth}))
     _write(*tables, _json_file(out / "simulate.json", payload))
 
 

@@ -30,6 +30,13 @@ _CENSOR_CAP = 10 ** 8
 _PTRS_THRESHOLD = 30.0
 # per-table truncation: tails thinner than this are folded into the last entry
 _TABLE_TAIL = 1e-18
+# binomial inversion keys: Generator.random returns k / 2^53, so u * 2^53 and
+# ceil(cdf * 2^53) compare exactly as u and cdf do; a table's rank times 2^54
+# keeps tables apart, and 511 ranks keep every key inside int64
+_KEY_SCALE = 2.0 ** 53
+_RANK_SHIFT = 54
+_MAX_TABLES = 511
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,18 +125,18 @@ def _poisson_cdf_table(mean: float) -> np.ndarray:
         cdf.append(min(cum, 1.0))
         if k > 10_000_000:
             raise NumericalError("Poisson table failed to terminate")
-    return np.array(cdf)
+    return _read_only(np.array(cdf))
 
 
 @lru_cache(maxsize=4096)
 def _binomial_cdf_table(trials: int, q: float) -> np.ndarray:
     # cumulative Binomial(trials, q) probabilities over the full support
     if trials == 0 or q == 0.0:
-        return np.ones(1)
+        return _read_only(np.ones(1))
     if q == 1.0:
         cdf = np.zeros(trials + 1)
         cdf[-1] = 1.0
-        return cdf
+        return _read_only(cdf)
     pmf = np.empty(trials + 1)
     pmf[0] = (1.0 - q) ** trials
     ratio = q / (1.0 - q)
@@ -137,7 +144,13 @@ def _binomial_cdf_table(trials: int, q: float) -> np.ndarray:
         pmf[v + 1] = pmf[v] * (trials - v) * ratio / (v + 1)
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0
-    return cdf
+    return _read_only(cdf)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    # cached tables are shared by every later draw: refuse in-place edits
+    table.flags.writeable = False
+    return table
 
 
 def poisson_sample(rng: np.random.Generator, mean: float,
@@ -206,19 +219,35 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
                     q: float) -> np.ndarray:
     """Binomial(trials[i], q) draws, one uniform per entry.
 
-    Entries sharing a trial count are inverted together against a cached
-    cdf table; drawing order and uniform consumption depend only on the
-    length of `trials`, keeping streams reproducible.
+    Each entry is inverted against its trial count's cached cdf table. The
+    tables of up to 511 distinct counts are stacked into one sorted array of
+    exact integer keys and searched in one pass, with the same result as a
+    search of each table alone; drawing order and uniform consumption
+    depend only on the length of `trials`, keeping streams reproducible.
     """
     _require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
     u = rng.random(trials.size)
     out = np.zeros(trials.size, dtype=np.int64)
-    for w in np.unique(trials):
-        if w == 0:
-            continue
-        mask = trials == w
-        cdf = _binomial_cdf_table(int(w), q)
-        out[mask] = np.searchsorted(cdf, u[mask], side="right")
+    present = np.bincount(trials) > 0
+    counts = np.flatnonzero(present)
+    rank_of = np.cumsum(present) - 1
+    for first in range(0, counts.size, _MAX_TABLES):
+        tables = [np.ceil(_binomial_cdf_table(int(w), q) * _KEY_SCALE)
+                  .astype(np.int64) + (r << _RANK_SHIFT)
+                  for r, w in enumerate(counts[first:first + _MAX_TABLES])]
+        stacked = np.concatenate(tables)
+        starts = np.cumsum([0] + [t.size for t in tables[:-1]])
+        last = len(tables) - 1
+        # blocks bound the temporaries to _BLOCK entries each
+        for lo in range(0, trials.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            r = rank_of[trials[block]] - first
+            inside = (r >= 0) & (r <= last)
+            r = np.clip(r, 0, last)
+            keys = (u[block] * _KEY_SCALE).astype(np.int64) \
+                + (r << _RANK_SHIFT)
+            found = np.searchsorted(stacked, keys, side="right") - starts[r]
+            out[block] = np.where(inside, found, out[block])
     return out
 
 

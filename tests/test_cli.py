@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minecon
 from conftest import REFERENCE, run_cli, write_scenario
-from minecon import __version__, rewarddist
+from minecon import __version__, cli, mcsim, rewarddist, waiting
 from minecon.cli import load_scenario
-from minecon.errors import ValidationError
+from minecon.errors import NumericalError, ValidationError
 
 
 def read_json(path):
@@ -25,6 +26,54 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def cell_table_text(fmt, columns, rows):
+    """The cell-by-cell renderer _table_file replaced, kept as its oracle:
+    one _cell (CSV) or _json_text (JSON) call per value."""
+    rows = [list(row) for row in rows]
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines.extend(",".join(cli._cell(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    return cli._json_text({"columns": list(columns), "rows": rows}) + "\n"
+
+
+def oracle_tables(scenario, seed=42):
+    """(artifact, columns, rows, argv) for every table artifact, with rows
+    built from library calls the way the commands built them row by row;
+    9,000 draws span more than two of the writer's row batches."""
+    plan, share = scenario.plan(), scenario.share()
+    baseline, joined = scenario.baseline_network(), scenario.joined_network()
+    config = mcsim.SimConfig(seed=seed, sample_count=9000)
+    pmf = rewarddist.total_reward_pmf(joined, share, scenario.N)
+    params = waiting.WaitParams(scenario.E, share.win_probability)
+    xs = [k * 0.5 for k in range(201)]
+    payoffs = mcsim.round_payoffs(plan, baseline, config)
+    batch = mcsim.simulate_epochs(joined, share, config)
+    first = mcsim.estimate_first_win_time(joined, share, config)
+    path = mcsim.simulate_wealth_path(plan, baseline, 9000, config)
+    sim = ("simulate", "--samples", 9000)
+    return [
+        ("dist_pmf", ["lattice_point", "probability"],
+         zip(pmf.points().tolist(), pmf.masses.tolist()), ("dist",)),
+        ("wait_grid", ["x", "cdf", "pdf"],
+         [(x, waiting.waiting_cdf(x, params), waiting.waiting_pdf(x, params))
+          for x in xs], ("wait", "--grid-max", 100, "--grid-step", 0.5)),
+        ("simulate_trials", ["trial", "log_payoff"],
+         enumerate(payoffs.tolist(), start=1), (*sim, "--per-trial")),
+        ("simulate_trials", ["epoch", "wins", "reward"],
+         [(k, int(v), float(r)) for k, v, r in
+          zip(range(1, len(batch) + 1), batch.blocks_won, batch.rewards)],
+         (*sim, "--sim", "epochs", "--per-trial")),
+        ("simulate_ecdf", ["epoch", "cumulative_probability"],
+         zip(first.grid.tolist(), first.empirical_cdf.tolist()),
+         (*sim, "--sim", "first-win")),
+        ("simulate_path", ["epoch", "wins", "wealth"],
+         zip(range(1, len(path.wealth) + 1), path.wins.tolist(),
+             path.wealth.tolist()),
+         (*sim, "--sim", "wealth", "--horizon", 9000)),
+    ]
 
 
 class TestScenarioFile:
@@ -276,6 +325,60 @@ class TestArtifacts:
         assert run_cli("growth", reference_file, "--out",
                        tmp_path / "artifacts") == 0
         assert reference_file.read_bytes() == before
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("overrides", [{}, {"E": 200}])
+    def test_tables_match_cell_by_cell_oracle(self, tmp_path, fmt,
+                                              overrides):
+        path = write_scenario(tmp_path, **overrides)
+        scenario = load_scenario(path)
+        for k, (artifact, columns, rows, argv) in enumerate(
+                oracle_tables(scenario)):
+            out = tmp_path / str(k)
+            assert run_cli(argv[0], path, *argv[1:], "--out", out,
+                           "--format", fmt) == 0
+            got = (out / f"{artifact}.{fmt}").read_text()
+            assert got == cell_table_text(fmt, columns, rows), artifact
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table_matches_oracle(self, tmp_path, fmt):
+        _, text = cli._table_file(tmp_path / "t", fmt,
+                                  {"a": np.zeros(0, dtype=np.int64),
+                                   "b": np.zeros(0)})
+        assert text == cell_table_text(fmt, ["a", "b"], [])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_column_raises(self, tmp_path, fmt, bad):
+        # the first non-finite value in row order is the one reported, as
+        # the cell-by-cell writer reported it
+        columns = {"k": np.arange(3), "a": np.array([1.0, 2.0, -bad]),
+                   "b": np.array([0.5, bad, 0.25])}
+        with pytest.raises(NumericalError) as excinfo:
+            cli._table_file(tmp_path / "t", fmt, columns)
+        with pytest.raises(NumericalError) as want:
+            cell_table_text(fmt, list(columns),
+                            zip(*(c.tolist() for c in columns.values())))
+        assert str(excinfo.value) == str(want.value)
+        assert str(excinfo.value) == f"non-finite value {bad!r} in output"
+
+    def test_non_finite_table_writes_no_artifact(self, reference_file,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        # a path whose last wealth is finite: only the table holds the NaN
+        path = mcsim.WealthPath(wealth=np.array([1.0, math.nan, 2.0]),
+                                wins=np.zeros(3, dtype=np.int64),
+                                bankrupt=False, bankrupt_epoch=None)
+        monkeypatch.setattr(cli.mcsim, "simulate_wealth_path",
+                            lambda *args: path)
+        out = tmp_path / "artifacts"
+        assert run_cli("simulate", reference_file, "--out", out,
+                       "--sim", "wealth", "--horizon", 3) == 2
+        err = capsys.readouterr().err
+        assert err == "error: numeric: non-finite value nan in output\n"
+        assert list(out.iterdir()) == []
 
 
 class TestExitCodes:

@@ -8,7 +8,8 @@ from scipy import stats
 
 from minecon.errors import ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
-from minecon.mcsim import (SimConfig, _generator, binomial_sample,
+from minecon.mcsim import (SimConfig, _binomial_cdf_table, _generator,
+                           _poisson_cdf_table, binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            poisson_sample, round_oracle, round_payoffs,
                            simulate_epochs, simulate_wealth_path)
@@ -18,6 +19,20 @@ from minecon.rewarddist import (MinerShare, NetworkParams,
 
 def network(e=10.0, m=1.0, p=1000.0):
     return NetworkParams(expected_blocks=e, block_reward=m, power=p)
+
+
+def binomial_sample_per_count(rng, trials, q):
+    """The per-count loop binomial_sample replaced, kept as its oracle: one
+    float search of each count's own cdf table."""
+    u = rng.random(trials.size)
+    out = np.zeros(trials.size, dtype=np.int64)
+    for w in np.unique(trials):
+        if w == 0:
+            continue
+        mask = trials == w
+        cdf = _binomial_cdf_table(int(w), q)
+        out[mask] = np.searchsorted(cdf, u[mask], side="right")
+    return out
 
 
 class TestConfig:
@@ -76,6 +91,55 @@ class TestSamplers:
         trials = np.full(1000, 7)
         assert not binomial_sample(rng, trials, 0.0).any()
         assert (binomial_sample(rng, trials, 1.0) == 7).all()
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3])
+    def test_binomial_matches_per_count_oracle(self, q):
+        # fuzzed trial arrays: empty, zeros, E = 10 and E = 200 Poisson
+        # counts, and 1,200 distinct counts, past the 511 tables of one
+        # stacked search
+        fuzz = np.random.default_rng(2024)
+        cases = [np.zeros(0, dtype=np.int64), np.zeros(50, dtype=np.int64),
+                 fuzz.poisson(10.0, 20_000),
+                 fuzz.poisson(200.0, 20_000),
+                 fuzz.permutation(np.repeat(np.arange(1200), 5)),
+                 np.concatenate([fuzz.poisson(0.5, 5_000),
+                                 fuzz.integers(0, 700, 5_000)])]
+        for k, trials in enumerate(cases):
+            config = SimConfig(seed=53, sample_count=1, stream_id=k)
+            got = binomial_sample(_generator(config), trials, q)
+            want = binomial_sample_per_count(_generator(config), trials, q)
+            np.testing.assert_array_equal(got, want)
+
+    def test_binomial_ties_match_per_count_oracle(self):
+        # uniforms are k / 2^53: put them on and beside every cdf entry, so
+        # ties and near-misses resolve as in the float search of one table
+        q = 0.3
+        trials, u = [], []
+        for w in range(1, 60):
+            for c in _binomial_cdf_table(w, q)[:-1]:
+                k0 = math.floor(c * 2.0 ** 53)
+                for k in range(k0 - 1, k0 + 3):
+                    if 0 <= k < 2 ** 53:
+                        trials.append(w)
+                        u.append(k / 2.0 ** 53)
+
+        class Fixed:
+            def random(self, size):
+                return np.array(u[:size])
+
+        trials = np.array(trials)
+        np.testing.assert_array_equal(
+            binomial_sample(Fixed(), trials, q),
+            binomial_sample_per_count(Fixed(), trials, q))
+
+    @pytest.mark.parametrize("build, args", [
+        (_poisson_cdf_table, (3.0,)), (_binomial_cdf_table, (5, 0.2)),
+        (_binomial_cdf_table, (0, 0.2)), (_binomial_cdf_table, (5, 0.0)),
+        (_binomial_cdf_table, (5, 1.0))])
+    def test_cached_tables_are_read_only(self, build, args):
+        # every later draw shares the cached table, so an edit must fail
+        with pytest.raises(ValueError):
+            build(*args)[0] = 0.5
 
     def test_exponential_moments(self):
         rng = _generator(SimConfig(seed=43, sample_count=1))
