@@ -12,7 +12,7 @@ from .growth import (FeeBound, GameRound, GrowthBreakdown, MinerPlan,
                      smooth_growth_rate, smooth_optimal_gamma,
                      stochastic_growth_rate, t_max, tane_growth_rate,
                      tane_growth_upper_bound, wealth_trajectory,
-                     win_rate_lambda)
+                     win_probability, win_rate_lambda)
 from .mcsim import (EpochBatch, FirstWinResult, SimConfig, SimReport,
                     WealthPath, estimate_first_win_time, round_oracle,
                     round_payoffs, simulate_epochs, simulate_wealth_path)
@@ -21,7 +21,7 @@ from .rewarddist import (LatticePmf, MinerShare, NetworkParams,
                          epoch_reward_pmf, expected_total_reward,
                          total_reward_pmf, variance_paper, variance_thinned,
                          win_count_pmf_closed, win_count_pmf_series)
-from .specfun import EULER_MASCHERONI, euler_mascheroni, exp_integral_ei
+from .specfun import EULER_MASCHERONI, exp_integral_ei
 from .waiting import (BankruptcyInputs, WaitParams, bankruptcy_horizon,
                       bankruptcy_probability, expected_wait, wait_variance,
                       waiting_cdf, waiting_pdf)

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -74,7 +74,7 @@ class Scenario:
             n = int(data["N"])
             if n != float(data["N"]):
                 raise ValueError
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError("scenario: N must be an integer") from None
         kwargs = {k: float(data[k]) for k in _NUMERIC_KEYS
                   if k in data and k != "gamma"}
@@ -114,8 +114,9 @@ class Scenario:
                                         power=self.P0 + self.plan().power)
 
     def share(self) -> rewarddist.MinerShare:
-        p = self.plan().power
-        return rewarddist.MinerShare.from_powers(p, self.P0 + p)
+        plan = self.plan()
+        q = growth.win_probability(plan, self.baseline_network())
+        return rewarddist.MinerShare(power=plan.power, win_probability=q)
 
 
 def load_scenario(path) -> Scenario:
@@ -315,19 +316,12 @@ def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
            _json_file(out / "wait_summary.json", payload))
 
 
-def _breakdown_dict(b: growth.GrowthBreakdown) -> dict:
-    return {"growth_rate": b.growth_rate, "win_rate": b.win_rate,
-            "t_max": b.t_max, "win_term": b.win_term,
-            "bankrupt_term": b.bankrupt_term,
-            "conditional_reward": b.conditional_reward}
-
-
 def _cmd_growth(scenario: Scenario, args, out: Path) -> None:
     breakdown = growth.stochastic_growth_rate(scenario.plan(),
                                               scenario.baseline_network(),
                                               quad_tol=args.quad_tol)
     payload = _envelope("growth", scenario, args.seed)
-    payload.update(_breakdown_dict(breakdown))
+    payload.update(asdict(breakdown))
     payload["smooth_growth_rate"] = growth.smooth_growth_rate(
         scenario.plan(), scenario.baseline_network(), scenario.tau)
     _write(_json_file(out / "growth.json", payload))
@@ -355,20 +349,8 @@ def _cmd_fee(scenario: Scenario, args, out: Path) -> None:
                                 grid_size=args.grid_size,
                                 quad_tol=args.quad_tol)
     payload = _envelope("fee", scenario, args.seed)
-    payload.update({
-        "relative_bound": bound.relative_bound,
-        "profitability_bound": bound.profitability_bound,
-        "smooth_split": bound.smooth_split,
-        "stochastic_split": bound.stochastic_split,
-        "smooth_growth": bound.smooth_growth,
-        "stochastic_growth": bound.stochastic_growth,
-    })
+    payload.update(asdict(bound))
     _write(_json_file(out / "fee.json", payload))
-
-
-def _report_dict(report: mcsim.SimReport) -> dict:
-    return {"estimate": report.estimate, "std_error": report.std_error,
-            "samples": report.samples, "seed": report.seed}
 
 
 def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
@@ -385,7 +367,7 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
                                     scenario.baseline_network(), config,
                                     reward_mode=mode)
         payload["reward_mode"] = mode
-        payload["report"] = _report_dict(report)
+        payload["report"] = asdict(report)
         if args.per_trial:
             payoffs = mcsim.round_payoffs(scenario.plan(),
                                           scenario.baseline_network(),
@@ -402,7 +384,7 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
             std_error=float(np.std(batch.rewards, ddof=1)
                             / math.sqrt(len(batch))),
             samples=len(batch), seed=args.seed)
-        payload["report"] = _report_dict(report)
+        payload["report"] = asdict(report)
         payload["total_blocks"] = int(batch.blocks_total.sum())
         payload["total_wins"] = int(batch.blocks_won.sum())
         if args.per_trial:
@@ -413,7 +395,7 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
     elif args.sim == "first-win":
         result = mcsim.estimate_first_win_time(scenario.joined_network(),
                                                scenario.share(), config)
-        payload["report"] = _report_dict(result.report)
+        payload["report"] = asdict(result.report)
         payload["censored"] = result.censored
         tables.append(_table_file(out / "simulate_ecdf", args.format,
                                   {"epoch": result.grid,
@@ -486,6 +468,12 @@ def _verify_rows(scenario: Scenario, args) -> list:
                      tv, 0.0, tv_band,
                      "total-variation distance, empirical vs thinned pmf"))
 
+    # no-win mass: the series behind conditional_reward's exp(-E q)
+    rows.append(_stat_row(
+        "no-win-series", rewarddist.win_count_pmf_series(0, scenario.E, q),
+        math.exp(-scenario.E * q), 1e-12,
+        "truncated series vs closed form exp(-E q)"))
+
     # first-win waiting time vs the discrete-geometric mean 1/p0 - 1/2; the
     # band takes the geometric law's sd sqrt(1 - p0)/p0, not the sample's,
     # which is 0 when every trial wins in epoch 1
@@ -499,8 +487,8 @@ def _verify_rows(scenario: Scenario, args) -> list:
         "midpoint-recorded waiting time vs exact discrete mean"))
 
     # pure-drain ruin epoch and the no-win bankruptcy frequency
-    horizon = waiting.bankruptcy_horizon(waiting.BankruptcyInputs(
-        plan.reserve, plan.run_cost_per_epoch))
+    inputs = waiting.BankruptcyInputs(plan.reserve, plan.run_cost_per_epoch)
+    horizon = waiting.bankruptcy_horizon(inputs)
     drained = rewarddist.NetworkParams(expected_blocks=scenario.E,
                                        block_reward=0.0, power=scenario.P0)
     paths = max(2000, samples // 50)
@@ -516,8 +504,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
                      horizon if ruin_exact else -1, horizon, 0,
                      "M=0 ruin epoch equals ceil(reserve/cost) on all paths"))
     p_bankrupt = waiting.bankruptcy_probability(
-        waiting.BankruptcyInputs(plan.reserve, plan.run_cost_per_epoch),
-        waiting.WaitParams(scenario.E, q))
+        inputs, waiting.WaitParams(scenario.E, q))
     rows.append(_stat_row(
         "bankruptcy-probability", no_win / paths, p_bankrupt,
         3.0 * math.sqrt(p_bankrupt * (1 - p_bankrupt) / paths),
@@ -670,7 +657,10 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[args.command](scenario, args, out)
+        # a non-finite value fails the explicit checks, which print the one
+        # error line; numpy's own warnings would add more lines
+        with np.errstate(all="ignore"):
+            _HANDLERS[args.command](scenario, args, out)
     except ValidationError as exc:
         return _fail(1, "validation", exc)
     except ConvergenceError as exc:
@@ -678,7 +668,7 @@ def main(argv=None) -> int:
     except (NoViableStrategyError, NoRootError, CertainRuinError) as exc:
         return _fail(3, "no-solution", exc)
     except MineconError as exc:
-        # internal cross-checks (dual evaluation, series agreement)
+        # NumericalError: a non-finite or out-of-range value at run time
         return _fail(2, "numeric", exc)
     except OSError as exc:
         return _fail(1, "io", exc)

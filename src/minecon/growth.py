@@ -8,16 +8,15 @@ payout per period tau.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (CertainRuinError, ConvergenceError, MineconError,
-                     NoRootError, NoViableStrategyError, NumericalError,
-                     ValidationError)
+from .errors import (CertainRuinError, ConvergenceError, NoRootError,
+                     NoViableStrategyError, NumericalError, ValidationError)
 from .quadrature import adaptive_simpson, simpson_batch
-from .rewarddist import NetworkParams, win_count_pmf_series
+from .rewarddist import NetworkParams
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -25,12 +24,19 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+# libm's expm1 entry by entry: numpy's own differs from it in the last bit
+# on about 2% of arguments, which would move artifact digits
+_expm1 = np.vectorize(math.expm1, otypes=[float])
+
+
 @dataclass(frozen=True)
 class MinerPlan:
     """A miner's budget: wealth W, split gamma, and the two cost rates.
 
     equipment_rate (c_e) converts currency to consensus power; running_rate
-    (c_r) is the per-epoch running cost per unit of power.
+    (c_r) is the per-epoch running cost per unit of power. split is one
+    gamma or a 1-D array of them, a batch of plans that share the rest; every
+    per-split quantity below is then an array of the same length.
     """
 
     wealth: float
@@ -41,7 +47,14 @@ class MinerPlan:
     def __post_init__(self):
         _require(math.isfinite(self.wealth) and self.wealth > 0,
                  "wealth must be positive and finite")
-        _require(0.0 < self.split < 1.0, "split must lie strictly in (0, 1)")
+        if isinstance(self.split, float):
+            inside = 0.0 < self.split < 1.0
+        else:
+            split = np.asarray(self.split, dtype=float)
+            _require(split.ndim == 1, "split must be a float or a 1-D array")
+            object.__setattr__(self, "split", split)
+            inside = bool(((0.0 < split) & (split < 1.0)).all())
+        _require(inside, "split must lie strictly in (0, 1)")
         _require(math.isfinite(self.equipment_rate) and self.equipment_rate > 0,
                  "equipment rate must be positive and finite")
         _require(math.isfinite(self.running_rate) and self.running_rate > 0,
@@ -61,6 +74,11 @@ class MinerPlan:
     def run_cost_per_epoch(self) -> float:
         """Reserve drained per epoch: gamma W c_e c_r."""
         return self.power * self.running_rate
+
+    @property
+    def drain_rate(self) -> float:
+        """Fraction of W drained per epoch: gamma c_e c_r."""
+        return self.split * self.equipment_rate * self.running_rate
 
 
 @dataclass(frozen=True)
@@ -175,15 +193,24 @@ def wealth_trajectory(initial_wealth: float, growth_rate: float,
 
 def t_max(plan: MinerPlan) -> float:
     """Epochs until the reserve runs dry with no win: (1 - gamma)/(gamma c_e c_r)."""
-    return (1.0 - plan.split) / (plan.split * plan.equipment_rate
-                                 * plan.running_rate)
+    return (1.0 - plan.split) / plan.drain_rate
 
 
-def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
-    """First-win rate E gamma W c_e / (P0 + gamma W c_e).
+def win_probability(plan: MinerPlan, network: NetworkParams) -> float:
+    """Per-block win probability q = p/(P0 + p) of the plan's power p.
 
     network.power is the baseline P0 before this miner joins; the plan's own
     power is added to the denominator.
+    """
+    p = plan.power
+    return p / (network.power + p)
+
+
+def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
+    """First-win rate E q, rounded as E p / (P0 + p).
+
+    E times win_probability would differ in the last bit, so the rate keeps
+    its own rounding order.
     """
     p = plan.power
     return network.expected_blocks * p / (network.power + p)
@@ -192,45 +219,31 @@ def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
 def conditional_reward(plan: MinerPlan, network: NetworkParams) -> float:
     """Expected reward per win, M q / (1 - sum_w Poisson(w; E)(1-q)^w).
 
-    The no-win mass collapses to exp(-E q); both that closed form and the
-    truncated series (rewarddist.win_count_pmf_series at v = 0) are
-    evaluated and must agree to 1e-12 (absolute, the sharpest the series
-    route supports once the mass is folded into the denominator) before the
-    closed form is used. Zero only in the degenerate M = 0 network.
+    The no-win mass collapses to exp(-E q); verify's no-win-series row
+    checks that closed form against the truncated series
+    (rewarddist.win_count_pmf_series at v = 0). Zero only in the degenerate
+    M = 0 network.
     """
-    p = plan.power
-    q = p / (network.power + p)
-    e = network.expected_blocks
-    denom = -math.expm1(-e * q)
-    denom_series = 1.0 - win_count_pmf_series(0, e, q)
-    if abs(denom_series - denom) > 1e-12:
-        raise MineconError(
-            f"no-win mass series {1.0 - denom_series!r} disagrees with "
-            f"closed form {1.0 - denom!r}")
-    return network.block_reward * q / denom
+    q = win_probability(plan, network)
+    return network.block_reward * q / -_expm1(-network.expected_blocks * q)
 
 
-def _growth_parts(wealth: float, equipment_rate: float, running_rate: float,
-                  network: NetworkParams, splits: np.ndarray,
+def _growth_parts(plan: MinerPlan, network: NetworkParams,
                   quad_tol: float) -> tuple:
-    """Stochastic growth rate and its parts for an array of splits at one wealth.
+    """Stochastic growth rate and its parts for a batch of splits.
 
-    Returns arrays (growth_rate, win_rate, t_max, win_term, bankrupt_term,
-    conditional_reward), one entry per split in (0, 1). The win branches are
-    integrated side by side by simpson_batch, so each split's values are
-    the ones it gets on its own; conditional_reward runs per split.
+    plan.split is a 1-D array. Returns arrays (growth_rate, win_rate, t_max,
+    win_term, bankrupt_term, conditional_reward), one entry per split. The
+    win branches are integrated side by side by simpson_batch, so each
+    split's values are the ones it gets on its own.
     """
     _require(quad_tol > 0, "quad_tol must be positive")
-    plans = [MinerPlan(wealth=wealth, split=float(s),
-                       equipment_rate=equipment_rate,
-                       running_rate=running_rate) for s in splits]
-    reward = np.array([conditional_reward(plan, network) for plan in plans])
-    gamma_ = np.asarray(splits, dtype=float)
-    p = gamma_ * wealth * equipment_rate
-    lam = network.expected_blocks * p / (network.power + p)
-    drain = gamma_ * equipment_rate * running_rate
-    horizon = (1.0 - gamma_) / drain
-    rho = reward / wealth
+    gamma_ = plan.split
+    reward = conditional_reward(plan, network)
+    lam = win_rate_lambda(plan, network)
+    drain = plan.drain_rate
+    horizon = t_max(plan)
+    rho = reward / plan.wealth
     floor = gamma_ * (1.0 - 1e-12) - 1e-12
 
     def integrand(t, owner):
@@ -264,8 +277,8 @@ def stochastic_growth_rate(plan: MinerPlan, network: NetworkParams,
     (NumericalError otherwise). This is the one-split case of the batched
     evaluator behind optimize_gamma's grid scan, with the same values.
     """
-    parts = _growth_parts(plan.wealth, plan.equipment_rate, plan.running_rate,
-                          network, np.array([plan.split]), quad_tol)
+    parts = _growth_parts(replace(plan, split=np.array([plan.split])),
+                          network, quad_tol)
     return GrowthBreakdown(*(float(x[0]) for x in parts))
 
 
@@ -280,16 +293,39 @@ def smooth_optimal_gamma(tau: float, equipment_rate: float,
     return 1.0 / (1.0 + tau * equipment_rate * running_rate)
 
 
-def _log_linear_integral(delta: float, b: float, upper: float) -> float:
-    # integral_0^upper log(1 + delta - b t) dt, written to dodge the
-    # cancellation in the raw antiderivative -(a - b t)(log(a - b t) - 1)/b
-    # when b*upper is small: split log((1 + delta)(1 - c t)) and use the
-    # exact form integral_0^upper log(1 - c t) dt = (-(1 - s) log(1 - s) - s)/c
-    # with c = b/(1 + delta) and s = c*upper, both via log1p.
+def _smooth_terms(plan: MinerPlan, network: NetworkParams,
+                  tau: float) -> tuple:
+    # (delta, b) of the smooth integrand log(1 + delta - b t) on [0, tau]
+    _require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
+    delta = plan.split * network.block_reward * plan.equipment_rate \
+        / (network.power + plan.power)
+    b = plan.drain_rate
+    if 1.0 + delta - b * tau <= 0.0:
+        raise CertainRuinError(
+            "running costs exhaust wealth within one period; the smooth "
+            "growth rate is -inf")
+    return delta, b
+
+
+def smooth_growth_rate(plan: MinerPlan, network: NetworkParams,
+                       tau: float) -> float:
+    """Growth rate with one guaranteed payout of M q per period tau:
+
+    (1/tau) integral_0^tau log(1 + gamma (M c_e/(P0 + gamma W c_e)
+                                          - t c_e c_r)) dt.
+
+    Evaluated through the closed-form antiderivative of log(a - b t);
+    verify's smooth-dual-eval row checks it against quadrature.
+    """
+    delta, b = _smooth_terms(plan, network, tau)
+    # the raw antiderivative -(a - b t)(log(a - b t) - 1)/b cancels when
+    # b*tau is small: split log((1 + delta)(1 - c t)) and use the exact form
+    # integral_0^tau log(1 - c t) dt = (-(1 - s) log(1 - s) - s)/c with
+    # c = b/(1 + delta) and s = c*tau, both via log1p
     c = b / (1.0 + delta)
-    s = c * upper
+    s = c * tau
     tail = (-(1.0 - s) * math.log1p(-s) - s) / c
-    return upper * math.log1p(delta) + tail
+    return (tau * math.log1p(delta) + tail) / tau
 
 
 def _smooth_growth_parts(plan: MinerPlan, network: NetworkParams,
@@ -301,42 +337,13 @@ def _smooth_growth_parts(plan: MinerPlan, network: NetworkParams,
     integrand's magnitude at every node, so neither route can be trusted
     below that no matter how smooth the integrand is.
     """
-    _require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
-    p = plan.power
-    delta = plan.split * network.block_reward * plan.equipment_rate \
-        / (network.power + p)
-    b = plan.split * plan.equipment_rate * plan.running_rate
+    delta, b = _smooth_terms(plan, network, tau)
     a = 1.0 + delta
-    if a - b * tau <= 0.0:
-        raise CertainRuinError(
-            "running costs exhaust wealth within one period; the smooth "
-            "growth rate is -inf")
-    closed = _log_linear_integral(delta, b, tau) / tau
     scale = max(abs(math.log1p(delta)), abs(math.log(a - b * tau)), 1e-12)
     quad, _ = adaptive_simpson(lambda t: np.log(a - b * t), 0.0, tau,
                                rel_tol=1e-12, abs_tol=1e-14 * scale * tau)
     noise = 1e-13 * (1.0 + scale)
-    return quad / tau, closed, noise
-
-
-def smooth_growth_rate(plan: MinerPlan, network: NetworkParams,
-                       tau: float) -> float:
-    """Growth rate with one guaranteed payout of M q per period tau:
-
-    (1/tau) integral_0^tau log(1 + gamma (M c_e/(P0 + gamma W c_e)
-                                          - t c_e c_r)) dt.
-
-    Evaluated through the closed-form antiderivative of log(a - b t) and
-    independently by quadrature; the two must agree to 1e-10 relative
-    (with an absolute floor at the shared rounding noise, which takes
-    over when the rate itself sits near zero).
-    """
-    quad, closed, noise = _smooth_growth_parts(plan, network, tau)
-    if abs(quad - closed) > max(1e-10 * abs(closed), noise):
-        raise MineconError(
-            f"smooth growth rate disagreement: quadrature {quad!r} vs "
-            f"antiderivative {closed!r}")
-    return closed
+    return quad / tau, smooth_growth_rate(plan, network, tau), noise
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -378,18 +385,18 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     """
     _require(grid_size >= 3, "grid must hold at least 3 points")
 
-    def rate(gamma_: float) -> float:
-        plan = MinerPlan(wealth=wealth, split=gamma_,
-                         equipment_rate=equipment_rate,
-                         running_rate=running_rate)
-        return stochastic_growth_rate(plan, network,
-                                      quad_tol=quad_tol).growth_rate
-
     edge = 1e-6
     grid = np.linspace(edge, 1.0 - edge, grid_size)
+    scan = MinerPlan(wealth=wealth, split=grid,
+                     equipment_rate=equipment_rate, running_rate=running_rate)
+
+    def rate(gamma_: float) -> float:
+        return stochastic_growth_rate(replace(scan, split=gamma_), network,
+                                      quad_tol=quad_tol).growth_rate
+
     values = np.concatenate([
-        _growth_parts(wealth, equipment_rate, running_rate, network,
-                      grid[i:i + _SCAN_BATCH], quad_tol)[0]
+        _growth_parts(replace(scan, split=grid[i:i + _SCAN_BATCH]), network,
+                      quad_tol)[0]
         for i in range(0, grid_size, _SCAN_BATCH)])
     if not np.any(np.isfinite(values)):
         raise NoViableStrategyError("no split yields a finite growth rate")

@@ -359,22 +359,17 @@ def round_payoffs(plan: growth.MinerPlan, network: NetworkParams,
              f"unknown reward mode {reward_mode!r}")
     rng = _generator(config)
     n = config.sample_count
-    lam = growth.win_rate_lambda(plan, network)
-    horizon = growth.t_max(plan)
-    drain = plan.split * plan.equipment_rate * plan.running_rate
-
-    t = exponential_sample(rng, lam, n)
-    win = t <= horizon
+    t = exponential_sample(rng, growth.win_rate_lambda(plan, network), n)
+    win = t <= growth.t_max(plan)
     payoff = np.full(n, math.log(plan.split))
     if reward_mode == "conditional_mean":
         rho = growth.conditional_reward(plan, network) / plan.wealth
-        payoff[win] = np.log(1.0 - drain * t[win] + rho)
     else:
-        q = plan.power / (network.power + plan.power)
+        q = growth.win_probability(plan, network)
         v = _positive_poisson(rng, network.expected_blocks * q,
                               int(win.sum()))
         rho = network.block_reward * v.astype(float) / plan.wealth
-        payoff[win] = np.log(1.0 - drain * t[win] + rho)
+    payoff[win] = np.log(1.0 - plan.drain_rate * t[win] + rho)
     return payoff
 
 
@@ -403,7 +398,7 @@ def simulate_wealth_path(plan: growth.MinerPlan, network: NetworkParams,
     """
     _require(horizon >= 1, "horizon must be at least 1 epoch")
     rng = _generator(config)
-    q = plan.power / (network.power + plan.power)
+    q = growth.win_probability(plan, network)
     v = poisson_sample(rng, network.expected_blocks * q, horizon)
     cost = plan.run_cost_per_epoch
     reserve = (plan.reserve - cost * np.arange(1, horizon + 1)

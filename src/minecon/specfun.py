@@ -25,11 +25,6 @@ _MAX_SERIES_TERMS = 1000
 _MAX_CF_ITER = 400
 
 
-def euler_mascheroni() -> float:
-    """The Euler-Mascheroni constant as the nearest double."""
-    return EULER_MASCHERONI
-
-
 def exp_integral_ei(x: float) -> float:
     """Exponential integral Ei(x), principal value, for real nonzero x.
 

@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import minecon
 from conftest import REFERENCE, run_cli, write_scenario
@@ -76,6 +79,21 @@ def oracle_tables(scenario, seed=42):
     ]
 
 
+def _run_child(*argv):
+    """The CLI in a child process capped at 1.5 GB of address space."""
+    script = ("import resource, sys\n"
+              "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, hard))\n"
+              "from minecon.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(minecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 class TestScenarioFile:
     def test_key_value_parses(self, reference_file):
         scenario = load_scenario(reference_file)
@@ -128,6 +146,11 @@ class TestScenarioFile:
     def test_fractional_window_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             load_scenario(write_scenario(tmp_path, N=10.5))
+
+    @pytest.mark.parametrize("window", ["inf", "nan", "1e400"])
+    def test_non_finite_window_rejected(self, tmp_path, window):
+        with pytest.raises(ValidationError, match="N must be an integer"):
+            load_scenario(write_scenario(tmp_path, N=window))
 
     def test_gamma_is_optional(self, tmp_path):
         params = {k: v for k, v in REFERENCE.items() if k != "gamma"}
@@ -456,6 +479,17 @@ class TestExitCodes:
         assert not (tmp_path / "wait_summary.json").exists()
         assert not (tmp_path / "wait_grid.csv").exists()
 
+    def test_underflowing_share_prints_one_error_line(self, tmp_path):
+        # q = p/(P0 + p) underflows to 0, so the conditional reward is 0/0:
+        # numpy's warnings must not add lines to stderr (in a child, since
+        # pytest would capture them)
+        path = write_scenario(tmp_path, P0=1e300, c_e=1e-300, W=1)
+        result = _run_child("growth", path, "--out", tmp_path / "artifacts")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: numeric:")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "artifacts" / "growth.json").exists()
+
     def test_wait_rate_underflow_is_numeric_failure(self, tmp_path, capsys):
         # against P0 = 1e300 the win rate squared underflows to 0
         path = write_scenario(tmp_path, P0=1e300)
@@ -595,6 +629,92 @@ class TestVerify:
                 read_json(tmp_path / "verify.json")["rows"]}
         assert rows["first-win-mean"]["status"] == "PASS"
         assert rows["first-win-mean"]["band"] > 0
+
+    def test_no_win_series_row_passes_on_the_reference(self,
+                                                       reference_file,
+                                                       tmp_path):
+        assert run_cli("verify", reference_file, "--out", tmp_path,
+                       "--seed", 42) == 0
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        row = rows["no-win-series"]
+        assert row["status"] == "PASS"
+        assert row["band"] == 1e-12
+        assert row["expected"] == math.exp(-10.0 * 50.0 / 1050.0)
+
+    def test_no_win_series_disagreement_exits_two(self, reference_file,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        real = rewarddist.win_count_pmf_series
+        monkeypatch.setattr(rewarddist, "win_count_pmf_series",
+                            lambda v, e, q: real(v, e, q) + 1e-9)
+        assert run_cli("verify", reference_file, "--out", tmp_path,
+                       "--seed", 42) == 2
+        err = capsys.readouterr().err
+        assert err == "error: convergence: 1 verification row(s) failed\n"
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        assert rows["no-win-series"]["status"] == "FAIL"
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(
+        lambda x: 10.0 ** x)
+
+
+@st.composite
+def _scenarios(draw):
+    # every value inside its range, or one of them set to an edge value
+    # (zero, negative, non-finite, or at the ends of the double range)
+    scenario = draw(st.fixed_dictionaries({
+        "E": _log_uniform(0.1, 200.0), "M": st.floats(0.0, 10.0),
+        "P0": _log_uniform(1.0, 1e6), "W": _log_uniform(1e-2, 1e6),
+        "gamma": st.floats(1e-6, 1.0 - 1e-6),
+        "c_e": _log_uniform(1e-2, 1e2), "c_r": _log_uniform(1e-5, 1.0),
+        "tau": _log_uniform(1e-2, 1e2), "N": st.integers(1, 1000)}))
+    key = draw(st.one_of(st.none(), st.sampled_from(sorted(scenario))))
+    if key is not None:
+        scenario[key] = draw(st.sampled_from(
+            [0.0, -1.0, math.nan, math.inf, 1e-300, 1e300]))
+    return scenario
+
+
+def _finite_json(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_json(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_json(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("command", ["growth", "optimize", "fee"])
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=_scenarios(), grid_size=st.integers(-2, 64),
+           quad_tol=st.floats(-10.0, -3.0).map(lambda x: 10.0 ** x))
+    def test_growth_commands_keep_the_exit_contract(self, command, scenario,
+                                                    grid_size, quad_tol):
+        # every run ends in exit 0 with one finite artifact, or in 1-3
+        # with one error line and no artifact
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.txt"
+            path.write_text("".join(f"{k} = {v!r}\n"
+                                    for k, v in scenario.items()))
+            out = Path(tmp) / "artifacts"
+            result = _run_child(command, path, "--out", out, "--grid-size",
+                                grid_size, "--quad-tol", repr(quad_tol))
+            assert result.returncode in (0, 1, 2, 3), result.stderr
+            artifacts = sorted(out.iterdir()) if out.exists() else []
+            if result.returncode:
+                assert result.stderr.startswith("error: "), result.stderr
+                assert result.stderr.count("\n") == 1, result.stderr
+                assert artifacts == []
+            else:
+                assert result.stderr == ""
+                assert [a.name for a in artifacts] == [f"{command}.json"]
+                text = artifacts[0].read_text()
+                assert _finite_json(json.loads(text))
 
 
 class TestConsoleEntry:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from minecon import growth
-from minecon.errors import (CertainRuinError, ConvergenceError, NoRootError,
-                            NumericalError, ValidationError)
+from minecon.errors import (CertainRuinError, ConvergenceError, MineconError,
+                            NoRootError, NumericalError, ValidationError)
 from minecon.growth import (FeeBound, GameRound, MinerPlan,
                             conditional_reward, max_pool_fee,
                             min_viable_wealth, optimize_gamma,
@@ -15,7 +15,7 @@ from minecon.growth import (FeeBound, GameRound, MinerPlan,
                             stochastic_growth_rate, t_max, tane_growth_rate,
                             tane_growth_upper_bound, wealth_trajectory,
                             win_rate_lambda)
-from minecon.rewarddist import NetworkParams
+from minecon.rewarddist import NetworkParams, win_count_pmf_series
 
 REF_PLAN = MinerPlan(wealth=100.0, split=0.5, equipment_rate=1.0,
                      running_rate=0.001)
@@ -337,8 +337,8 @@ class TestBatchedGrowth:
         cases += [acceptance_draw(rng) for _ in range(4)]
         splits = self.GRID[::16]
         for wealth, c_e, c_r, net in cases:
-            batch = growth._growth_parts(wealth, c_e, c_r, net, splits,
-                                         1e-10)
+            batch = growth._growth_parts(MinerPlan(wealth, splits, c_e, c_r),
+                                         net, 1e-10)
             for i, split in enumerate(splits):
                 alone = stochastic_growth_rate(
                     MinerPlan(wealth, float(split), c_e, c_r), net)
@@ -353,20 +353,19 @@ class TestBatchedGrowth:
         real = growth.conditional_reward
 
         def broken(plan, network):
-            if plan.split == target:
-                return -0.5 * plan.wealth
-            return real(plan, network)
+            return np.where(plan.split == target, -0.5 * plan.wealth,
+                            real(plan, network))
 
         monkeypatch.setattr(growth, "conditional_reward", broken)
+        batch = MinerPlan(100.0, self.GRID[:64], 1.0, 0.001)
         with pytest.raises(NumericalError, match="log argument"):
-            growth._growth_parts(100.0, 1.0, 0.001, REF_NET,
-                                 self.GRID[:64], 1e-10)
+            growth._growth_parts(batch, REF_NET, 1e-10)
 
     def test_convergence_failure_in_one_split_propagates(self):
         wealth, c_e, c_r, net = STALLING
         with pytest.raises(ConvergenceError) as batch:
-            growth._growth_parts(wealth, c_e, c_r, net, self.GRID[:64],
-                                 1e-10)
+            growth._growth_parts(MinerPlan(wealth, self.GRID[:64], c_e, c_r),
+                                 net, 1e-10)
         with pytest.raises(ConvergenceError) as alone:
             stochastic_growth_rate(MinerPlan(wealth, float(self.GRID[0]),
                                              c_e, c_r), net)
@@ -377,16 +376,17 @@ class TestBatchedGrowth:
         assert batch.value.best_estimate == alone.value.best_estimate
         assert batch.value.achieved_error == alone.value.achieved_error
         # the other 63 splits converge on their own
-        growth._growth_parts(wealth, c_e, c_r, net, self.GRID[1:64], 1e-10)
+        growth._growth_parts(MinerPlan(wealth, self.GRID[1:64], c_e, c_r),
+                             net, 1e-10)
 
     def test_optimizer_scans_in_batches_of_64(self, monkeypatch):
         batches, singles = [], []
         real_parts = growth._growth_parts
         real_single = growth.stochastic_growth_rate
 
-        def counted_parts(*args):
-            batches.append(len(args[4]))
-            return real_parts(*args)
+        def counted_parts(plan, *args):
+            batches.append(len(plan.split))
+            return real_parts(plan, *args)
 
         def counted_single(plan, network, quad_tol):
             singles.append(plan.split)
@@ -404,6 +404,129 @@ class TestBatchedGrowth:
         step = (1.0 - 2e-6) / (grid_size - 1)
         assert 3 <= len(singles) <= 60
         assert all(abs(s - opt.split) <= 2.0 * step + 1e-4 for s in singles)
+
+
+def scalar_conditional_reward(plan, network):
+    """conditional_reward as it was before batching, kept as its oracle:
+    one split at a time through math.expm1, with the no-win series check."""
+    p = plan.power
+    q = p / (network.power + p)
+    e = network.expected_blocks
+    denom = -math.expm1(-e * q)
+    denom_series = 1.0 - win_count_pmf_series(0, e, q)
+    if abs(denom_series - denom) > 1e-12:
+        raise MineconError(
+            f"no-win mass series {1.0 - denom_series!r} disagrees with "
+            f"closed form {1.0 - denom!r}")
+    return network.block_reward * q / denom
+
+
+class TestBatchedModel:
+    GRID = np.linspace(1e-6, 1.0 - 1e-6, 1024)
+
+    def test_rewards_match_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(6262)
+        cases = [(100.0, 1.0, 0.001, REF_NET)]
+        cases += [acceptance_draw(rng) for _ in range(4)]
+        for wealth, c_e, c_r, net in cases:
+            batch = conditional_reward(MinerPlan(wealth, self.GRID, c_e, c_r),
+                                       net)
+            oracle = [scalar_conditional_reward(
+                MinerPlan(wealth, float(split), c_e, c_r), net)
+                for split in self.GRID]
+            assert batch.tolist() == oracle
+            single = conditional_reward(MinerPlan(wealth, 0.5, c_e, c_r), net)
+            assert single == scalar_conditional_reward(
+                MinerPlan(wealth, 0.5, c_e, c_r), net)
+
+    def test_batch_quantities_match_single_plans(self):
+        batch = MinerPlan(100.0, self.GRID[::64], 1.0, 0.001)
+        for i, split in enumerate(self.GRID[::64]):
+            plan = MinerPlan(100.0, float(split), 1.0, 0.001)
+            assert batch.power[i] == plan.power
+            assert batch.drain_rate[i] == plan.drain_rate
+            assert t_max(batch)[i] == t_max(plan)
+            assert win_rate_lambda(batch, REF_NET)[i] == \
+                win_rate_lambda(plan, REF_NET)
+            assert growth.win_probability(batch, REF_NET)[i] == \
+                plan.power / (REF_NET.power + plan.power)
+
+    def test_one_reward_call_and_no_plan_per_batch(self, monkeypatch):
+        batch = MinerPlan(100.0, self.GRID[:64], 1.0, 0.001)
+        built, rewarded = [], []
+        real_init = MinerPlan.__post_init__
+        real_reward = growth.conditional_reward
+
+        def counted_init(plan):
+            built.append(plan.split)
+            real_init(plan)
+
+        def counted_reward(plan, network):
+            rewarded.append(plan)
+            return real_reward(plan, network)
+
+        monkeypatch.setattr(MinerPlan, "__post_init__", counted_init)
+        monkeypatch.setattr(growth, "conditional_reward", counted_reward)
+        growth._growth_parts(batch, REF_NET, 1e-10)
+        assert built == []
+        assert rewarded == [batch]
+
+    def test_optimizer_makes_one_reward_call_per_batch(self, monkeypatch):
+        parts, rewarded = [], []
+        real_parts = growth._growth_parts
+        real_reward = growth.conditional_reward
+
+        def counted_parts(plan, *args):
+            parts.append(plan.split.size)
+            return real_parts(plan, *args)
+
+        def counted_reward(plan, network):
+            rewarded.append(plan.split.size)
+            return real_reward(plan, network)
+
+        monkeypatch.setattr(growth, "_growth_parts", counted_parts)
+        monkeypatch.setattr(growth, "conditional_reward", counted_reward)
+        optimize_gamma(100.0, 1.0, 0.001, REF_NET, grid_size=200,
+                       quad_tol=1e-8)
+        assert parts[:4] == [64, 64, 64, 8]
+        assert rewarded == parts
+
+
+class TestEntryValidation:
+    BAD = [(0, 0.0), (0, -1.0), (0, math.inf), (0, math.nan),
+           (1, 0.0), (1, -1.0), (1, math.inf), (1, math.nan),
+           (2, 0.0), (2, -1e-3), (2, math.inf), (2, math.nan)]
+
+    @pytest.mark.parametrize("entry", ["optimize", "wmin", "fee"])
+    @pytest.mark.parametrize("position, value", BAD)
+    def test_rejected_before_any_quadrature(self, monkeypatch, entry,
+                                            position, value):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on invalid input")
+
+        monkeypatch.setattr(growth, "simpson_batch", no_quadrature)
+        monkeypatch.setattr(growth, "adaptive_simpson", no_quadrature)
+        budget = [100.0, 1.0, 0.001]  # wealth, c_e, c_r
+        budget[position] = value
+        with pytest.raises(ValidationError):
+            if entry == "optimize":
+                optimize_gamma(*budget, REF_NET, grid_size=64)
+            elif entry == "wmin":
+                min_viable_wealth(*budget, REF_NET, grid_size=64)
+            else:
+                max_pool_fee(*budget, REF_NET, 1.0, grid_size=64)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, 1.5, math.nan,
+                                     math.inf])
+    def test_plan_rejects_any_split_outside_the_unit_interval(self, bad):
+        splits = np.linspace(0.1, 0.9, 9)
+        splits[4] = bad
+        with pytest.raises(ValidationError, match="split"):
+            MinerPlan(100.0, splits, 1.0, 0.001)
+
+    def test_plan_rejects_a_split_matrix(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            MinerPlan(100.0, np.full((2, 2), 0.5), 1.0, 0.001)
 
 
 class TestMinViableWealth:

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from minecon.specfun import (EULER_MASCHERONI, _ei_asymptotic, _ei_series,
-                             euler_mascheroni, exp_integral_ei)
+                             exp_integral_ei)
 from minecon.errors import ValidationError
 
 # mpmath.ei at 50 digits, rounded to the nearest double
@@ -98,7 +98,6 @@ def test_derivative_is_exp_over_x():
 
 
 def test_euler_mascheroni_constant():
-    assert euler_mascheroni() == 0.5772156649015329
-    assert euler_mascheroni() == euler_mascheroni()
+    assert EULER_MASCHERONI == 0.5772156649015329
     mpmath.mp.dps = 30
-    assert euler_mascheroni() == pytest.approx(float(mpmath.euler), abs=0.0)
+    assert EULER_MASCHERONI == pytest.approx(float(mpmath.euler), abs=0.0)
