@@ -22,6 +22,6 @@ from .rewarddist import (LatticePmf, MinerShare, NetworkParams,
                          total_reward_pmf, variance_paper, variance_thinned,
                          win_count_pmf_closed, win_count_pmf_series)
 from .specfun import EULER_MASCHERONI, exp_integral_ei
-from .waiting import (BankruptcyInputs, WaitParams, bankruptcy_horizon,
+from .waiting import (BankruptcyInputs, bankruptcy_horizon,
                       bankruptcy_probability, expected_wait, wait_variance,
                       waiting_cdf, waiting_pdf)

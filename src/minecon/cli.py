@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -82,41 +82,25 @@ class Scenario:
         return cls(N=n, gamma=gamma, **kwargs)
 
     def to_mapping(self) -> dict:
-        out = {"E": self.E, "M": self.M, "P0": self.P0, "W": self.W,
-               "c_e": self.c_e, "c_r": self.c_r, "tau": self.tau,
-               "N": self.N}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     # -- derived objects ---------------------------------------------------
 
-    def require_gamma(self) -> float:
+    def plan(self) -> growth.MinerPlan:
         if self.gamma is None:
             raise ValidationError(
                 "scenario: this command needs an explicit gamma")
-        return self.gamma
-
-    def plan(self) -> growth.MinerPlan:
-        return growth.MinerPlan(wealth=self.W, split=self.require_gamma(),
+        return growth.MinerPlan(wealth=self.W, split=self.gamma,
                                 equipment_rate=self.c_e,
                                 running_rate=self.c_r)
 
-    def baseline_network(self) -> rewarddist.NetworkParams:
-        # power = P0, the network before this miner joins (growth module view)
+    def network(self) -> rewarddist.NetworkParams:
         return rewarddist.NetworkParams(expected_blocks=self.E,
                                         block_reward=self.M, power=self.P0)
 
-    def joined_network(self) -> rewarddist.NetworkParams:
-        # power includes the miner's own equipment (distribution view)
-        return rewarddist.NetworkParams(expected_blocks=self.E,
-                                        block_reward=self.M,
-                                        power=self.P0 + self.plan().power)
-
     def share(self) -> rewarddist.MinerShare:
-        plan = self.plan()
-        q = growth.win_probability(plan, self.baseline_network())
-        return rewarddist.MinerShare(power=plan.power, win_probability=q)
+        return rewarddist.MinerShare(
+            growth.win_probability(self.plan(), self.network()))
 
 
 def load_scenario(path) -> Scenario:
@@ -264,7 +248,7 @@ def _epochs(scenario: Scenario) -> int:
 
 def _cmd_dist(scenario: Scenario, args, out: Path) -> None:
     share = scenario.share()
-    window = (scenario.joined_network(), share, _epochs(scenario))
+    window = (scenario.network(), share, _epochs(scenario))
     pmf = rewarddist.total_reward_pmf(*window)
 
     payload = _envelope("dist", scenario, args.seed)
@@ -288,47 +272,42 @@ def _cmd_dist(scenario: Scenario, args, out: Path) -> None:
 
 def _cmd_wait(scenario: Scenario, args, out: Path) -> None:
     plan = scenario.plan()
-    share = scenario.share()
-    params = waiting.WaitParams(expected_blocks=scenario.E,
-                                win_probability=share.win_probability)
+    network, share = scenario.network(), scenario.share()
     inputs = waiting.BankruptcyInputs(initial_wealth=plan.reserve,
                                       epoch_cost=plan.run_cost_per_epoch)
 
     count = int(math.floor(args.grid_max / args.grid_step)) + 1
     xs = np.arange(count) * args.grid_step
-    grid = {"x": xs,
-            "cdf": np.array([waiting.waiting_cdf(x, params)
-                             for x in xs.tolist()]),
-            "pdf": np.array([waiting.waiting_pdf(x, params)
-                             for x in xs.tolist()])}
+    grid = {"x": xs, "cdf": waiting.waiting_cdf(xs, network, share),
+            "pdf": waiting.waiting_pdf(xs, network, share)}
 
     payload = _envelope("wait", scenario, args.seed)
     payload.update({
-        "win_probability": params.win_probability,
-        "rate": params.rate,
-        "expected_wait": waiting.expected_wait(params),
-        "wait_variance": waiting.wait_variance(params),
+        "win_probability": share.win_probability,
+        "rate": scenario.E * share.win_probability,
+        "expected_wait": waiting.expected_wait(network, share),
+        "wait_variance": waiting.wait_variance(network, share),
         "solvency_horizon": waiting.bankruptcy_horizon(inputs),
-        "bankruptcy_probability": waiting.bankruptcy_probability(inputs,
-                                                                 params),
+        "bankruptcy_probability": waiting.bankruptcy_probability(
+            inputs, network, share),
     })
     _write(_table_file(out / "wait_grid", args.format, grid),
            _json_file(out / "wait_summary.json", payload))
 
 
 def _cmd_growth(scenario: Scenario, args, out: Path) -> None:
-    breakdown = growth.stochastic_growth_rate(scenario.plan(),
-                                              scenario.baseline_network(),
+    plan, network = scenario.plan(), scenario.network()
+    breakdown = growth.stochastic_growth_rate(plan, network,
                                               quad_tol=args.quad_tol)
     payload = _envelope("growth", scenario, args.seed)
     payload.update(asdict(breakdown))
     payload["smooth_growth_rate"] = growth.smooth_growth_rate(
-        scenario.plan(), scenario.baseline_network(), scenario.tau)
+        plan, network, scenario.tau)
     _write(_json_file(out / "growth.json", payload))
 
 
 def _cmd_optimize(scenario: Scenario, args, out: Path) -> None:
-    network = scenario.baseline_network()
+    network = scenario.network()
     opt = growth.optimize_gamma(scenario.W, scenario.c_e, scenario.c_r,
                                 network, grid_size=args.grid_size,
                                 quad_tol=args.quad_tol)
@@ -345,7 +324,7 @@ def _cmd_optimize(scenario: Scenario, args, out: Path) -> None:
 
 def _cmd_fee(scenario: Scenario, args, out: Path) -> None:
     bound = growth.max_pool_fee(scenario.W, scenario.c_e, scenario.c_r,
-                                scenario.baseline_network(), scenario.tau,
+                                scenario.network(), scenario.tau,
                                 grid_size=args.grid_size,
                                 quad_tol=args.quad_tol)
     payload = _envelope("fee", scenario, args.seed)
@@ -359,32 +338,26 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
     payload = _envelope("simulate", scenario, args.seed)
     payload["kind"] = args.sim
     payload["stream_id"] = args.stream_id
+    network = scenario.network()
     tables = []
 
     if args.sim == "rounds":
         mode = args.reward_mode.replace("-", "_")
-        report = mcsim.round_oracle(scenario.plan(),
-                                    scenario.baseline_network(), config,
+        report = mcsim.round_oracle(scenario.plan(), network, config,
                                     reward_mode=mode)
         payload["reward_mode"] = mode
         payload["report"] = asdict(report)
         if args.per_trial:
-            payoffs = mcsim.round_payoffs(scenario.plan(),
-                                          scenario.baseline_network(),
-                                          config, reward_mode=mode)
+            payoffs = mcsim.round_payoffs(scenario.plan(), network, config,
+                                          reward_mode=mode)
             tables.append(_table_file(
                 out / "simulate_trials", args.format,
                 {"trial": np.arange(1, payoffs.size + 1),
                  "log_payoff": payoffs}))
     elif args.sim == "epochs":
-        batch = mcsim.simulate_epochs(scenario.joined_network(),
-                                      scenario.share(), config)
-        report = mcsim.SimReport(
-            estimate=float(np.mean(batch.rewards)),
-            std_error=float(np.std(batch.rewards, ddof=1)
-                            / math.sqrt(len(batch))),
-            samples=len(batch), seed=args.seed)
-        payload["report"] = asdict(report)
+        batch = mcsim.simulate_epochs(network, scenario.share(), config)
+        payload["report"] = asdict(mcsim._mean_report(batch.rewards,
+                                                      args.seed))
         payload["total_blocks"] = int(batch.blocks_total.sum())
         payload["total_wins"] = int(batch.blocks_won.sum())
         if args.per_trial:
@@ -393,8 +366,8 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
                 {"epoch": np.arange(1, len(batch) + 1),
                  "wins": batch.blocks_won, "reward": batch.rewards}))
     elif args.sim == "first-win":
-        result = mcsim.estimate_first_win_time(scenario.joined_network(),
-                                               scenario.share(), config)
+        result = mcsim.estimate_first_win_time(network, scenario.share(),
+                                               config)
         payload["report"] = asdict(result.report)
         payload["censored"] = result.censored
         tables.append(_table_file(out / "simulate_ecdf", args.format,
@@ -402,8 +375,7 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
                                    "cumulative_probability":
                                        result.empirical_cdf}))
     else:  # wealth
-        path = mcsim.simulate_wealth_path(scenario.plan(),
-                                          scenario.baseline_network(),
+        path = mcsim.simulate_wealth_path(scenario.plan(), network,
                                           args.horizon, config)
         payload["horizon"] = args.horizon
         payload["bankrupt"] = bool(path.bankrupt)
@@ -433,9 +405,7 @@ def _stat_row(name, observed, expected, band, detail="") -> dict:
 
 def _verify_rows(scenario: Scenario, args) -> list:
     plan = scenario.plan()
-    share = scenario.share()
-    joined = scenario.joined_network()
-    baseline = scenario.baseline_network()
+    network, share = scenario.network(), scenario.share()
     q = share.win_probability
     seed = args.seed
     samples = args.samples
@@ -445,10 +415,10 @@ def _verify_rows(scenario: Scenario, args) -> list:
         raise ValidationError(
             f"window rows would draw {n_paths} x {scenario.N} epochs, more "
             f"than {_MAX_WINDOW_DRAWS}")
-    window = (joined, share, _epochs(scenario))
+    window = (network, share, _epochs(scenario))
 
     # protocol-level epoch batch: Poisson mean and win-count pmf
-    batch = mcsim.simulate_epochs(joined, share,
+    batch = mcsim.simulate_epochs(network, share,
                                   mcsim.SimConfig(seed, samples, stream_id=1))
     w = batch.blocks_total
     rows.append(_stat_row(
@@ -458,7 +428,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
 
     counts = np.bincount(batch.blocks_won)
     emp = counts / samples
-    closed = np.array([rewarddist.win_count_pmf_closed(v, scenario.E, q)
+    closed = np.array([rewarddist.win_count_pmf_closed(v, network, share)
                        for v in range(len(emp))])
     tv = 0.5 * (float(np.abs(emp - closed).sum())
                 + max(0.0, 1.0 - float(closed.sum())))
@@ -470,7 +440,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
 
     # no-win mass: the series behind conditional_reward's exp(-E q)
     rows.append(_stat_row(
-        "no-win-series", rewarddist.win_count_pmf_series(0, scenario.E, q),
+        "no-win-series", rewarddist.win_count_pmf_series(0, network, share),
         math.exp(-scenario.E * q), 1e-12,
         "truncated series vs closed form exp(-E q)"))
 
@@ -479,41 +449,40 @@ def _verify_rows(scenario: Scenario, args) -> list:
     # which is 0 when every trial wins in epoch 1
     trials = max(2000, samples // 5)
     first = mcsim.estimate_first_win_time(
-        joined, share, mcsim.SimConfig(seed, trials, stream_id=2))
+        network, share, mcsim.SimConfig(seed, trials, stream_id=2))
     p0 = -math.expm1(-scenario.E * q)
     rows.append(_stat_row(
         "first-win-mean", first.report.estimate, 1.0 / p0 - 0.5,
         3.0 * math.sqrt(math.exp(-scenario.E * q) / trials) / p0,
         "midpoint-recorded waiting time vs exact discrete mean"))
 
-    # pure-drain ruin epoch and the no-win bankruptcy frequency
+    # pure-drain ruin epoch: with M = 0 the reserve falls by the same cost
+    # every epoch whatever the draws, so one path settles it
     inputs = waiting.BankruptcyInputs(plan.reserve, plan.run_cost_per_epoch)
     horizon = waiting.bankruptcy_horizon(inputs)
-    drained = rewarddist.NetworkParams(expected_blocks=scenario.E,
-                                       block_reward=0.0, power=scenario.P0)
-    paths = max(2000, samples // 50)
-    no_win = 0
-    ruin_exact = True
-    for k in range(paths):
-        path = mcsim.simulate_wealth_path(
-            plan, drained, horizon,
-            mcsim.SimConfig(seed, 1, stream_id=1000 + k))
-        ruin_exact &= path.bankrupt and path.bankrupt_epoch == horizon
-        no_win += int(not np.any(path.wins))
+    path = mcsim.simulate_wealth_path(
+        plan, replace(network, block_reward=0.0), horizon,
+        mcsim.SimConfig(seed, 1, stream_id=1000))
+    ruin_exact = path.bankrupt and path.bankrupt_epoch == horizon
     rows.append(_row("drain-ruin-epoch", "PASS" if ruin_exact else "FAIL",
                      horizon if ruin_exact else -1, horizon, 0,
-                     "M=0 ruin epoch equals ceil(reserve/cost) on all paths"))
-    p_bankrupt = waiting.bankruptcy_probability(
-        inputs, waiting.WaitParams(scenario.E, q))
+                     "M=0 ruin epoch equals ceil(reserve/cost)"))
+
+    # bankruptcy: first-win trials with no win by the horizon. ecdf[k] is
+    # the share of the winning trials that won by epoch k; a censored trial,
+    # alive at 10^8 epochs, is past any horizon the drain path could take
+    won = round(first.empirical_cdf[min(horizon, first.grid[-1])]
+                * first.report.samples)
+    p_bankrupt = waiting.bankruptcy_probability(inputs, network, share)
     rows.append(_stat_row(
-        "bankruptcy-probability", no_win / paths, p_bankrupt,
-        3.0 * math.sqrt(p_bankrupt * (1 - p_bankrupt) / paths),
-        "no-win-by-horizon frequency vs exp(-x* E q)"))
+        "bankruptcy-probability", (trials - won) / trials, p_bankrupt,
+        3.0 * math.sqrt(p_bankrupt * (1 - p_bankrupt) / trials),
+        "first-win trials with no win by the horizon vs exp(-x* E q)"))
 
     # growth rate: quadrature vs the formula-faithful game simulation
-    breakdown = growth.stochastic_growth_rate(plan, baseline,
+    breakdown = growth.stochastic_growth_rate(plan, network,
                                               quad_tol=args.quad_tol)
-    oracle = mcsim.round_oracle(plan, baseline,
+    oracle = mcsim.round_oracle(plan, network,
                                 mcsim.SimConfig(seed, samples, stream_id=3))
     rows.append(_stat_row(
         "growth-rate-mc", oracle.estimate, breakdown.growth_rate,
@@ -522,7 +491,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
 
     # smooth growth: quadrature vs antiderivative
     quad, closed_form, dual_noise = growth._smooth_growth_parts(
-        plan, baseline, scenario.tau)
+        plan, network, scenario.tau)
     dual_band = max(1e-10 * abs(closed_form), dual_noise)
     rows.append(_stat_row(
         "smooth-dual-eval", quad, closed_form, dual_band,
@@ -532,7 +501,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
     want_mean = rewarddist.expected_total_reward(*window)
     want_var = rewarddist.variance_thinned(*window)
     draws = mcsim.simulate_epochs(
-        joined, share,
+        network, share,
         mcsim.SimConfig(seed, n_paths * scenario.N, stream_id=4))
     totals = draws.rewards.reshape(n_paths, scenario.N).sum(axis=1)
     mean = float(np.mean(totals))
@@ -640,6 +609,9 @@ def _check_flags(args) -> None:
     # flags argparse types but does not range-check
     if not 0 <= args.seed < 2 ** 64:
         raise ValidationError("--seed must lie in [0, 2**64)")
+    if args.command == "verify" and args.samples < 2:
+        # every verify row estimates a standard error
+        raise ValidationError("--samples must be at least 2 for verify")
     if args.command == "wait":
         if not (math.isfinite(args.grid_step) and args.grid_step > 0):
             raise ValidationError("--grid-step must be positive and finite")
@@ -670,6 +642,9 @@ def main(argv=None) -> int:
     except MineconError as exc:
         # NumericalError: a non-finite or out-of-range value at run time
         return _fail(2, "numeric", exc)
+    except ArithmeticError as exc:
+        # a Python float operation that overflowed, as M**2 does past 1e154
+        return _fail(2, "numeric", f"{type(exc).__name__}: {exc}")
     except OSError as exc:
         return _fail(1, "io", exc)
     return 0

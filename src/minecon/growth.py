@@ -24,9 +24,10 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-# libm's expm1 entry by entry: numpy's own differs from it in the last bit
-# on about 2% of arguments, which would move artifact digits
+# libm's expm1 and exp entry by entry: numpy's own differ in the last bit
+# on about 2% and 5% of arguments, which would move artifact digits
 _expm1 = np.vectorize(math.expm1, otypes=[float])
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,15 @@ class ViableWealth(NamedTuple):
     bracket: tuple
 
 
+def _check_rounds(rounds: list, initial_wealth: float) -> None:
+    _require(math.isfinite(initial_wealth) and initial_wealth > 0,
+             "initial wealth must be positive and finite")
+    _require(len(rounds) > 0, "at least one game round is required")
+    total_q = math.fsum(r.probability for r in rounds)
+    _require(abs(total_q - 1.0) <= 1e-12,
+             f"outcome probabilities sum to {total_q!r}, not 1")
+
+
 def tane_growth_rate(rounds: list, initial_wealth: float) -> float:
     """Time-averaged growth rate sum(q_k log((W0 - c_k + M_k)/W0)).
 
@@ -147,12 +157,7 @@ def tane_growth_rate(rounds: list, initial_wealth: float) -> float:
     outcome that drives wealth to or below zero makes the rate -inf, reported
     as CertainRuinError rather than a float.
     """
-    _require(math.isfinite(initial_wealth) and initial_wealth > 0,
-             "initial wealth must be positive and finite")
-    _require(len(rounds) > 0, "at least one game round is required")
-    total_q = math.fsum(r.probability for r in rounds)
-    _require(abs(total_q - 1.0) <= 1e-12,
-             f"outcome probabilities sum to {total_q!r}, not 1")
+    _check_rounds(rounds, initial_wealth)
     terms = []
     for r in rounds:
         if r.probability == 0.0:
@@ -168,12 +173,7 @@ def tane_growth_rate(rounds: list, initial_wealth: float) -> float:
 
 def tane_growth_upper_bound(rounds: list, initial_wealth: float) -> float:
     """Jensen bound log(1 + E[M - c]/W0) on the time-averaged growth rate."""
-    _require(math.isfinite(initial_wealth) and initial_wealth > 0,
-             "initial wealth must be positive and finite")
-    _require(len(rounds) > 0, "at least one game round is required")
-    total_q = math.fsum(r.probability for r in rounds)
-    _require(abs(total_q - 1.0) <= 1e-12,
-             f"outcome probabilities sum to {total_q!r}, not 1")
+    _check_rounds(rounds, initial_wealth)
     net = math.fsum(r.probability * (r.reward - r.cost) for r in rounds)
     arg = 1.0 + net / initial_wealth
     _require(arg > 0.0,
@@ -196,14 +196,28 @@ def t_max(plan: MinerPlan) -> float:
     return (1.0 - plan.split) / plan.drain_rate
 
 
-def win_probability(plan: MinerPlan, network: NetworkParams) -> float:
-    """Per-block win probability q = p/(P0 + p) of the plan's power p.
+def _per_joined_power(numerator, power, network: NetworkParams,
+                      positive: str = ""):
+    """numerator/(P0 + p) for a miner's power p. NumericalError where
+    P0 + p overflows, or where a ratio named in positive, which is > 0 for
+    any positive power, comes out as 0."""
+    joined = network.power + power
+    ratio = numerator / joined
+    # an overflowing P0 + p leaves a positive ratio at 0 or nan as well
+    if not (np.greater(ratio, 0.0) if positive
+            else np.isfinite(joined)).all():
+        if not np.isfinite(joined).all():
+            raise NumericalError(f"network power P0 + p overflows at "
+                                 f"P0 = {network.power!r}")
+        raise NumericalError(f"{positive} underflows to 0 for a positive "
+                             f"miner power against P0 = {network.power!r}")
+    return ratio
 
-    network.power is the baseline P0 before this miner joins; the plan's own
-    power is added to the denominator.
-    """
+
+def win_probability(plan: MinerPlan, network: NetworkParams) -> float:
+    """Per-block win probability q = p/(P0 + p) of the plan's power p."""
     p = plan.power
-    return p / (network.power + p)
+    return _per_joined_power(p, p, network, "win probability q = p/(P0 + p)")
 
 
 def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
@@ -213,7 +227,8 @@ def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
     its own rounding order.
     """
     p = plan.power
-    return network.expected_blocks * p / (network.power + p)
+    return _per_joined_power(network.expected_blocks * p, p, network,
+                             "win rate E p/(P0 + p)")
 
 
 def conditional_reward(plan: MinerPlan, network: NetworkParams) -> float:
@@ -284,21 +299,31 @@ def stochastic_growth_rate(plan: MinerPlan, network: NetworkParams,
 
 def smooth_optimal_gamma(tau: float, equipment_rate: float,
                          running_rate: float) -> float:
-    """Optimal split under smooth rewards: gamma*/(1-gamma*) = 1/(tau c_e c_r)."""
+    """Optimal split under smooth rewards: gamma*/(1-gamma*) = 1/(tau c_e c_r).
+
+    NumericalError where it rounds to 0 or 1 (tau c_e c_r below ~1e-16).
+    """
     _require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
     _require(math.isfinite(equipment_rate) and equipment_rate > 0,
              "equipment rate must be positive and finite")
     _require(math.isfinite(running_rate) and running_rate > 0,
              "running rate must be positive and finite")
-    return 1.0 / (1.0 + tau * equipment_rate * running_rate)
+    product = tau * equipment_rate * running_rate
+    gamma_ = 1.0 / (1.0 + product)
+    if not 0.0 < gamma_ < 1.0:
+        raise NumericalError(
+            f"tau*c_e*c_r = {product!r} is beyond double precision: the "
+            f"smooth-optimal split 1/(1 + tau*c_e*c_r) rounds to {gamma_!r}")
+    return gamma_
 
 
 def _smooth_terms(plan: MinerPlan, network: NetworkParams,
                   tau: float) -> tuple:
     # (delta, b) of the smooth integrand log(1 + delta - b t) on [0, tau]
     _require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
-    delta = plan.split * network.block_reward * plan.equipment_rate \
-        / (network.power + plan.power)
+    delta = _per_joined_power(
+        plan.split * network.block_reward * plan.equipment_rate, plan.power,
+        network)
     b = plan.drain_rate
     if 1.0 + delta - b * tau <= 0.0:
         raise CertainRuinError(
@@ -376,10 +401,9 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
                    quad_tol: float = 1e-10) -> OptimalSplit:
     """Maximize the stochastic growth rate over the split gamma.
 
-    network.power is the baseline P0 before this miner joins. Scans a
-    uniform grid of grid_size points on (1e-6, 1 - 1e-6), _SCAN_BATCH
-    splits per batched quadrature, then sharpens the
-    best bracket with golden-section search down to width 1e-9. A finite
+    Scans a uniform grid of grid_size points on (1e-6, 1 - 1e-6),
+    _SCAN_BATCH splits per batched quadrature, then sharpens the best
+    bracket with golden-section search down to width 1e-9. A finite
     -difference second derivative certifies the result is a local maximum
     up to quadrature noise; failure raises ConvergenceError.
     """
@@ -389,6 +413,9 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     grid = np.linspace(edge, 1.0 - edge, grid_size)
     scan = MinerPlan(wealth=wealth, split=grid,
                      equipment_rate=equipment_rate, running_rate=running_rate)
+    # a share that overflows or underflows anywhere on the grid fails here,
+    # named, rather than as whatever a quadrature batch before it hits
+    win_probability(scan, network)
 
     def rate(gamma_: float) -> float:
         return stochastic_growth_rate(replace(scan, split=gamma_), network,

@@ -26,8 +26,13 @@ def _require(cond: bool, msg: str) -> None:
 
 
 _CENSOR_CAP = 10 ** 8
+# longest mean first-win wait, in epochs, the sweep simulation takes: one
+# sweep per epoch until the last trial wins, ~30 us each at 2,000 trials
+_MAX_MEAN_WAIT = 10 ** 5
 # table-inversion / transformed-rejection crossover for Poisson sampling
 _PTRS_THRESHOLD = 30.0
+# largest mean PTRS takes: its lgamma table holds mean + 60 sd + 200 entries
+_MAX_PTRS_MEAN = 10 ** 7
 # per-table truncation: tails thinner than this are folded into the last entry
 _TABLE_TAIL = 1e-18
 # binomial inversion keys: Generator.random returns k / 2^53, so u * 2^53 and
@@ -37,6 +42,8 @@ _KEY_SCALE = 2.0 ** 53
 _RANK_SHIFT = 54
 _MAX_TABLES = 511
 _BLOCK = 1 << 16
+# epochs one wealth path may hold (a few float64 arrays of 80 MB)
+_MAX_HORIZON = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,9 @@ def _largest_draw(mean: float) -> int:
     if mean <= _PTRS_THRESHOLD:
         return len(_poisson_cdf_table(mean)) - 1
     # PTRS rejects proposals past its lgamma table, ~60 sigma out
+    _require(mean <= _MAX_PTRS_MEAN,
+             f"Poisson mean {mean:.6g} exceeds the sampler's limit of "
+             f"{_MAX_PTRS_MEAN}")
     return int(mean + 60.0 * math.sqrt(mean) + 200.0)
 
 
@@ -291,13 +301,18 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     epoch midpoint k - 1/2, the natural continuous-time reading of "during
     epoch k"; the empirical CDF is reported on the integer epoch grid,
     where the midpoint convention drops back out. Trials still alive at
-    10^8 epochs are censored and excluded from the report.
+    10^8 epochs are censored and excluded from the report. A win rate E q
+    below 10^-5 per epoch (zero included), a mean wait past 10^5 sweeps,
+    is refused.
     """
-    _require(share.win_probability > 0, "first win needs win probability > 0")
-    rng = _generator(config)
-    n = config.sample_count
     e = network.expected_blocks
     q = share.win_probability
+    # E q sizes the work only; the estimate never reads it
+    _require(e * q * _MAX_MEAN_WAIT >= 1.0,
+             f"win rate E q = {e * q:.6g} per epoch puts the mean first win "
+             f"past {_MAX_MEAN_WAIT} epochs")
+    rng = _generator(config)
+    n = config.sample_count
 
     counts = np.arange(_largest_draw(e) + 1)
     win_given_w = -np.expm1(np.log1p(-q) * counts) \
@@ -394,9 +409,11 @@ def simulate_wealth_path(plan: growth.MinerPlan, network: NetworkParams,
     gamma W c_e c_r, then collects M*v with v ~ Poisson(Eq); the miner is
     bankrupt at the first epoch whose settled reserve is <= 0, and mines
     through that epoch. Equipment is never sold, so reported wealth is
-    gamma W plus the reserve.
+    gamma W plus the reserve. A horizon past 10^7 epochs is refused.
     """
-    _require(horizon >= 1, "horizon must be at least 1 epoch")
+    _require(1 <= horizon <= _MAX_HORIZON,
+             f"a wealth path of {horizon} epochs is outside [1, "
+             f"{_MAX_HORIZON}]")
     rng = _generator(config)
     q = growth.win_probability(plan, network)
     v = poisson_sample(rng, network.expected_blocks * q, horizon)

@@ -26,7 +26,12 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Chain-level constants: blocks/epoch E, block reward M, network power P."""
+    """Chain-level constants: blocks/epoch E, block reward M, and power P0.
+
+    power is P0, the competing power before the miner joins; a miner of
+    power p then wins each block with probability q = p/(P0 + p)
+    (growth.win_probability).
+    """
 
     expected_blocks: float
     block_reward: float
@@ -43,33 +48,13 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class MinerShare:
-    """A miner's consensus power and per-block win probability q = p/P."""
+    """A miner's per-block win probability q."""
 
-    power: float
     win_probability: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.power) and self.power >= 0,
-                 "miner power must be nonnegative and finite")
         _require(0.0 <= self.win_probability <= 1.0,
                  "win probability must lie in [0, 1]")
-
-    @classmethod
-    def from_powers(cls, miner_power: float, network_power: float) -> "MinerShare":
-        _require(network_power > 0, "network power must be positive")
-        _require(0 <= miner_power <= network_power,
-                 "miner power must lie in [0, network power]")
-        return cls(power=miner_power, win_probability=miner_power / network_power)
-
-    @classmethod
-    def from_probability(cls, win_probability: float,
-                         network_power: float) -> "MinerShare":
-        # canonicalizes so that q == p/P holds bit-exactly
-        _require(network_power > 0, "network power must be positive")
-        _require(0.0 <= win_probability <= 1.0,
-                 "win probability must lie in [0, 1]")
-        power = win_probability * network_power
-        return cls(power=power, win_probability=power / network_power)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +112,8 @@ _STIRLERR = np.array([
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
 # masses one lattice pmf may hold (80 MB as a float64 array)
 _MAX_MASSES = 10 ** 7
+# win_count_pmf_series stops once a term falls below this share of the sum
+_TERM_TOL = 1e-16
 
 
 def _stirlerr(n: np.ndarray) -> np.ndarray:
@@ -173,23 +160,22 @@ def _poisson_pmf(k, mean: float) -> np.ndarray:
     return np.where(k == 0, math.exp(-mean), masses)
 
 
-def win_count_pmf_series(v: int, expected_blocks: float, win_probability: float,
-                         term_tol: float = 1e-16) -> float:
+def win_count_pmf_series(v: int, network: NetworkParams,
+                         share: MinerShare) -> float:
     """P(miner wins v blocks in an epoch), by direct series summation.
 
     Sums Binomial(v; w, q) * Poisson(w; E) over w >= v, truncating once terms
-    fall below term_tol times the running sum and w has cleared the Poisson
+    fall below _TERM_TOL times the running sum and w has cleared the Poisson
     bulk E + 10*sqrt(E).
     """
     _require(v >= 0, "win count must be nonnegative")
-    _require(expected_blocks > 0, "expected_blocks must be positive")
-    _require(0.0 <= win_probability <= 1.0, "win probability must lie in [0, 1]")
-    _require(term_tol > 0, "term_tol must be positive")
-    e, q = expected_blocks, win_probability
+    e, q = network.expected_blocks, share.win_probability
     if q == 0.0:
         return 1.0 if v == 0 else 0.0
 
-    term = _first_series_term(v, e, q)
+    # the w = v term, Binomial(v; v, q) Poisson(v; E) = q^v e^{-E} E^v / v!
+    term = math.exp(-e) if v == 0 else math.exp(
+        -e + v * (math.log(e) + math.log(q)) - math.lgamma(v + 1))
     total = term
     bulk = e + 10.0 * math.sqrt(e)
     w = v
@@ -198,32 +184,21 @@ def win_count_pmf_series(v: int, expected_blocks: float, win_probability: float,
         w += 1
         term *= (1.0 - q) * e / (w - v)
         total += term
-        if term == 0.0 and w > bulk:
-            break
-        if term < term_tol * total and w > bulk:
+        if w > bulk and (term == 0.0 or term < _TERM_TOL * total):
             break
     return min(total, 1.0)
 
 
-def _first_series_term(v: int, e: float, q: float) -> float:
-    # Binomial(v; v, q) * Poisson(v; E) = q^v e^{-E} E^v / v!
-    if v == 0:
-        return math.exp(-e)
-    log_t = -e + v * (math.log(e) + math.log(q)) - math.lgamma(v + 1)
-    return math.exp(log_t)
-
-
-def win_count_pmf_closed(v: int, expected_blocks: float,
-                         win_probability: float) -> float:
+def win_count_pmf_closed(v: int, network: NetworkParams,
+                         share: MinerShare) -> float:
     """P(miner wins v blocks in an epoch): Poisson thinning closed form.
 
     Keeping each of Poisson(E) blocks independently with probability q makes
     the win count Poisson(E*q); cross-checked against win_count_pmf_series.
     """
     _require(v >= 0, "win count must be nonnegative")
-    _require(expected_blocks > 0, "expected_blocks must be positive")
-    _require(0.0 <= win_probability <= 1.0, "win probability must lie in [0, 1]")
-    return float(_poisson_pmf(v, expected_blocks * win_probability))
+    return float(_poisson_pmf(v, network.expected_blocks
+                              * share.win_probability))
 
 
 def epoch_reward_pmf(network: NetworkParams, share: MinerShare,

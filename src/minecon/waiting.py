@@ -1,37 +1,23 @@
 """First-win waiting times and fixed-cost bankruptcy probabilities.
 
 With wins thinned to a Poisson stream of rate E*q per epoch, the wait until
-the first win is exponential with that rate, hence memoryless.
+the first win is exponential with that rate, hence memoryless. The rate
+comes from the scenario's network (E) and the miner's share (q).
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NumericalError, ValidationError
+from .growth import _exp, _expm1
+from .rewarddist import MinerShare, NetworkParams
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
-
-
-@dataclass(frozen=True)
-class WaitParams:
-    """Win-stream parameters: blocks/epoch E and per-block win probability q."""
-
-    expected_blocks: float
-    win_probability: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.expected_blocks) and self.expected_blocks > 0,
-                 "expected_blocks must be positive and finite")
-        _require(0.0 <= self.win_probability <= 1.0,
-                 "win probability must lie in [0, 1]")
-
-    @property
-    def rate(self) -> float:
-        """Wins per epoch, E*q."""
-        return self.expected_blocks * self.win_probability
 
 
 @dataclass(frozen=True)
@@ -48,43 +34,60 @@ class BankruptcyInputs:
                  "epoch cost must be positive and finite")
 
 
-def waiting_cdf(x: float, params: WaitParams) -> float:
-    """P(first win by time x) = 1 - exp(-x E q), for x >= 0 in epochs."""
-    _require(math.isfinite(x) and x >= 0, "waiting time must be nonnegative")
-    return -math.expm1(-x * params.rate)
+def _rate(network: NetworkParams, share: MinerShare) -> float:
+    # wins per epoch, E*q
+    return network.expected_blocks * share.win_probability
 
 
-def waiting_pdf(x: float, params: WaitParams) -> float:
-    """Waiting-time density E q exp(-x E q); undefined when q = 0."""
-    _require(math.isfinite(x) and x >= 0, "waiting time must be nonnegative")
-    _require(params.rate > 0, "waiting time is degenerate at rate 0")
-    return params.rate * math.exp(-x * params.rate)
+def _times(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    _require(bool(np.all(np.isfinite(x) & (x >= 0))),
+             "waiting time must be nonnegative")
+    return x
 
 
-def _divisor_rate(params: WaitParams, what: str) -> float:
+def waiting_cdf(x, network: NetworkParams, share: MinerShare):
+    """P(first win by time x) = 1 - exp(-x E q), for times x >= 0 in epochs.
+
+    x is one time or an array of them; libm's expm1 rounds every entry.
+    """
+    return -_expm1(-_times(x) * _rate(network, share))
+
+
+def waiting_pdf(x, network: NetworkParams, share: MinerShare):
+    """Waiting-time density E q exp(-x E q) at one time or an array of
+    them; undefined when q = 0."""
+    x = _times(x)
+    rate = _rate(network, share)
+    _require(rate > 0, "waiting time is degenerate at rate 0")
+    return rate * _exp(-x * rate)
+
+
+def _divisor_rate(network: NetworkParams, share: MinerShare,
+                  what: str) -> float:
     # E q for a moment that divides by it: q = 0 is outside the domain, and
     # a rate that underflowed (0 or subnormal, so 1/rate overflows) is a
     # numerical failure rather than a ZeroDivisionError
-    _require(params.win_probability > 0, f"{what} diverges at rate 0")
-    rate = params.rate
+    _require(share.win_probability > 0, f"{what} diverges at rate 0")
+    rate = _rate(network, share)
     if rate == 0.0 or math.isinf(1.0 / rate):
         raise NumericalError(f"win rate {rate!r} underflows; {what} "
                              "is not finite")
     return rate
 
 
-def expected_wait(params: WaitParams) -> float:
+def expected_wait(network: NetworkParams, share: MinerShare) -> float:
     """Mean epochs until the first win, 1/(E q)."""
-    return 1.0 / _divisor_rate(params, "expected wait")
+    return 1.0 / _divisor_rate(network, share, "expected wait")
 
 
-def wait_variance(params: WaitParams) -> float:
+def wait_variance(network: NetworkParams, share: MinerShare) -> float:
     """Variance of the wait, 1/(E q)^2.
 
     Raises NumericalError where (E q)^2 underflows to 0; where it is
     subnormal the result overflows to inf, which callers must check.
     """
-    rate = _divisor_rate(params, "wait variance")
+    rate = _divisor_rate(network, share, "wait variance")
     square = rate * rate
     if square == 0.0:
         raise NumericalError(f"win rate {rate!r} squared underflows to 0; "
@@ -97,12 +100,10 @@ def bankruptcy_horizon(inputs: BankruptcyInputs) -> int:
     return math.ceil(inputs.initial_wealth / inputs.epoch_cost)
 
 
-def bankruptcy_probability(inputs: BankruptcyInputs, params: WaitParams) -> float:
+def bankruptcy_probability(inputs: BankruptcyInputs, network: NetworkParams,
+                           share: MinerShare) -> float:
     """P(no win inside the solvency horizon) = exp(-ceil(W0/C) * E * q).
 
     A miner who never wins goes bankrupt with certainty, so q = 0 gives 1.
     """
-    horizon = bankruptcy_horizon(inputs)
-    if params.rate == 0.0:
-        return 1.0
-    return math.exp(-horizon * params.rate)
+    return math.exp(-bankruptcy_horizon(inputs) * _rate(network, share))

@@ -22,8 +22,8 @@ from minecon.mcsim import (SimConfig, estimate_first_win_time, round_oracle,
 from minecon.rewarddist import (MinerShare, NetworkParams, variance_paper,
                                 variance_thinned, win_count_pmf_closed,
                                 win_count_pmf_series)
-from minecon.waiting import (BankruptcyInputs, WaitParams,
-                             bankruptcy_probability, waiting_cdf)
+from minecon.waiting import (BankruptcyInputs, bankruptcy_probability,
+                             waiting_cdf)
 
 
 @contextlib.contextmanager
@@ -69,10 +69,13 @@ def draw_plan_and_network(rng):
 def test_01_win_count_routes_agree(capsys):
     with criterion(capsys, 1, "win-count series equals closed form", 1.0):
         for e in (0.1, 1.0, 10.0):
+            net = NetworkParams(expected_blocks=e, block_reward=1.0,
+                                power=1000.0)
             for q in (1e-4, 1e-3, 0.05, 0.5):
+                share = MinerShare(q)
                 for v in range(51):
-                    series = win_count_pmf_series(v, e, q)
-                    closed = win_count_pmf_closed(v, e, q)
+                    series = win_count_pmf_series(v, net, share)
+                    closed = win_count_pmf_closed(v, net, share)
                     assert abs(series - closed) <= 1e-12, (e, q, v)
 
 
@@ -103,12 +106,11 @@ def test_03_first_win_times_match_the_waiting_law(capsys):
     with criterion(capsys, 3, "first-win sampling matches the waiting law",
                    120.0):
         net = reference_network()
-        share = MinerShare.from_probability(0.001, 1000.0)
+        share = MinerShare(0.001)
         config = SimConfig(seed=303, sample_count=1_000_000)
         result = estimate_first_win_time(net, share, config)
         assert result.censored == 0
-        params = WaitParams(expected_blocks=10.0, win_probability=0.001)
-        exact = np.array([waiting_cdf(float(x), params)
+        exact = np.array([waiting_cdf(float(x), net, share)
                           for x in result.grid])
         sup_distance = float(np.max(np.abs(result.empirical_cdf - exact)))
         assert sup_distance <= 0.01
@@ -120,7 +122,7 @@ def test_04_window_moments_with_both_variances(capsys):
     with criterion(capsys, 4, "window reward moments, both variances", 120.0):
         net = NetworkParams(expected_blocks=10.0, block_reward=1.0,
                             power=200.0)
-        share = MinerShare.from_powers(1.0, 200.0)
+        share = MinerShare(1.0 / 200.0)
         n_paths, window, chunk = 1_000_000, 100, 40_000
         totals = np.empty(n_paths)
         for k in range(n_paths // chunk):
@@ -176,10 +178,9 @@ def test_05_ruin_epoch_and_bankruptcy_bound(capsys):
             checked += 1
 
         # no-win frequency over 1e5 trials against the closed-form bound
-        share = MinerShare.from_probability(0.001, 1000.0)
-        params = WaitParams(expected_blocks=10.0, win_probability=0.001)
+        share = MinerShare(0.001)
         inputs = BankruptcyInputs(initial_wealth=50.0, epoch_cost=0.5)
-        bound = bankruptcy_probability(inputs, params)
+        bound = bankruptcy_probability(inputs, reference_network(), share)
         trials = 100_000
         result = estimate_first_win_time(reference_network(), share,
                                          SimConfig(seed=515,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import minecon
@@ -47,21 +47,21 @@ def oracle_tables(scenario, seed=42):
     built from library calls the way the commands built them row by row;
     9,000 draws span more than two of the writer's row batches."""
     plan, share = scenario.plan(), scenario.share()
-    baseline, joined = scenario.baseline_network(), scenario.joined_network()
+    network = scenario.network()
     config = mcsim.SimConfig(seed=seed, sample_count=9000)
-    pmf = rewarddist.total_reward_pmf(joined, share, scenario.N)
-    params = waiting.WaitParams(scenario.E, share.win_probability)
+    pmf = rewarddist.total_reward_pmf(network, share, scenario.N)
     xs = [k * 0.5 for k in range(201)]
-    payoffs = mcsim.round_payoffs(plan, baseline, config)
-    batch = mcsim.simulate_epochs(joined, share, config)
-    first = mcsim.estimate_first_win_time(joined, share, config)
-    path = mcsim.simulate_wealth_path(plan, baseline, 9000, config)
+    payoffs = mcsim.round_payoffs(plan, network, config)
+    batch = mcsim.simulate_epochs(network, share, config)
+    first = mcsim.estimate_first_win_time(network, share, config)
+    path = mcsim.simulate_wealth_path(plan, network, 9000, config)
     sim = ("simulate", "--samples", 9000)
     return [
         ("dist_pmf", ["lattice_point", "probability"],
          zip(pmf.points().tolist(), pmf.masses.tolist()), ("dist",)),
         ("wait_grid", ["x", "cdf", "pdf"],
-         [(x, waiting.waiting_cdf(x, params), waiting.waiting_pdf(x, params))
+         [(x, waiting.waiting_cdf(x, network, share),
+           waiting.waiting_pdf(x, network, share))
           for x in xs], ("wait", "--grid-max", 100, "--grid-step", 0.5)),
         ("simulate_trials", ["trial", "log_payoff"],
          enumerate(payoffs.tolist(), start=1), (*sim, "--per-trial")),
@@ -218,7 +218,7 @@ class TestArtifacts:
         out = tmp_path / "artifacts"
         assert run_cli("dist", reference_file, "--out", out) == 0
         scenario = load_scenario(reference_file)
-        pmf = rewarddist.total_reward_pmf(scenario.joined_network(),
+        pmf = rewarddist.total_reward_pmf(scenario.network(),
                                           scenario.share(), scenario.N)
         _, rows = read_csv(out / "dist_pmf.csv")
         assert [float(p) for _, p in rows] == pmf.masses.tolist()
@@ -480,15 +480,86 @@ class TestExitCodes:
         assert not (tmp_path / "wait_grid.csv").exists()
 
     def test_underflowing_share_prints_one_error_line(self, tmp_path):
-        # q = p/(P0 + p) underflows to 0, so the conditional reward is 0/0:
-        # numpy's warnings must not add lines to stderr (in a child, since
-        # pytest would capture them)
+        # q = p/(P0 + p) underflows to 0: one error line naming the share,
+        # and no numpy warning lines on stderr (in a child, since pytest
+        # would capture them)
         path = write_scenario(tmp_path, P0=1e300, c_e=1e-300, W=1)
         result = _run_child("growth", path, "--out", tmp_path / "artifacts")
         assert result.returncode == 2
         assert result.stderr.startswith("error: numeric:")
         assert result.stderr.count("\n") == 1
         assert not (tmp_path / "artifacts" / "growth.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("dist",), ("wait",), ("growth",), ("optimize",), ("fee",),
+        ("verify",), *(("simulate", "--sim", kind) for kind in
+                       ("rounds", "epochs", "first-win", "wealth"))])
+    @pytest.mark.parametrize("overrides, cause", [
+        # P0 + p overflows
+        ({"P0": 1e308, "W": 1e308, "gamma": 0.9, "c_e": 1.5},
+         "P0 + p overflows"),
+        # q = p/(P0 + p) underflows to 0; fee fails first on its split
+        ({"P0": 1e300, "W": 1, "c_e": 1e-300},
+         ("underflows to 0", "tau*c_e*c_r"))])
+    def test_lost_share_is_numeric_failure_on_every_command(
+            self, tmp_path, capsys, command, overrides, cause):
+        path = write_scenario(tmp_path, **overrides)
+        out = tmp_path / "artifacts"
+        assert run_cli(*command[:1], path, "--out", out, *command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric:")
+        assert err.count("\n") == 1
+        causes = (cause,) if isinstance(cause, str) else cause
+        assert any(c in err for c in causes), err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_verify_needs_two_samples(self, reference_file, tmp_path,
+                                      samples):
+        # one sample has no standard error; numpy would warn on stderr
+        result = _run_child("verify", reference_file, "--out", tmp_path,
+                            "--samples", samples)
+        assert result.returncode == 1
+        assert result.stderr == ("error: validation: --samples must be at "
+                                 "least 2 for verify\n")
+
+    def test_overflowing_float_power_is_numeric_failure(self, tmp_path,
+                                                        capsys):
+        # M = 1e300: the thinned variance's M**2 raises OverflowError
+        path = write_scenario(tmp_path, M=1e300)
+        out = tmp_path / "artifacts"
+        assert run_cli("dist", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: OverflowError")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("blocks, kind", [
+        (1e300, "epochs"), (1e300, "first-win"), (1e300, "wealth"),
+        (1e-300, "first-win")])
+    def test_unsimulable_win_stream_is_refused(self, tmp_path, capsys,
+                                               blocks, kind):
+        # E = 1e300 would need an lgamma table of 1e300 entries; at
+        # E = 1e-300 first-win would sweep 10^8 epochs, then censor all
+        path = write_scenario(tmp_path, E=blocks)
+        out = tmp_path / "artifacts"
+        assert run_cli("simulate", path, "--out", out, "--sim", kind,
+                       "--samples", 2000) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_fee_split_rounding_to_one_is_numeric_failure(self, tmp_path,
+                                                           capsys):
+        # tau c_e c_r = 1e-300: the smooth-optimal split rounds to 1.0
+        path = write_scenario(tmp_path, c_r=1e-300)
+        out = tmp_path / "artifacts"
+        assert run_cli("fee", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: tau*c_e*c_r = 1e-300")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_wait_rate_underflow_is_numeric_failure(self, tmp_path, capsys):
         # against P0 = 1e300 the win rate squared underflows to 0
@@ -521,6 +592,21 @@ class TestExitCodes:
         assert result.returncode == 1
         assert result.stderr.startswith("error: validation:")
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (("simulate", "--sim", "wealth", "--horizon", 10 ** 9), {}),
+        # c_r = 1e-9: the drain-ruin row's path would run 1e9 epochs
+        (("verify", "--samples", 2000), {"c_r": 1e-9})])
+    def test_oversized_wealth_path_refused_under_memory_cap(
+            self, tmp_path, argv, overrides):
+        path = write_scenario(tmp_path, **overrides)
+        out = tmp_path / "artifacts"
+        result = _run_child(argv[0], path, "--out", out, *argv[1:])
+        assert result.returncode == 1
+        assert result.stderr.startswith(
+            "error: validation: a wealth path of 1000000000 epochs")
+        assert result.stderr.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_quadrature_blowup_is_convergence_failure_under_memory_cap(
             self, tmp_path):
@@ -647,7 +733,8 @@ class TestVerify:
                                                   monkeypatch):
         real = rewarddist.win_count_pmf_series
         monkeypatch.setattr(rewarddist, "win_count_pmf_series",
-                            lambda v, e, q: real(v, e, q) + 1e-9)
+                            lambda v, network, share:
+                            real(v, network, share) + 1e-9)
         assert run_cli("verify", reference_file, "--out", tmp_path,
                        "--seed", 42) == 2
         err = capsys.readouterr().err
@@ -657,13 +744,53 @@ class TestVerify:
         assert rows["no-win-series"]["status"] == "FAIL"
 
 
+    def test_drain_ruin_row_simulates_one_path(self, reference_file,
+                                               tmp_path, monkeypatch):
+        # with M = 0 the reserve path does not depend on the draws
+        calls = []
+        real = mcsim.simulate_wealth_path
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli.mcsim, "simulate_wealth_path", counted)
+        assert run_cli("verify", reference_file, "--out", tmp_path,
+                       "--seed", 42) == 0
+        assert len(calls) == 1
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        assert rows["drain-ruin-epoch"]["status"] == "PASS"
+        assert rows["drain-ruin-epoch"]["observed"] == 1000
+
+    @pytest.mark.parametrize("scale, status", [(1.0, "PASS"),
+                                               (2.0, "FAIL")])
+    def test_bankruptcy_row_detects_a_wrong_probability(
+            self, tmp_path, monkeypatch, scale, status):
+        # c_r = 0.5 makes the horizon 2 epochs and the bankruptcy
+        # probability exp(-2 E q) ~ 0.386, so the first-win trials
+        # measure it to about 0.01
+        real = waiting.bankruptcy_probability
+        monkeypatch.setattr(waiting, "bankruptcy_probability",
+                            lambda *args: scale * real(*args))
+        path = write_scenario(tmp_path, c_r=0.5)
+        code = run_cli("verify", path, "--out", tmp_path, "--seed", 42)
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        row = rows["bankruptcy-probability"]
+        assert row["expected"] == pytest.approx(
+            scale * math.exp(-2.0 * 10.0 * 50.0 / 1050.0), rel=1e-12)
+        assert row["status"] == status
+        assert code == (0 if status == "PASS" else 2)
+
+
 def _log_uniform(low, high):
     return st.floats(math.log10(low), math.log10(high)).map(
         lambda x: 10.0 ** x)
 
 
 @st.composite
-def _scenarios(draw):
+def _scenarios(draw, max_window=1000):
     # every value inside its range, or one of them set to an edge value
     # (zero, negative, non-finite, or at the ends of the double range)
     scenario = draw(st.fixed_dictionaries({
@@ -671,12 +798,19 @@ def _scenarios(draw):
         "P0": _log_uniform(1.0, 1e6), "W": _log_uniform(1e-2, 1e6),
         "gamma": st.floats(1e-6, 1.0 - 1e-6),
         "c_e": _log_uniform(1e-2, 1e2), "c_r": _log_uniform(1e-5, 1.0),
-        "tau": _log_uniform(1e-2, 1e2), "N": st.integers(1, 1000)}))
+        "tau": _log_uniform(1e-2, 1e2),
+        "N": st.integers(1, max_window)}))
     key = draw(st.one_of(st.none(), st.sampled_from(sorted(scenario))))
     if key is not None:
         scenario[key] = draw(st.sampled_from(
             [0.0, -1.0, math.nan, math.inf, 1e-300, 1e300]))
     return scenario
+
+
+# fixed examples: P0 + p overflows (p = 0.9 * 1e308 * 1.5), and
+# q = p/(P0 + p) underflows to 0 (p = 5e-301 against P0 = 1e300)
+_OVERFLOW = dict(REFERENCE, P0=1e308, W=1e308, gamma=0.9, c_e=1.5)
+_UNDERFLOW = dict(REFERENCE, P0=1e300, W=1, c_e=1e-300)
 
 
 def _finite_json(value) -> bool:
@@ -685,6 +819,47 @@ def _finite_json(value) -> bool:
     if isinstance(value, list):
         return all(_finite_json(v) for v in value)
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def _finite_artifact(path) -> bool:
+    if path.suffix == ".json":
+        return _finite_json(json.loads(path.read_text()))
+    _, rows = read_csv(path)
+    return all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+def _run_scenario(scenario, command, *flags):
+    """(child result, artifact names) of one CLI run on a scenario dict,
+    held to the exit contract: exit 0 with only finite artifacts, or 1-3
+    with one error line, no traceback and no artifact. The one failure
+    that writes is verify's: rows that fail leave their verdict table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.txt"
+        path.write_text("".join(f"{k} = {v!r}\n"
+                                for k, v in scenario.items()))
+        out = Path(tmp) / "artifacts"
+        result = _run_child(*command, path, "--out", out, *flags)
+        assert result.returncode in (0, 1, 2, 3), result.stderr
+        artifacts = sorted(out.iterdir()) if out.exists() else []
+        if result.returncode:
+            assert result.stderr.startswith("error: "), result.stderr
+            assert result.stderr.count("\n") == 1, result.stderr
+            if result.stderr.endswith("verification row(s) failed\n"):
+                assert [a.name for a in artifacts] == ["verify.json"]
+                assert not read_json(artifacts[0])["passed"]
+            else:
+                assert artifacts == []
+        else:
+            assert result.stderr == ""
+            assert artifacts
+            for artifact in artifacts:
+                assert _finite_artifact(artifact), artifact.name
+        return result, [a.name for a in artifacts]
+
+
+_SAMPLING_COMMANDS = [("dist",), ("wait",), ("verify",)] + [
+    ("simulate", "--sim", kind)
+    for kind in ("rounds", "epochs", "first-win", "wealth")]
 
 
 class TestInputContract:
@@ -697,24 +872,37 @@ class TestInputContract:
                                                     grid_size, quad_tol):
         # every run ends in exit 0 with one finite artifact, or in 1-3
         # with one error line and no artifact
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "scenario.txt"
-            path.write_text("".join(f"{k} = {v!r}\n"
-                                    for k, v in scenario.items()))
-            out = Path(tmp) / "artifacts"
-            result = _run_child(command, path, "--out", out, "--grid-size",
-                                grid_size, "--quad-tol", repr(quad_tol))
-            assert result.returncode in (0, 1, 2, 3), result.stderr
-            artifacts = sorted(out.iterdir()) if out.exists() else []
-            if result.returncode:
-                assert result.stderr.startswith("error: "), result.stderr
-                assert result.stderr.count("\n") == 1, result.stderr
-                assert artifacts == []
-            else:
-                assert result.stderr == ""
-                assert [a.name for a in artifacts] == [f"{command}.json"]
-                text = artifacts[0].read_text()
-                assert _finite_json(json.loads(text))
+        result, names = _run_scenario(scenario, (command,), "--grid-size",
+                                      grid_size, "--quad-tol",
+                                      repr(quad_tol))
+        if not result.returncode:
+            assert names == [f"{command}.json"]
+
+    @pytest.mark.parametrize("command", _SAMPLING_COMMANDS,
+                             ids=lambda c: "-".join(c[::2]))
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=_scenarios(max_window=200),
+           samples=st.integers(-2, 2000), horizon=st.integers(-2, 2000),
+           rows=st.integers(-1, 10 ** 4 - 1), step=_log_uniform(1e-2, 1e2),
+           extra=st.sampled_from([(), ("--per-trial",),
+                                  ("--reward-mode", "sampled",
+                                   "--per-trial")]))
+    @example(scenario=_OVERFLOW, samples=2000, horizon=100, rows=100,
+             step=1.0, extra=())
+    @example(scenario=_UNDERFLOW, samples=2000, horizon=100, rows=100,
+             step=1.0, extra=())
+    def test_sampling_commands_keep_the_exit_contract(
+            self, command, scenario, samples, horizon, rows, step, extra):
+        # bounded sizes: at most 2,000 samples, N <= 200, a horizon of at
+        # most 2,000 epochs and 10^4 wait grid rows
+        flags = ["--samples", samples]
+        if command[0] == "wait":
+            flags += ["--grid-max", repr(rows * step), "--grid-step",
+                      repr(step)]
+        if command[0] == "simulate":
+            flags += ["--horizon", horizon, *extra]
+        _run_scenario(scenario, command, *flags)
 
 
 class TestConsoleEntry:

@@ -15,7 +15,8 @@ from minecon.growth import (FeeBound, GameRound, MinerPlan,
                             stochastic_growth_rate, t_max, tane_growth_rate,
                             tane_growth_upper_bound, wealth_trajectory,
                             win_rate_lambda)
-from minecon.rewarddist import NetworkParams, win_count_pmf_series
+from minecon.rewarddist import (MinerShare, NetworkParams,
+                                win_count_pmf_series)
 
 REF_PLAN = MinerPlan(wealth=100.0, split=0.5, equipment_rate=1.0,
                      running_rate=0.001)
@@ -413,7 +414,7 @@ def scalar_conditional_reward(plan, network):
     q = p / (network.power + p)
     e = network.expected_blocks
     denom = -math.expm1(-e * q)
-    denom_series = 1.0 - win_count_pmf_series(0, e, q)
+    denom_series = 1.0 - win_count_pmf_series(0, network, MinerShare(q))
     if abs(denom_series - denom) > 1e-12:
         raise MineconError(
             f"no-win mass series {1.0 - denom_series!r} disagrees with "
@@ -490,6 +491,53 @@ class TestBatchedModel:
                        quad_tol=1e-8)
         assert parts[:4] == [64, 64, 64, 8]
         assert rewarded == parts
+
+
+class TestShareGuard:
+    # P0 + p overflows: p = 0.9 * 1e308 * 1.5 against P0 = 1e308
+    OVERFLOW = (MinerPlan(1e308, 0.9, 1.5, 0.001),
+                NetworkParams(expected_blocks=10.0, block_reward=1.0,
+                              power=1e308))
+    # q underflows to 0: p = 5e-301 against P0 = 1e300
+    UNDERFLOW = (MinerPlan(1.0, 0.5, 1e-300, 0.001),
+                 NetworkParams(expected_blocks=10.0, block_reward=1.0,
+                               power=1e300))
+    # p = gamma W c_e itself underflows to 0, so q does too
+    NO_POWER = (MinerPlan(1e-200, 0.5, 1e-200, 0.001),
+                NetworkParams(expected_blocks=10.0, block_reward=1.0,
+                              power=1.0))
+
+    @pytest.mark.parametrize("case, match", [
+        ("OVERFLOW", r"P0 \+ p overflows"), ("UNDERFLOW", "underflows to 0"),
+        ("NO_POWER", "underflows to 0")])
+    @pytest.mark.parametrize("quantity", [growth.win_probability,
+                                          win_rate_lambda])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_lost_share_is_numerical_error(self, case, match, quantity,
+                                           batch):
+        plan, net = getattr(self, case)
+        if batch:
+            # one bad split is enough for the whole batch to fail
+            plan = MinerPlan(plan.wealth, np.array([1e-9, plan.split]),
+                             plan.equipment_rate, plan.running_rate)
+        with pytest.raises(NumericalError, match=match):
+            quantity(plan, net)
+
+    @pytest.mark.parametrize("case", ["OVERFLOW", "UNDERFLOW"])
+    def test_growth_names_the_share_not_the_log_argument(self, case):
+        plan, net = getattr(self, case)
+        with pytest.raises(NumericalError, match="P0 \\+ p"):
+            stochastic_growth_rate(plan, net)
+        with pytest.raises(NumericalError, match="P0 \\+ p"):
+            optimize_gamma(plan.wealth, plan.equipment_rate,
+                           plan.running_rate, net, grid_size=64)
+
+    def test_smooth_split_rounding_to_one_is_numerical_error(self):
+        # tau c_e c_r = 1e-300: 1/(1 + 1e-300) rounds to 1.0
+        with pytest.raises(NumericalError, match=r"tau\*c_e\*c_r"):
+            smooth_optimal_gamma(1.0, 1.0, 1e-300)
+        with pytest.raises(NumericalError, match=r"tau\*c_e\*c_r"):
+            max_pool_fee(100.0, 1.0, 1e-300, REF_NET, 1.0, grid_size=64)
 
 
 class TestEntryValidation:

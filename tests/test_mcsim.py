@@ -69,6 +69,13 @@ class TestSamplers:
         rng = _generator(SimConfig(seed=5, sample_count=1))
         assert not poisson_sample(rng, 0.0, 100).any()
 
+    @pytest.mark.parametrize("mean", [1e7 + 1.0, 1e300])
+    def test_poisson_mean_past_the_table_limit_is_refused(self, mean):
+        # PTRS's lgamma table would hold mean + 60 sd + 200 entries
+        rng = _generator(SimConfig(seed=5, sample_count=1))
+        with pytest.raises(ValidationError, match="Poisson mean"):
+            poisson_sample(rng, mean, 10)
+
     def test_binomial_matches_scipy(self):
         rng = _generator(SimConfig(seed=31, sample_count=1))
         trials = np.full(300_000, 12)
@@ -151,18 +158,16 @@ class TestSamplers:
 
 class TestDeterminism:
     def test_same_config_same_draws(self):
-        a = simulate_epochs(network(), MinerShare.from_probability(0.01,
-                                                                   1000.0),
+        a = simulate_epochs(network(), MinerShare(0.01),
                             SimConfig(seed=9, sample_count=5000))
-        b = simulate_epochs(network(), MinerShare.from_probability(0.01,
-                                                                   1000.0),
+        b = simulate_epochs(network(), MinerShare(0.01),
                             SimConfig(seed=9, sample_count=5000))
         np.testing.assert_array_equal(a.blocks_total, b.blocks_total)
         np.testing.assert_array_equal(a.blocks_won, b.blocks_won)
         np.testing.assert_array_equal(a.rewards, b.rewards)
 
     def test_streams_are_distinct_and_uncorrelated(self):
-        share = MinerShare.from_probability(0.01, 1000.0)
+        share = MinerShare(0.01)
         a = simulate_epochs(network(), share,
                             SimConfig(seed=9, sample_count=100_000,
                                       stream_id=0))
@@ -176,30 +181,29 @@ class TestDeterminism:
 
 class TestSimulateEpochs:
     def test_zero_share_never_wins(self):
-        batch = simulate_epochs(network(), MinerShare.from_powers(0.0,
-                                                                  1000.0),
+        batch = simulate_epochs(network(), MinerShare(0.0),
                                 SimConfig(seed=2, sample_count=20_000))
         assert not batch.blocks_won.any()
         assert not batch.rewards.any()
 
     def test_block_mean(self):
         batch = simulate_epochs(network(e=4.0),
-                                MinerShare.from_probability(0.01, 1000.0),
+                                MinerShare(0.01),
                                 SimConfig(seed=3, sample_count=250_000))
         se = math.sqrt(4.0 / len(batch))
         assert abs(float(batch.blocks_total.mean()) - 4.0) <= 3 * se
 
     def test_win_count_distribution(self):
-        share = MinerShare.from_probability(0.005, 1000.0)
+        share = MinerShare(0.005)
         batch = simulate_epochs(network(), share,
                                 SimConfig(seed=4, sample_count=400_000))
         emp = np.bincount(batch.blocks_won) / len(batch)
-        ref = np.array([win_count_pmf_closed(v, 10.0, 0.005)
+        ref = np.array([win_count_pmf_closed(v, network(), share)
                         for v in range(emp.size)])
         assert 0.5 * np.abs(emp - ref).sum() <= 0.005
 
     def test_wins_bounded_by_blocks_and_rewards_match(self):
-        share = MinerShare.from_probability(0.2, 1000.0)
+        share = MinerShare(0.2)
         batch = simulate_epochs(network(m=2.5), share,
                                 SimConfig(seed=6, sample_count=50_000))
         assert (batch.blocks_won <= batch.blocks_total).all()
@@ -208,7 +212,7 @@ class TestSimulateEpochs:
 
 class TestFirstWinTime:
     def test_mean_against_waiting_model(self):
-        share = MinerShare.from_probability(0.001, 1000.0)
+        share = MinerShare(0.001)
         result = estimate_first_win_time(network(), share,
                                          SimConfig(seed=12,
                                                    sample_count=100_000))
@@ -219,7 +223,7 @@ class TestFirstWinTime:
         assert result.censored == 0
 
     def test_ecdf_is_a_cdf_on_integer_grid(self):
-        share = MinerShare.from_probability(0.005, 1000.0)
+        share = MinerShare(0.005)
         result = estimate_first_win_time(network(), share,
                                          SimConfig(seed=13,
                                                    sample_count=20_000))
@@ -230,7 +234,7 @@ class TestFirstWinTime:
         assert cdf[-1] == pytest.approx(1.0)
 
     def test_near_certain_winner_stops_immediately(self):
-        share = MinerShare.from_powers(999.0, 1000.0)
+        share = MinerShare(999.0 / 1000.0)
         result = estimate_first_win_time(network(e=50.0), share,
                                          SimConfig(seed=14,
                                                    sample_count=5_000))
@@ -238,10 +242,17 @@ class TestFirstWinTime:
         assert result.report.estimate == 0.5
         assert result.report.std_error == 0.0
 
+    def test_mean_wait_past_the_sweep_limit_is_refused(self, monkeypatch):
+        # E q = 1e-6: about 10^6 sweeps per trial; refused before any draw
+        monkeypatch.setattr("minecon.mcsim.poisson_sample", None)
+        with pytest.raises(ValidationError, match="mean first win"):
+            estimate_first_win_time(network(), MinerShare(1e-7),
+                                    SimConfig(seed=1, sample_count=10))
+
     def test_zero_share_rejected(self):
         with pytest.raises(ValidationError):
             estimate_first_win_time(network(),
-                                    MinerShare.from_powers(0.0, 1000.0),
+                                    MinerShare(0.0),
                                     SimConfig(seed=1, sample_count=10))
 
 

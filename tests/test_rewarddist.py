@@ -1,5 +1,6 @@
 """Win-count and reward distributions against series, scipy, and moments."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -24,8 +25,13 @@ Q_GRID = [1e-4, 1e-3, 0.05, 0.5]
 def make_epoch(e, q, m, count=1):
     """(network, share, count): a window of `count` epochs."""
     network = NetworkParams(expected_blocks=e, block_reward=m, power=1000.0)
-    share = MinerShare.from_probability(q, network.power)
+    share = MinerShare(q)
     return network, share, count
+
+
+def epoch(e, q):
+    """(network, share) of one epoch with E = e and win probability q."""
+    return make_epoch(e, q, 1.0)[:2]
 
 
 def convolved_window_pmf(network, share, count, tail_tol=1e-12):
@@ -50,51 +56,51 @@ def padded_gap(a, b):
 
 class TestWinCountPmf:
     def test_zero_share_never_wins(self):
-        assert win_count_pmf_series(0, 5.0, 0.0) == 1.0
-        assert win_count_pmf_closed(0, 5.0, 0.0) == 1.0
-        assert win_count_pmf_series(3, 5.0, 0.0) == 0.0
+        assert win_count_pmf_series(0, *epoch(5.0, 0.0)) == 1.0
+        assert win_count_pmf_closed(0, *epoch(5.0, 0.0)) == 1.0
+        assert win_count_pmf_series(3, *epoch(5.0, 0.0)) == 0.0
 
     def test_tiny_share_no_win_mass(self):
         # exp(-E q) at E=0.1, q=0.001
         want = 0.9999000049998333
-        assert win_count_pmf_series(0, 0.1, 0.001) == pytest.approx(
+        assert win_count_pmf_series(0, *epoch(0.1, 0.001)) == pytest.approx(
             want, abs=1e-15)
-        assert win_count_pmf_closed(0, 0.1, 0.001) == pytest.approx(
+        assert win_count_pmf_closed(0, *epoch(0.1, 0.001)) == pytest.approx(
             want, abs=1e-15)
 
     def test_two_win_value(self):
         # Poisson pmf at 2 with mean 0.05
         want = 0.0011890367806258926
-        assert win_count_pmf_series(2, 10.0, 0.005) == pytest.approx(
+        assert win_count_pmf_series(2, *epoch(10.0, 0.005)) == pytest.approx(
             want, rel=1e-13)
 
     @pytest.mark.parametrize("e", E_GRID)
     @pytest.mark.parametrize("q", Q_GRID)
     def test_series_equals_closed_form(self, e, q):
         for v in range(0, 51):
-            series = win_count_pmf_series(v, e, q)
-            closed = win_count_pmf_closed(v, e, q)
+            series = win_count_pmf_series(v, *epoch(e, q))
+            closed = win_count_pmf_closed(v, *epoch(e, q))
             assert abs(series - closed) <= 1e-12
 
     @pytest.mark.parametrize("e,q", [(0.1, 0.5), (1.0, 0.05), (10.0, 0.005)])
     def test_matches_scipy_poisson(self, e, q):
         dist = stats.poisson(e * q)
         for v in range(0, 30):
-            assert win_count_pmf_closed(v, e, q) == pytest.approx(
+            assert win_count_pmf_closed(v, *epoch(e, q)) == pytest.approx(
                 float(dist.pmf(v)), rel=1e-12, abs=1e-300)
 
     def test_series_sums_to_one(self):
-        total = math.fsum(win_count_pmf_series(v, 10.0, 0.5)
+        total = math.fsum(win_count_pmf_series(v, *epoch(10.0, 0.5))
                           for v in range(0, 80))
         assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
-            win_count_pmf_series(-1, 1.0, 0.5)
+            win_count_pmf_series(-1, *epoch(1.0, 0.5))
         with pytest.raises(ValidationError):
-            win_count_pmf_series(0, -1.0, 0.5)
+            win_count_pmf_series(0, *epoch(-1.0, 0.5))
         with pytest.raises(ValidationError):
-            win_count_pmf_closed(0, 1.0, 1.5)
+            win_count_pmf_closed(0, *epoch(1.0, 1.5))
 
 
 class TestSaddlePointPmf:
@@ -149,7 +155,7 @@ class TestEpochRewardPmf:
     def test_lattice_pmf_properties(self, mean, step):
         network = NetworkParams(expected_blocks=mean, block_reward=step,
                                 power=1.0)
-        pmf = epoch_reward_pmf(network, MinerShare.from_probability(1.0, 1.0))
+        pmf = epoch_reward_pmf(network, MinerShare(1.0))
         assert 1.0 - 1e-12 <= pmf.total_mass() <= 1.0 + 1e-13
         assert pmf.mean() == pytest.approx(mean * step, rel=1e-9)
         assert pmf.variance() == pytest.approx(mean * step * step, rel=1e-6)
@@ -165,7 +171,7 @@ class TestEpochRewardPmf:
         network = NetworkParams(expected_blocks=2e7, block_reward=1.0,
                                 power=1.0)
         with pytest.raises(ValidationError, match="masses"):
-            epoch_reward_pmf(network, MinerShare.from_probability(0.5, 1.0))
+            epoch_reward_pmf(network, MinerShare(0.5))
 
 
 class TestTotalRewardPmf:
@@ -302,15 +308,15 @@ class TestLatticePmf:
 
 
 class TestShareValidation:
-    def test_from_powers_canonical(self):
-        share = MinerShare.from_powers(50.0, 1050.0)
-        assert share.win_probability == 50.0 / 1050.0
-
-    def test_probability_power_consistency(self):
-        share = MinerShare.from_probability(0.001, 1000.0)
-        assert share.power == pytest.approx(1.0, rel=1e-12)
-        assert share.win_probability == share.power / 1000.0
-
     def test_share_cannot_exceed_network(self):
         with pytest.raises(ValidationError):
-            MinerShare.from_powers(2000.0, 1050.0)
+            MinerShare(2000.0 / 1050.0)
+
+    @pytest.mark.parametrize("q", [1.5, -0.1, math.nan])
+    def test_probability_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValidationError):
+            MinerShare(q)
+
+    def test_share_holds_only_the_win_probability(self):
+        assert [f.name for f in dataclasses.fields(MinerShare)] == [
+            "win_probability"]
