@@ -343,13 +343,12 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
 
     if args.sim == "rounds":
         mode = args.reward_mode.replace("-", "_")
-        report = mcsim.round_oracle(scenario.plan(), network, config,
-                                    reward_mode=mode)
+        plan = scenario.plan()
+        payoffs = mcsim.round_payoffs(plan, network, config, reward_mode=mode)
         payload["reward_mode"] = mode
-        payload["report"] = asdict(report)
+        payload["report"] = asdict(mcsim._mean_report(
+            payoffs, args.seed, scale=growth.win_rate_lambda(plan, network)))
         if args.per_trial:
-            payoffs = mcsim.round_payoffs(scenario.plan(), network, config,
-                                          reward_mode=mode)
             tables.append(_table_file(
                 out / "simulate_trials", args.format,
                 {"trial": np.arange(1, payoffs.size + 1),

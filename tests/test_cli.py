@@ -308,6 +308,36 @@ class TestArtifacts:
         assert header == ["trial", "log_payoff"]
         assert len(rows) == 2000
 
+    @pytest.mark.parametrize("mode", ["conditional-mean", "sampled"])
+    def test_simulate_rounds_draws_the_payoffs_once(
+            self, reference_file, tmp_path, monkeypatch, mode):
+        # the report and the trial table come from one payoff array: the
+        # report round_oracle gives, the table round_payoffs gives
+        calls = []
+        real = mcsim.round_payoffs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.mcsim, "round_payoffs", counted)
+        out = tmp_path / "artifacts"
+        assert run_cli("simulate", reference_file, "--out", out,
+                       "--samples", 2000, "--per-trial",
+                       "--reward-mode", mode) == 0
+        assert len(calls) == 1
+        scenario = load_scenario(reference_file)
+        plan, network = scenario.plan(), scenario.network()
+        config = mcsim.SimConfig(seed=42, sample_count=2000)
+        mode = mode.replace("-", "_")
+        report = mcsim.round_oracle(plan, network, config, reward_mode=mode)
+        assert read_json(out / "simulate.json")["report"] == \
+            {"estimate": report.estimate, "std_error": report.std_error,
+             "samples": 2000, "seed": 42}
+        payoffs = real(plan, network, config, reward_mode=mode)
+        _, rows = read_csv(out / "simulate_trials.csv")
+        assert [float(row[1]) for row in rows] == payoffs.tolist()
+
     def test_simulate_epochs_counts_blocks(self, reference_file, tmp_path):
         out = tmp_path / "artifacts"
         assert run_cli("simulate", reference_file, "--out", out,

@@ -9,7 +9,8 @@ from scipy import stats
 from minecon.errors import ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _generator,
-                           _poisson_cdf_table, binomial_sample,
+                           _guided, _poisson_cdf_table, _poisson_invert,
+                           binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            poisson_sample, round_oracle, round_payoffs,
                            simulate_epochs, simulate_wealth_path)
@@ -154,6 +155,87 @@ class TestSamplers:
         assert float(draws.mean()) == pytest.approx(4.0, rel=0.02)
         assert float(draws.var()) == pytest.approx(16.0, rel=0.05)
         assert float(draws.min()) > 0.0
+
+
+class FixedUniforms:
+    """A generator stand-in whose random(size) returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u[:size]
+
+
+def edge_uniforms(cdf):
+    """Uniforms k / 2^53 on and just below every guide bucket edge b / 2^10,
+    and on and beside every cdf entry."""
+    edges = np.arange(1 << 10) * 2.0 ** 43
+    near = np.floor(cdf * 2.0 ** 53)[:, None] + np.arange(-1.0, 3.0)
+    keys = np.concatenate([edges, edges - 1.0, near.ravel()])
+    keys = np.unique(keys[(keys >= 0) & (keys < 2.0 ** 53)])
+    return keys / 2.0 ** 53
+
+
+class TestGuideTables:
+    """Guided inversion against the plain searchsorted it replaces."""
+
+    @pytest.mark.parametrize("mean", np.geomspace(1e-3, 30.0, 23).tolist())
+    def test_poisson_matches_plain_search(self, mean):
+        cdf = _guided(_poisson_cdf_table, mean)[0]
+        u = np.concatenate([edge_uniforms(cdf),
+                            np.random.default_rng(7).random(20_000)])
+        want = np.minimum(np.searchsorted(cdf, u, side="right"),
+                          cdf.size - 1)
+        # 1,023 keys and fewer skip the guide
+        for size in (u.size, 1024, 1023):
+            np.testing.assert_array_equal(
+                poisson_sample(FixedUniforms(u), mean, size), want[:size])
+        # the conditioned draw maps uniforms into [cdf[0], 1], 1 included
+        x = np.concatenate([cdf[0] + u * (1.0 - cdf[0]), [1.0]])
+        want = np.searchsorted(cdf, x, side="right")
+        np.testing.assert_array_equal(_poisson_invert(mean, x),
+                                      np.minimum(want, cdf.size - 1))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3, 0.5])
+    def test_binomial_matches_plain_search(self, q):
+        # 520 distinct counts, past the 511 tables of one stacked search,
+        # shuffled so neighbouring draws use different tables
+        trials, u, want = [], [], []
+        for w in range(520):
+            cdf = _binomial_cdf_table(w, q)
+            edges = edge_uniforms(cdf)
+            trials.append(np.full(edges.size, w))
+            u.append(edges)
+            want.append(np.searchsorted(cdf, edges, side="right")
+                        if w else np.zeros(edges.size, dtype=np.int64))
+        order = np.random.default_rng(11).permutation(
+            sum(t.size for t in trials))
+        trials, u, want = (np.concatenate(a)[order]
+                           for a in (trials, u, want))
+        np.testing.assert_array_equal(
+            binomial_sample(FixedUniforms(u), trials, q), want)
+
+    @pytest.mark.parametrize("trials", [np.zeros(0, dtype=np.int64),
+                                        np.zeros(5000, dtype=np.int64)])
+    def test_binomial_empty_and_zero_trials(self, trials):
+        u = np.random.default_rng(3).random(trials.size)
+        draws = binomial_sample(FixedUniforms(u), trials, 0.3)
+        np.testing.assert_array_equal(draws,
+                                      np.zeros(trials.size, dtype=np.int64))
+
+    @pytest.mark.parametrize("build, args", [
+        (_poisson_cdf_table, (3.0,)), (_poisson_cdf_table, (1e-3,)),
+        (_binomial_cdf_table, (5, 0.2)), (_binomial_cdf_table, (0, 0.2)),
+        (_binomial_cdf_table, (5, 0.0)), (_binomial_cdf_table, (5, 1.0))])
+    def test_guides_are_read_only_and_count_entries(self, build, args):
+        cdf, guide = _guided(build, *args)
+        assert guide.shape == (1025,)
+        np.testing.assert_array_equal(
+            guide, np.searchsorted(cdf, np.arange(1025) / 1024,
+                                   side="right"))
+        with pytest.raises(ValueError):
+            guide[0] = 1
 
 
 class TestDeterminism:
