@@ -6,10 +6,13 @@ streams on any platform. The Poisson, Binomial, and Exponential samplers
 are built here directly on the uniform bitstream (inversion against cached
 cdf tables for small means, transformed rejection above), so the closed
 forms under test never feed their own verification. A Chen-Asau guide table
-beside each cdf table settles most draws without a search, drawing the same.
+beside each cdf table settles most draws without a search; the rest are
+searched (Poisson) or bisected (binomial) between their bucket's bounds,
+drawing the same.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -36,12 +39,9 @@ _PTRS_THRESHOLD = 30.0
 _MAX_PTRS_MEAN = 10 ** 7
 # per-table truncation: tails thinner than this are folded into the last entry
 _TABLE_TAIL = 1e-18
-# binomial inversion keys: Generator.random returns k / 2^53, so u * 2^53 and
-# ceil(cdf * 2^53) compare exactly as u and cdf do; a table's rank times 2^54
-# keeps tables apart, and 511 ranks keep every key inside int64
-_KEY_SCALE = 2.0 ** 53
-_RANK_SHIFT = 54
-_MAX_TABLES = 511
+# cdf entries the tables of one binomial_sample call may hold, w + 1 per
+# distinct count w (80 MB as float64, and as much again concatenated)
+_MAX_TABLE_ENTRIES = 10 ** 7
 _BLOCK = 1 << 16
 # guide[b] counts the cdf entries <= b / 2^10; key u's bucket is floor(u 2^10)
 _GUIDE_BITS = 10
@@ -131,25 +131,21 @@ def _guided(build, *args) -> tuple:
     return cdf, _read_only(guide.astype(np.int32))
 
 
-def _guided_search(guide, x, offset, search) -> np.ndarray:
-    """np.searchsorted(cdf, x, "right") at keys x in [0, 1]: the guide at
-    guide[offset:] settles buckets holding no cdf entry, search(i) the rest."""
-    if x.size < _GUIDE_MIN:  # the guide's fixed cost outweighs the search
-        return search(slice(None))
-    cell = offset + (x * (1 << _GUIDE_BITS)).astype(np.intp)
-    found = guide[cell]
-    miss = np.flatnonzero(found != guide[1:].take(cell, mode="clip"))
-    found[miss] = search(miss)
-    return found
-
-
 def _poisson_invert(mean: float, x: np.ndarray) -> np.ndarray:
+    # np.searchsorted(cdf, x, "right") at keys x in [0, 1], capped at the
+    # last entry; the guide settles the buckets holding no cdf entry
     cdf, guide = _guided(_poisson_cdf_table, mean)
     draws = np.empty(x.size, dtype=np.int64)
     for lo in range(0, x.size, _BLOCK):  # bounds the temporaries
         b = x[lo:lo + _BLOCK]
-        draws[lo:lo + b.size] = _guided_search(
-            guide, b, 0, lambda i: np.searchsorted(cdf, b[i], side="right"))
+        if b.size < _GUIDE_MIN:  # the guide's fixed cost outweighs the search
+            found = np.searchsorted(cdf, b, side="right")
+        else:
+            cell = (b * (1 << _GUIDE_BITS)).astype(np.intp)
+            found = guide[cell]
+            miss = np.flatnonzero(found != guide[1:].take(cell, mode="clip"))
+            found[miss] = np.searchsorted(cdf, b[miss], side="right")
+        draws[lo:lo + b.size] = found
     return np.minimum(draws, cdf.size - 1, out=draws)
 
 
@@ -179,10 +175,13 @@ def _binomial_cdf_table(trials: int, q: float) -> np.ndarray:
         return _read_only(cdf)
     pmf = np.empty(trials + 1)
     pmf[0] = (1.0 - q) ** trials
+    if pmf[0] < sys.float_info.min:  # the recurrence would start on no digits
+        raise NumericalError(f"Binomial table for w = {trials}, q = {q:.6g} "
+                             f"underflows: (1 - q)^w < {sys.float_info.min:.6g}")
     ratio = q / (1.0 - q)
     for v in range(trials):
         pmf[v + 1] = pmf[v] * (trials - v) * ratio / (v + 1)
-    cdf = np.cumsum(pmf)
+    cdf = np.minimum(np.cumsum(pmf), 1.0)
     cdf[-1] = 1.0
     return _read_only(cdf)
 
@@ -261,37 +260,47 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
     """Binomial(trials[i], q) draws, one uniform per entry.
 
     Each entry is inverted against its trial count's cached cdf table. The
-    guides of up to 511 distinct counts settle most draws; one search over
-    those tables, stacked as exact integer keys, settles the rest as each
-    table alone would. Drawing order and uniform consumption depend only on
-    the length of `trials`, keeping streams reproducible.
+    count's guide settles most draws; a bisection of the table between the
+    bucket's guide bounds settles the rest, with the cdf[k] <= u comparisons
+    of searchsorted(side="right"). Drawing order and uniform consumption
+    depend only on the length of `trials`, keeping streams reproducible.
+    Counts whose tables would hold more than 10^7 entries in all are
+    refused, and so is a table whose first mass (1 - q)^w underflows.
     """
     _require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
     u = rng.random(trials.size)
-    out = np.zeros(trials.size, dtype=np.int64)
+    out = np.empty(trials.size, dtype=np.int64)
+    if not trials.size:
+        return out
     present = np.bincount(trials) > 0
     counts = np.flatnonzero(present)
-    rank_of = np.cumsum(present) - 1
-    for first in range(0, counts.size, _MAX_TABLES):
-        cdfs, guides = zip(*(_guided(_binomial_cdf_table, int(w), q)
-                             for w in counts[first:first + _MAX_TABLES]))
-        stacked = np.concatenate([
-            np.ceil(cdf * _KEY_SCALE).astype(np.int64) + (r << _RANK_SHIFT)
-            for r, cdf in enumerate(cdfs)])
-        guides = np.concatenate(guides)
-        starts = np.cumsum([0] + [cdf.size for cdf in cdfs[:-1]])
-        # blocks bound the temporaries to _BLOCK entries each
-        for lo in range(0, trials.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            r = rank_of[trials[block]] - first
-            inside = (r >= 0) & (r < len(cdfs))
-            r = np.clip(r, 0, len(cdfs) - 1)
-            ub = u[block]
-            found = _guided_search(
-                guides, ub, r * _GUIDE_EDGES.size, lambda i: np.searchsorted(
-                    stacked, (ub[i] * _KEY_SCALE).astype(np.int64)
-                    + (r[i] << _RANK_SHIFT), side="right") - starts[r[i]])
-            out[block] = np.where(inside, found, out[block])
+    entries = int(counts.sum()) + counts.size
+    _require(entries <= _MAX_TABLE_ENTRIES,
+             f"{counts.size} distinct block counts up to {counts[-1]} need "
+             f"{entries} Binomial table entries, more than "
+             f"{_MAX_TABLE_ENTRIES}")
+    rank = np.cumsum(present) - 1
+    cdfs, guides = zip(*(_guided(_binomial_cdf_table, int(w), q)
+                         for w in counts))
+    table, guide = np.concatenate(cdfs), np.concatenate(guides)
+    start = np.cumsum([0] + [cdf.size for cdf in cdfs[:-1]])
+    for lo in range(0, trials.size, _BLOCK):  # bounds the temporaries
+        block = slice(lo, lo + _BLOCK)
+        r, x = rank[trials[block]], u[block]
+        cell = r * _GUIDE_EDGES.size + (x * (1 << _GUIDE_BITS)).astype(np.intp)
+        found = guide[cell]
+        miss = np.flatnonzero(found != guide[cell + 1])
+        low, high = found[miss], guide[cell[miss] + 1]
+        base, x = start[r[miss]], x[miss]
+        # u < 1 = cdf[-1], so a settled key, low == high, has cdf[low] > u
+        # and stays settled
+        for _ in range(int(np.max(high - low, initial=0)).bit_length()):
+            mid = (low + high) >> 1
+            right = table[base + mid] <= x
+            low = np.where(right, mid + 1, low)
+            high = np.where(right, high, mid)
+        found[miss] = low
+        out[block] = found
     return out
 
 

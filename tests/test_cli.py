@@ -543,6 +543,22 @@ class TestExitCodes:
         assert any(c in err for c in causes), err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ("verify",), ("simulate", "--sim", "epochs")])
+    def test_underflowing_binomial_table_is_numeric_failure(
+            self, tmp_path, capsys, command):
+        # q = 50/50.505 = 0.99 at E = 200: (1 - q)^w underflows for the
+        # block counts w > 153 that Poisson(200) draws
+        path = write_scenario(tmp_path, E=200, P0=0.505)
+        out = tmp_path / "artifacts"
+        assert run_cli(*command[:1], path, "--out", out, "--samples", 20000,
+                       *command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: Binomial table for w = ")
+        assert "q = 0.990001 underflows" in err
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("samples", [-1, 0, 1])
     def test_verify_needs_two_samples(self, reference_file, tmp_path,
                                       samples):
@@ -922,6 +938,10 @@ class TestInputContract:
              step=1.0, extra=())
     @example(scenario=_UNDERFLOW, samples=2000, horizon=100, rows=100,
              step=1.0, extra=())
+    # E = 1e6: ~1,500 distinct block counts, whose Binomial tables would
+    # hold 1.5e9 entries
+    @example(scenario=dict(REFERENCE, E=1e6), samples=2000, horizon=100,
+             rows=100, step=1.0, extra=())
     def test_sampling_commands_keep_the_exit_contract(
             self, command, scenario, samples, horizon, rows, step, extra):
         # bounded sizes: at most 2,000 samples, N <= 200, a horizon of at

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from minecon.errors import ValidationError
+from minecon.errors import NumericalError, ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _generator,
                            _guided, _poisson_cdf_table, _poisson_invert,
@@ -103,8 +103,7 @@ class TestSamplers:
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3])
     def test_binomial_matches_per_count_oracle(self, q):
         # fuzzed trial arrays: empty, zeros, E = 10 and E = 200 Poisson
-        # counts, and 1,200 distinct counts, past the 511 tables of one
-        # stacked search
+        # counts, and 1,200 distinct counts
         fuzz = np.random.default_rng(2024)
         cases = [np.zeros(0, dtype=np.int64), np.zeros(50, dtype=np.int64),
                  fuzz.poisson(10.0, 20_000),
@@ -139,6 +138,33 @@ class TestSamplers:
         np.testing.assert_array_equal(
             binomial_sample(Fixed(), trials, q),
             binomial_sample_per_count(Fixed(), trials, q))
+
+    def test_binomial_refuses_underflowing_tables(self):
+        # (1 - q)^w at q = 0.99: 1e-306 at w = 153, subnormal at w = 155,
+        # where the table would hold too few digits to draw from
+        rng = _generator(SimConfig(seed=47, sample_count=1))
+        draws = binomial_sample(rng, np.full(1000, 153), 0.99)
+        assert draws.mean() == pytest.approx(151.47, abs=0.1)
+        with pytest.raises(NumericalError, match=r"w = 155, q = 0\.99 "):
+            binomial_sample(rng, np.array([3, 155]), 0.99)
+
+    def test_binomial_refuses_oversized_tables_before_building(self):
+        # w + 1 entries per distinct count w, at most 10^7 in all
+        rng = _generator(SimConfig(seed=47, sample_count=1))
+        before = _guided.cache_info().misses
+        with pytest.raises(ValidationError, match="10000001 Binomial table "
+                                                  "entries"):
+            binomial_sample(rng, np.array([3, 10 ** 7 - 4]), 0.3)
+        assert _guided.cache_info().misses == before
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 1.0 / 21.0, 1e-3])
+    def test_binomial_tables_are_sorted(self, q):
+        # cumulative sums can round past 1 before the final 1.0; they are
+        # clipped, so the guide and the bisection search sorted tables
+        for w in range(400):
+            cdf = _guided(_binomial_cdf_table, w, q)[0]
+            assert (np.diff(cdf) >= 0).all(), w
+            assert cdf[-1] == 1.0
 
     @pytest.mark.parametrize("build, args", [
         (_poisson_cdf_table, (3.0,)), (_binomial_cdf_table, (5, 0.2)),
@@ -199,8 +225,8 @@ class TestGuideTables:
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3, 0.5])
     def test_binomial_matches_plain_search(self, q):
-        # 520 distinct counts, past the 511 tables of one stacked search,
-        # shuffled so neighbouring draws use different tables
+        # 520 distinct counts, shuffled so neighbouring draws use
+        # different tables
         trials, u, want = [], [], []
         for w in range(520):
             cdf = _binomial_cdf_table(w, q)
