@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, growth, mcsim, rewarddist, waiting
 from .errors import (CertainRuinError, ConvergenceError, MineconError,
                      NoRootError, NoViableStrategyError, NumericalError,
-                     ValidationError)
+                     ValidationError, require)
 
 _COMMANDS = ("dist", "wait", "growth", "optimize", "fee", "simulate",
              "verify")
@@ -48,8 +48,7 @@ class Scenario:
 
     def __post_init__(self):
         def check(cond, msg):
-            if not cond:
-                raise ValidationError(f"scenario: {msg}")
+            require(cond, f"scenario: {msg}")
         check(math.isfinite(self.E) and self.E > 0, "E must be positive")
         check(math.isfinite(self.M) and self.M >= 0, "M must be nonnegative")
         check(math.isfinite(self.P0) and self.P0 > 0, "P0 must be positive")
@@ -161,12 +160,8 @@ def _json_text(value, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{_json_text(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return _cell(value)
     if value is None:
         return "null"
     if isinstance(value, str):

@@ -37,3 +37,9 @@ class NoViableStrategyError(MineconError, ValueError):
 
 class NoRootError(MineconError, ValueError):
     """A root-bracketing search found no sign change."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise ValidationError(msg) unless cond holds."""
+    if not cond:
+        raise ValidationError(msg)

@@ -14,14 +14,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (CertainRuinError, ConvergenceError, NoRootError,
-                     NoViableStrategyError, NumericalError, ValidationError)
+                     NoViableStrategyError, NumericalError, require)
 from .quadrature import adaptive_simpson, simpson_batch
 from .rewarddist import NetworkParams
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
 
 
 # libm's expm1 and exp entry by entry: numpy's own differ in the last bit
@@ -46,20 +41,20 @@ class MinerPlan:
     running_rate: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.wealth) and self.wealth > 0,
-                 "wealth must be positive and finite")
+        require(math.isfinite(self.wealth) and self.wealth > 0,
+                "wealth must be positive and finite")
         if isinstance(self.split, float):
             inside = 0.0 < self.split < 1.0
         else:
             split = np.asarray(self.split, dtype=float)
-            _require(split.ndim == 1, "split must be a float or a 1-D array")
+            require(split.ndim == 1, "split must be a float or a 1-D array")
             object.__setattr__(self, "split", split)
             inside = bool(((0.0 < split) & (split < 1.0)).all())
-        _require(inside, "split must lie strictly in (0, 1)")
-        _require(math.isfinite(self.equipment_rate) and self.equipment_rate > 0,
-                 "equipment rate must be positive and finite")
-        _require(math.isfinite(self.running_rate) and self.running_rate > 0,
-                 "running rate must be positive and finite")
+        require(inside, "split must lie strictly in (0, 1)")
+        require(math.isfinite(self.equipment_rate) and self.equipment_rate > 0,
+                "equipment rate must be positive and finite")
+        require(math.isfinite(self.running_rate) and self.running_rate > 0,
+                "running rate must be positive and finite")
 
     @property
     def power(self) -> float:
@@ -91,12 +86,12 @@ class GameRound:
     reward: float
 
     def __post_init__(self):
-        _require(0.0 <= self.probability <= 1.0,
-                 "round probability must lie in [0, 1]")
-        _require(math.isfinite(self.cost) and self.cost >= 0,
-                 "round cost must be nonnegative and finite")
-        _require(math.isfinite(self.reward) and self.reward >= 0,
-                 "round reward must be nonnegative and finite")
+        require(0.0 <= self.probability <= 1.0,
+                "round probability must lie in [0, 1]")
+        require(math.isfinite(self.cost) and self.cost >= 0,
+                "round cost must be nonnegative and finite")
+        require(math.isfinite(self.reward) and self.reward >= 0,
+                "round reward must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -142,12 +137,12 @@ class ViableWealth(NamedTuple):
 
 
 def _check_rounds(rounds: list, initial_wealth: float) -> None:
-    _require(math.isfinite(initial_wealth) and initial_wealth > 0,
-             "initial wealth must be positive and finite")
-    _require(len(rounds) > 0, "at least one game round is required")
+    require(math.isfinite(initial_wealth) and initial_wealth > 0,
+            "initial wealth must be positive and finite")
+    require(len(rounds) > 0, "at least one game round is required")
     total_q = math.fsum(r.probability for r in rounds)
-    _require(abs(total_q - 1.0) <= 1e-12,
-             f"outcome probabilities sum to {total_q!r}, not 1")
+    require(abs(total_q - 1.0) <= 1e-12,
+            f"outcome probabilities sum to {total_q!r}, not 1")
 
 
 def tane_growth_rate(rounds: list, initial_wealth: float) -> float:
@@ -176,18 +171,18 @@ def tane_growth_upper_bound(rounds: list, initial_wealth: float) -> float:
     _check_rounds(rounds, initial_wealth)
     net = math.fsum(r.probability * (r.reward - r.cost) for r in rounds)
     arg = 1.0 + net / initial_wealth
-    _require(arg > 0.0,
-             "expected net outcome wipes out the wealth; bound undefined")
+    require(arg > 0.0,
+            "expected net outcome wipes out the wealth; bound undefined")
     return math.log(arg)
 
 
 def wealth_trajectory(initial_wealth: float, growth_rate: float,
                       time: float) -> float:
     """Time-averaged wealth W0 exp(g t) after time epochs."""
-    _require(math.isfinite(initial_wealth) and initial_wealth > 0,
-             "initial wealth must be positive and finite")
-    _require(math.isfinite(growth_rate), "growth rate must be finite")
-    _require(math.isfinite(time) and time >= 0, "time must be nonnegative")
+    require(math.isfinite(initial_wealth) and initial_wealth > 0,
+            "initial wealth must be positive and finite")
+    require(math.isfinite(growth_rate), "growth rate must be finite")
+    require(math.isfinite(time) and time >= 0, "time must be nonnegative")
     return initial_wealth * math.exp(growth_rate * time)
 
 
@@ -252,7 +247,7 @@ def _growth_parts(plan: MinerPlan, network: NetworkParams,
     win branches are integrated side by side by simpson_batch, so each
     split's values are the ones it gets on its own.
     """
-    _require(quad_tol > 0, "quad_tol must be positive")
+    require(quad_tol > 0, "quad_tol must be positive")
     gamma_ = plan.split
     reward = conditional_reward(plan, network)
     lam = win_rate_lambda(plan, network)
@@ -303,11 +298,11 @@ def smooth_optimal_gamma(tau: float, equipment_rate: float,
 
     NumericalError where it rounds to 0 or 1 (tau c_e c_r below ~1e-16).
     """
-    _require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
-    _require(math.isfinite(equipment_rate) and equipment_rate > 0,
-             "equipment rate must be positive and finite")
-    _require(math.isfinite(running_rate) and running_rate > 0,
-             "running rate must be positive and finite")
+    require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
+    require(math.isfinite(equipment_rate) and equipment_rate > 0,
+            "equipment rate must be positive and finite")
+    require(math.isfinite(running_rate) and running_rate > 0,
+            "running rate must be positive and finite")
     product = tau * equipment_rate * running_rate
     gamma_ = 1.0 / (1.0 + product)
     if not 0.0 < gamma_ < 1.0:
@@ -320,7 +315,7 @@ def smooth_optimal_gamma(tau: float, equipment_rate: float,
 def _smooth_terms(plan: MinerPlan, network: NetworkParams,
                   tau: float) -> tuple:
     # (delta, b) of the smooth integrand log(1 + delta - b t) on [0, tau]
-    _require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
+    require(math.isfinite(tau) and tau > 0, "period must be positive and finite")
     delta = _per_joined_power(
         plan.split * network.block_reward * plan.equipment_rate, plan.power,
         network)
@@ -407,7 +402,7 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     -difference second derivative certifies the result is a local maximum
     up to quadrature noise; failure raises ConvergenceError.
     """
-    _require(grid_size >= 3, "grid must hold at least 3 points")
+    require(grid_size >= 3, "grid must hold at least 3 points")
 
     edge = 1e-6
     grid = np.linspace(edge, 1.0 - edge, grid_size)

@@ -20,18 +20,15 @@ from typing import Optional
 import numpy as np
 
 from . import growth
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, require
 from .rewarddist import MinerShare, NetworkParams
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
-
-
 _CENSOR_CAP = 10 ** 8
-# longest mean first-win wait, in epochs, the sweep simulation takes: one
-# sweep per epoch until the last trial wins, ~25 us each at 2,000 trials
+# longest mean first-win wait, in epochs, the sweep simulation takes. A run
+# sweeps one epoch at a time until the slowest trial wins, about
+# mean * ln(trials) sweeps: at E q = 1.01e-5 with 2,000 trials, 870,699
+# sweeps in 23.5 s on 2 vCPUs
 _MAX_MEAN_WAIT = 10 ** 5
 # table-inversion / transformed-rejection crossover for Poisson sampling
 _PTRS_THRESHOLD = 30.0
@@ -60,10 +57,10 @@ class SimConfig:
     stream_id: int = 0
 
     def __post_init__(self):
-        _require(0 <= self.seed < 2 ** 64, "seed must fit in 64 unsigned bits")
-        _require(self.sample_count >= 1, "sample_count must be at least 1")
-        _require(0 <= self.stream_id < 2 ** 64,
-                 "stream_id must fit in 64 unsigned bits")
+        require(0 <= self.seed < 2 ** 64, "seed must fit in 64 unsigned bits")
+        require(self.sample_count >= 1, "sample_count must be at least 1")
+        require(0 <= self.stream_id < 2 ** 64,
+                "stream_id must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,8 @@ class SimReport:
     seed: int
 
     def __post_init__(self):
-        _require(self.samples >= 2, "a report needs at least 2 samples")
-        _require(self.std_error >= 0, "standard error cannot be negative")
+        require(self.samples >= 2, "a report needs at least 2 samples")
+        require(self.std_error >= 0, "standard error cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,7 @@ def _generator(config: SimConfig) -> np.random.Generator:
 
 def _mean_report(values: np.ndarray, seed: int, scale: float = 1.0) -> SimReport:
     n = int(values.size)
-    _require(n >= 2, "need at least 2 samples to estimate a standard error")
+    require(n >= 2, "need at least 2 samples to estimate a standard error")
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1))
     return SimReport(estimate=scale * mean,
@@ -195,8 +192,8 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 def poisson_sample(rng: np.random.Generator, mean: float,
                    size: int) -> np.ndarray:
     """Poisson draws: cdf-table inversion for mean <= 30, PTRS above."""
-    _require(mean >= 0 and math.isfinite(mean),
-             "Poisson mean must be nonnegative and finite")
+    require(mean >= 0 and math.isfinite(mean),
+            "Poisson mean must be nonnegative and finite")
     if mean == 0.0:
         return np.zeros(size, dtype=np.int64)
     if mean <= _PTRS_THRESHOLD:
@@ -209,9 +206,9 @@ def _largest_draw(mean: float) -> int:
     if mean <= _PTRS_THRESHOLD:
         return len(_guided(_poisson_cdf_table, mean)[0]) - 1
     # PTRS rejects proposals past its lgamma table, ~60 sigma out
-    _require(mean <= _MAX_PTRS_MEAN,
-             f"Poisson mean {mean:.6g} exceeds the sampler's limit of "
-             f"{_MAX_PTRS_MEAN}")
+    require(mean <= _MAX_PTRS_MEAN,
+            f"Poisson mean {mean:.6g} exceeds the sampler's limit of "
+            f"{_MAX_PTRS_MEAN}")
     return int(mean + 60.0 * math.sqrt(mean) + 200.0)
 
 
@@ -267,7 +264,7 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
     Counts whose tables would hold more than 10^7 entries in all are
     refused, and so is a table whose first mass (1 - q)^w underflows.
     """
-    _require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
+    require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
     u = rng.random(trials.size)
     out = np.empty(trials.size, dtype=np.int64)
     if not trials.size:
@@ -275,10 +272,10 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
     present = np.bincount(trials) > 0
     counts = np.flatnonzero(present)
     entries = int(counts.sum()) + counts.size
-    _require(entries <= _MAX_TABLE_ENTRIES,
-             f"{counts.size} distinct block counts up to {counts[-1]} need "
-             f"{entries} Binomial table entries, more than "
-             f"{_MAX_TABLE_ENTRIES}")
+    require(entries <= _MAX_TABLE_ENTRIES,
+            f"{counts.size} distinct block counts up to {counts[-1]} need "
+            f"{entries} Binomial table entries, more than "
+            f"{_MAX_TABLE_ENTRIES}")
     rank = np.cumsum(present) - 1
     cdfs, guides = zip(*(_guided(_binomial_cdf_table, int(w), q)
                          for w in counts))
@@ -307,7 +304,7 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
 def exponential_sample(rng: np.random.Generator, rate: float,
                        size: int) -> np.ndarray:
     """Exponential draws by inversion, -log1p(-u)/rate."""
-    _require(rate > 0 and math.isfinite(rate), "rate must be positive and finite")
+    require(rate > 0 and math.isfinite(rate), "rate must be positive and finite")
     return -np.log1p(-rng.random(size)) / rate
 
 
@@ -344,16 +341,17 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     epoch midpoint k - 1/2, the natural continuous-time reading of "during
     epoch k"; the empirical CDF is reported on the integer epoch grid,
     where the midpoint convention drops back out. Trials still alive at
-    10^8 epochs are censored and excluded from the report. A win rate E q
-    below 10^-5 per epoch (zero included), a mean wait past 10^5 sweeps,
-    is refused.
+    10^8 epochs are censored and excluded from the report. A run lasts
+    until the slowest trial wins, about mean * ln(trials) sweeps. A win
+    rate E q below 10^-5 per epoch (zero included), a mean wait past 10^5
+    epochs, is refused.
     """
     e = network.expected_blocks
     q = share.win_probability
     # E q sizes the work only; the estimate never reads it
-    _require(e * q * _MAX_MEAN_WAIT >= 1.0,
-             f"win rate E q = {e * q:.6g} per epoch puts the mean first win "
-             f"past {_MAX_MEAN_WAIT} epochs")
+    require(e * q * _MAX_MEAN_WAIT >= 1.0,
+            f"win rate E q = {e * q:.6g} per epoch puts the mean first win "
+            f"past {_MAX_MEAN_WAIT} epochs")
     rng = _generator(config)
     n = config.sample_count
 
@@ -410,8 +408,8 @@ def round_payoffs(plan: growth.MinerPlan, network: NetworkParams,
     conditional mean reward or a sampled M*v, v ~ Poisson(Eq) given v >= 1;
     losses pay log(gamma).
     """
-    _require(reward_mode in ("conditional_mean", "sampled"),
-             f"unknown reward mode {reward_mode!r}")
+    require(reward_mode in ("conditional_mean", "sampled"),
+            f"unknown reward mode {reward_mode!r}")
     rng = _generator(config)
     n = config.sample_count
     t = exponential_sample(rng, growth.win_rate_lambda(plan, network), n)
@@ -451,9 +449,9 @@ def simulate_wealth_path(plan: growth.MinerPlan, network: NetworkParams,
     through that epoch. Equipment is never sold, so reported wealth is
     gamma W plus the reserve. A horizon past 10^7 epochs is refused.
     """
-    _require(1 <= horizon <= _MAX_HORIZON,
-             f"a wealth path of {horizon} epochs is outside [1, "
-             f"{_MAX_HORIZON}]")
+    require(1 <= horizon <= _MAX_HORIZON,
+            f"a wealth path of {horizon} epochs is outside [1, "
+            f"{_MAX_HORIZON}]")
     rng = _generator(config)
     q = growth.win_probability(plan, network)
     v = poisson_sample(rng, network.expected_blocks * q, horizon)

@@ -16,12 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun
-from .errors import ValidationError
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
+from .errors import require
 
 
 @dataclass(frozen=True)
@@ -38,12 +33,12 @@ class NetworkParams:
     power: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.expected_blocks) and self.expected_blocks > 0,
-                 "expected_blocks must be positive and finite")
-        _require(math.isfinite(self.block_reward) and self.block_reward >= 0,
-                 "block_reward must be nonnegative and finite")
-        _require(math.isfinite(self.power) and self.power > 0,
-                 "network power must be positive and finite")
+        require(math.isfinite(self.expected_blocks) and self.expected_blocks > 0,
+                "expected_blocks must be positive and finite")
+        require(math.isfinite(self.block_reward) and self.block_reward >= 0,
+                "block_reward must be nonnegative and finite")
+        require(math.isfinite(self.power) and self.power > 0,
+                "network power must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,8 @@ class MinerShare:
     win_probability: float
 
     def __post_init__(self):
-        _require(0.0 <= self.win_probability <= 1.0,
-                 "win probability must lie in [0, 1]")
+        require(0.0 <= self.win_probability <= 1.0,
+                "win probability must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,15 +70,15 @@ class LatticePmf:
             masses = masses.copy()
             masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
-        _require(math.isfinite(self.step) and self.step > 0,
-                 "lattice step must be positive")
-        _require(masses.ndim == 1 and masses.size > 0,
-                 "pmf must carry at least one mass")
-        _require(bool(np.all(masses >= 0)), "masses must be nonnegative")
-        _require(0 < self.tail_tol < 1, "tail_tol must lie in (0, 1)")
+        require(math.isfinite(self.step) and self.step > 0,
+                "lattice step must be positive")
+        require(masses.ndim == 1 and masses.size > 0,
+                "pmf must carry at least one mass")
+        require(bool(np.all(masses >= 0)), "masses must be nonnegative")
+        require(0 < self.tail_tol < 1, "tail_tol must lie in (0, 1)")
         total = self.total_mass()
-        _require(1.0 - self.tail_tol <= total <= 1.0 + 1e-12,
-                 f"total mass {total!r} outside [1 - tail_tol, 1]")
+        require(1.0 - self.tail_tol <= total <= 1.0 + 1e-12,
+                f"total mass {total!r} outside [1 - tail_tol, 1]")
 
     def points(self) -> np.ndarray:
         return self.step * np.arange(len(self.masses))
@@ -168,7 +163,7 @@ def win_count_pmf_series(v: int, network: NetworkParams,
     fall below _TERM_TOL times the running sum and w has cleared the Poisson
     bulk E + 10*sqrt(E).
     """
-    _require(v >= 0, "win count must be nonnegative")
+    require(v >= 0, "win count must be nonnegative")
     e, q = network.expected_blocks, share.win_probability
     if q == 0.0:
         return 1.0 if v == 0 else 0.0
@@ -196,7 +191,7 @@ def win_count_pmf_closed(v: int, network: NetworkParams,
     Keeping each of Poisson(E) blocks independently with probability q makes
     the win count Poisson(E*q); cross-checked against win_count_pmf_series.
     """
-    _require(v >= 0, "win count must be nonnegative")
+    require(v >= 0, "win count must be nonnegative")
     return float(_poisson_pmf(v, network.expected_blocks
                               * share.win_probability))
 
@@ -214,15 +209,15 @@ def epoch_reward_pmf(network: NetworkParams, share: MinerShare,
     For M = 0 every outcome pays nothing and the pmf degenerates to a unit
     mass at 0 (reported on a unit lattice since the step would vanish).
     """
-    _require(0 < tail_tol < 1, "tail_tol must lie in (0, 1)")
+    require(0 < tail_tol < 1, "tail_tol must lie in (0, 1)")
     m = network.block_reward
     if m == 0.0:
         return LatticePmf(step=1.0, masses=np.ones(1), tail_tol=tail_tol)
     mean = network.expected_blocks * share.win_probability
     top = math.floor(mean + 40.0 * math.sqrt(mean) + 40.0)
-    _require(top < _MAX_MASSES,
-             f"reward pmf at win mean {mean:.6g} needs {top + 1} masses, "
-             f"more than {_MAX_MASSES}")
+    require(top < _MAX_MASSES,
+            f"reward pmf at win mean {mean:.6g} needs {top + 1} masses, "
+            f"more than {_MAX_MASSES}")
     masses = _poisson_pmf(np.arange(top + 1), mean)
     # tails[k] = sum of masses[k:], accumulated from the smallest mass up
     tails = np.cumsum(masses[::-1])[::-1]
@@ -240,7 +235,7 @@ def total_reward_pmf(network: NetworkParams, share: MinerShare,
     Poisson(epochs * E * q): the reward pmf of one epoch with epochs * E
     expected blocks, on the same lattice {0, M, 2M, ...}.
     """
-    _require(epochs >= 1, "window must contain at least one epoch")
+    require(epochs >= 1, "window must contain at least one epoch")
     pooled = replace(network,
                      expected_blocks=epochs * network.expected_blocks)
     return epoch_reward_pmf(pooled, share)
@@ -249,7 +244,7 @@ def total_reward_pmf(network: NetworkParams, share: MinerShare,
 def expected_total_reward(network: NetworkParams, share: MinerShare,
                           epochs: int) -> float:
     """Expected window reward: epochs * E * M * q."""
-    _require(epochs >= 1, "window must contain at least one epoch")
+    require(epochs >= 1, "window must contain at least one epoch")
     return epochs * (network.expected_blocks * network.block_reward
                      * share.win_probability)
 
@@ -260,11 +255,12 @@ def variance_paper(network: NetworkParams, share: MinerShare,
 
     Evaluates
         epochs * e^{-E} * E^2 * M^2 * [1 + q(1-q) * (Ei(E) - log(E) - gamma)],
-    so a window costs one Ei. Dimensionally inconsistent with the thinning
+    so a window costs one Ei, whose domain is x > 0 (E > 0 here; E >= 709.7
+    overflows). Dimensionally inconsistent with the thinning
     derivation (see variance_thinned); reported side by side so Monte Carlo
     can adjudicate, never silently corrected.
     """
-    _require(epochs >= 1, "window must contain at least one epoch")
+    require(epochs >= 1, "window must contain at least one epoch")
     e = network.expected_blocks
     m = network.block_reward
     q = share.win_probability
@@ -281,7 +277,7 @@ def variance_thinned(network: NetworkParams, share: MinerShare,
     Independent oracle for variance_paper: per-epoch wins are Poisson(E*q),
     so rewards have variance M^2 E q per epoch, and independent epochs add.
     """
-    _require(epochs >= 1, "window must contain at least one epoch")
+    require(epochs >= 1, "window must contain at least one epoch")
     return epochs * (network.block_reward ** 2 * network.expected_blocks
                      * share.win_probability)
 

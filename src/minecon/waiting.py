@@ -10,14 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, require
 from .growth import _exp, _expm1
 from .rewarddist import MinerShare, NetworkParams
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
 
 
 @dataclass(frozen=True)
@@ -28,10 +23,10 @@ class BankruptcyInputs:
     epoch_cost: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.initial_wealth) and self.initial_wealth > 0,
-                 "initial wealth must be positive and finite")
-        _require(math.isfinite(self.epoch_cost) and self.epoch_cost > 0,
-                 "epoch cost must be positive and finite")
+        require(math.isfinite(self.initial_wealth) and self.initial_wealth > 0,
+                "initial wealth must be positive and finite")
+        require(math.isfinite(self.epoch_cost) and self.epoch_cost > 0,
+                "epoch cost must be positive and finite")
 
 
 def _rate(network: NetworkParams, share: MinerShare) -> float:
@@ -41,8 +36,8 @@ def _rate(network: NetworkParams, share: MinerShare) -> float:
 
 def _times(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    _require(bool(np.all(np.isfinite(x) & (x >= 0))),
-             "waiting time must be nonnegative")
+    require(bool(np.all(np.isfinite(x) & (x >= 0))),
+            "waiting time must be nonnegative")
     return x
 
 
@@ -59,7 +54,7 @@ def waiting_pdf(x, network: NetworkParams, share: MinerShare):
     them; undefined when q = 0."""
     x = _times(x)
     rate = _rate(network, share)
-    _require(rate > 0, "waiting time is degenerate at rate 0")
+    require(rate > 0, "waiting time is degenerate at rate 0")
     return rate * _exp(-x * rate)
 
 
@@ -68,7 +63,7 @@ def _divisor_rate(network: NetworkParams, share: MinerShare,
     # E q for a moment that divides by it: q = 0 is outside the domain, and
     # a rate that underflowed (0 or subnormal, so 1/rate overflows) is a
     # numerical failure rather than a ZeroDivisionError
-    _require(share.win_probability > 0, f"{what} diverges at rate 0")
+    require(share.win_probability > 0, f"{what} diverges at rate 0")
     rate = _rate(network, share)
     if rate == 0.0 or math.isinf(1.0 / rate):
         raise NumericalError(f"win rate {rate!r} underflows; {what} "

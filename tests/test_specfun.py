@@ -12,16 +12,11 @@ from minecon.errors import ValidationError
 # mpmath.ei at 50 digits, rounded to the nearest double
 EI_TABLE = {
     1.0: 1.8951178163559368,
-    -1.0: -0.21938393439552029,
     0.5: 0.4542199048631736,
-    -0.5: -0.5597735947761608,
     2.0: 4.95423435600189,
     5.0: 40.18527535580318,
     10.0: 2492.2289762418777,
     25.0: 3005950906.5255485,
-    -5.0: -0.0011482955912753257,
-    -10.0: -4.156968929685325e-06,
-    -50.0: -3.783264029550459e-24,
 }
 
 
@@ -31,9 +26,9 @@ def test_ei_table(x, expected):
 
 
 def test_ei_matches_mpmath_on_wide_grid():
-    # documented contract: relative error at most 1e-12 on |x| in [1e-6, 700]
-    xs = [v / 7.0 for v in range(-300, 400) if v != 0]
-    xs += [150.0, 300.0, 600.0, 700.0, -200.0, -500.0, 1e-6, -1e-6]
+    # documented contract: relative error at most 1e-12 on x in [1e-6, 700]
+    xs = [v / 7.0 for v in range(1, 400)]
+    xs += [150.0, 300.0, 600.0, 700.0, 1e-6]
     mpmath.mp.dps = 30
     for x in xs:
         want = float(mpmath.ei(x))
@@ -60,20 +55,16 @@ def test_crossover_band_agreement():
         assert abs(series - asym) <= 1e-10 * abs(asym)
 
 
-def test_negative_crossover_agreement():
-    for x in (-4.0, -4.5, -5.0, -5.5, -6.0):
-        mpmath.mp.dps = 30
-        assert exp_integral_ei(x) == pytest.approx(float(mpmath.ei(x)),
-                                                   rel=1e-12)
+@pytest.mark.parametrize("x", [-1e-300, -0.0, 0.0, -1.0, -math.inf,
+                               math.nan])
+def test_nonpositive_and_nan_raise(x):
+    with pytest.raises(ValidationError):
+        exp_integral_ei(x)
 
 
-def test_overflow_and_invalid_inputs():
+def test_overflow_above_limit():
     with pytest.raises(OverflowError):
         exp_integral_ei(710.0)
-    with pytest.raises(ValidationError):
-        exp_integral_ei(0.0)
-    with pytest.raises(ValidationError):
-        exp_integral_ei(float("nan"))
 
 
 def test_strictly_increasing_on_positive_axis():
