@@ -247,7 +247,7 @@ def _growth_parts(plan: MinerPlan, network: NetworkParams,
     win branches are integrated side by side by simpson_batch, so each
     split's values are the ones it gets on its own.
     """
-    require(quad_tol > 0, "quad_tol must be positive")
+    require(0 < quad_tol < 1, "quad_tol must lie in (0, 1)")
     gamma_ = plan.split
     reward = conditional_reward(plan, network)
     lam = win_rate_lambda(plan, network)
@@ -372,6 +372,7 @@ _REFINE_TOL = 1e-9  # golden-section bracket width for the optimal split
 # ~7 MB of peak memory over one at a time and all 1024 at once ~68 MB, for
 # no further speed-up
 _SCAN_BATCH = 64
+_MAX_SCAN_GRID = 10 ** 6  # splits in the scan; each scan array ~8 MB
 
 
 def _golden_max(f: Callable, lo: float, hi: float, tol: float) -> tuple:
@@ -402,7 +403,8 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     -difference second derivative certifies the result is a local maximum
     up to quadrature noise; failure raises ConvergenceError.
     """
-    require(grid_size >= 3, "grid must hold at least 3 points")
+    require(3 <= grid_size <= _MAX_SCAN_GRID,
+            f"grid must hold 3 to {_MAX_SCAN_GRID} points")
 
     edge = 1e-6
     grid = np.linspace(edge, 1.0 - edge, grid_size)

@@ -1,8 +1,10 @@
 """Command-line round trips: artifacts, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -706,6 +708,96 @@ class TestExitCodes:
             run_cli("frobnicate", reference_file)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("frobnicate", "{scenario}"), ("dist", "{scenario}", "--bogus"),
+        ("dist", "{scenario}", "--s", "3"),  # no abbreviation of --seed
+        ("simulate", "{scenario}", "--samples", "x"),
+        ("simulate", "{scenario}", "--sim", "x"), ("dist",), ()],
+        ids=["command", "flag", "prefix", "type", "choice", "scenario",
+             "no-command"])
+    def test_usage_errors_print_one_line(self, reference_file, tmp_path,
+                                         capsys, monkeypatch, argv):
+        # run in tmp_path, where a run that got past the parser would
+        # write its artifacts by default
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*(a.format(scenario=reference_file) for a in argv))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [reference_file]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command, flags in {
+            "dist": ("--samples", "--quad-tol", "--grid-size"),
+            "wait": ("--samples", "--quad-tol", "--grid-size"),
+            "growth": ("--samples", "--grid-size", "--format"),
+            "optimize": ("--samples", "--format"),
+            "fee": ("--samples", "--format"),
+            "simulate": ("--quad-tol", "--grid-size"),
+            "verify": ("--grid-size", "--format")}.items()
+        for flag in flags])
+    def test_flag_the_command_does_not_read_is_refused(
+            self, reference_file, tmp_path, capsys, command, flag):
+        out = tmp_path / "artifacts"
+        value = "json" if flag == "--format" else "5"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, reference_file, "--out", out, flag, value)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: usage: unrecognized arguments: {flag} {value}\n"
+        assert not out.exists()
+
+    def test_readme_flag_table_matches_parser(self):
+        # the README's command -> flags table, one row per command
+        readme = (Path(__file__).resolve().parents[1] / "README.md")
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$",
+                          readme.read_text(), flags=re.MULTILINE)
+        documented = {command: set(re.findall(r"`(--[\w-]+)`", flags))
+                      for command, flags in rows}
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {command: {s for a in p._actions for s in a.option_strings}
+                  - {"-h", "--help", "--seed", "--out"}
+                  for command, p in sub.choices.items()}
+        assert documented == parsed
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--samples", 10 ** 18), "--samples must be at most"),
+        (("simulate", "--sim", "epochs", "--samples", 10 ** 7 + 1),
+         "--samples must be at most"),
+        (("verify", "--samples", 10 ** 18), "--samples must be at most"),
+        (("optimize", "--grid-size", 10 ** 18), "grid must hold 3 to"),
+        (("optimize", "--wmin", "--grid-size", 10 ** 18),
+         "grid must hold 3 to"),
+        (("fee", "--grid-size", 10 ** 6 + 1), "grid must hold 3 to"),
+        (("fee", "--grid-size", 10 ** 18), "grid must hold 3 to")],
+        ids=["simulate", "epochs-cap+1", "verify", "optimize", "wmin",
+             "fee-cap+1", "fee"])
+    def test_oversized_sample_and_grid_counts_refused_under_memory_cap(
+            self, reference_file, tmp_path, argv, message):
+        out = tmp_path / "artifacts"
+        result = _run_child(argv[0], reference_file, "--out", out, *argv[1:])
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: validation: {message}")
+        assert result.stderr.count("\n") == 1
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("quad_tol", ["inf", "1", "nan"])
+    @pytest.mark.parametrize("command", [
+        ("growth",), ("optimize",), ("verify", "--samples", 2000)],
+        ids=lambda c: c[0])
+    def test_quad_tol_outside_unit_interval_refused(
+            self, reference_file, tmp_path, capsys, command, quad_tol):
+        out = tmp_path / "artifacts"
+        assert run_cli(command[0], reference_file, "--out", out,
+                       "--quad-tol", quad_tol, *command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: validation: quad_tol must lie in (0, 1)\n"
+        assert list(out.iterdir()) == []
+
 
 class TestDeterminism:
     def test_optimize_twice_is_byte_identical(self, reference_file,
@@ -918,9 +1010,11 @@ class TestInputContract:
                                                     grid_size, quad_tol):
         # every run ends in exit 0 with one finite artifact, or in 1-3
         # with one error line and no artifact
-        result, names = _run_scenario(scenario, (command,), "--grid-size",
-                                      grid_size, "--quad-tol",
-                                      repr(quad_tol))
+        # growth reads no --grid-size
+        flags = ["--quad-tol", repr(quad_tol)]
+        if command != "growth":
+            flags += ["--grid-size", grid_size]
+        result, names = _run_scenario(scenario, (command,), *flags)
         if not result.returncode:
             assert names == [f"{command}.json"]
 
@@ -946,7 +1040,9 @@ class TestInputContract:
             self, command, scenario, samples, horizon, rows, step, extra):
         # bounded sizes: at most 2,000 samples, N <= 200, a horizon of at
         # most 2,000 epochs and 10^4 wait grid rows
-        flags = ["--samples", samples]
+        flags = []
+        if command[0] in ("simulate", "verify"):
+            flags += ["--samples", samples]
         if command[0] == "wait":
             flags += ["--grid-max", repr(rows * step), "--grid-step",
                       repr(step)]
