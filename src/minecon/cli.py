@@ -589,6 +589,12 @@ _COMMANDS = {
     "verify": (_cmd_verify, "closed forms vs Monte Carlo oracle table",
                ("--samples", "--quad-tol")),
 }
+# simulate flags and the --sim kinds that read them; the simulate parser
+# leaves them None when absent, so a kind can refuse one it ignores
+_SIM_KIND_FLAGS = {"--samples": ("rounds", "epochs", "first-win"),
+                   "--per-trial": ("rounds", "epochs"),
+                   "--reward-mode": ("rounds",),
+                   "--horizon": ("wealth",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -617,13 +623,34 @@ def _build_parser() -> argparse.ArgumentParser:
                                allow_abbrev=False)
         for flag in flags:
             sub_p.add_argument(flag, **_FLAGS[flag])
+    sub.choices["simulate"].set_defaults(
+        **{_dest(flag): None for flag in _SIM_KIND_FLAGS})
     return parser
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parse(argv) -> argparse.Namespace:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate":
+        for flag, kinds in _SIM_KIND_FLAGS.items():
+            if getattr(args, _dest(flag)) is None:
+                setattr(args, _dest(flag), _FLAGS[flag].get("default", False))
+            elif args.sim not in kinds:
+                parser.error(f"--sim {args.sim} does not read {flag}")
+    return args
 
 
 def _check_flags(args) -> None:
     # flags argparse types but does not range-check
     if not 0 <= args.seed < 2 ** 64:
         raise ValidationError("--seed must lie in [0, 2**64)")
+    if hasattr(args, "quad_tol") and not 0 < args.quad_tol < 1:
+        # as the growth layer words it, but before any command's work
+        raise ValidationError("quad_tol must lie in (0, 1)")
     if hasattr(args, "samples") and args.samples > _MAX_SAMPLES:
         raise ValidationError(f"--samples must be at most {_MAX_SAMPLES}")
     if args.command == "verify" and args.samples < 2:
@@ -640,7 +667,7 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         _check_flags(args)
         scenario = load_scenario(args.scenario)

@@ -9,7 +9,7 @@ payout per period tau.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -366,30 +366,24 @@ def _smooth_growth_parts(plan: MinerPlan, network: NetworkParams,
     return quad / tau, smooth_growth_rate(plan, network, tau), noise
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_TOL = 1e-9  # golden-section bracket width for the optimal split
-# grid splits integrated side by side: on the reference scenario 64 costs
-# ~7 MB of peak memory over one at a time and all 1024 at once ~68 MB, for
-# no further speed-up
+_REFINE_TOL = 1e-9  # bracket width at which the zoom refine stops
+# splits integrated side by side: on the reference scenario 64 costs ~7 MB
+# of peak memory over one at a time and all 1024 at once ~68 MB, for no
+# further speed-up
 _SCAN_BATCH = 64
 _MAX_SCAN_GRID = 10 ** 6  # splits in the scan; each scan array ~8 MB
+# interior points of the bracket per zoom level, one batched call: each
+# level narrows the bracket about 17-fold
+_ZOOM_POINTS = 33
 
 
-def _golden_max(f: Callable, lo: float, hi: float, tol: float) -> tuple:
-    # golden-section maximization; deterministic, one evaluation per step
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _rates(scan: MinerPlan, splits: np.ndarray, network: NetworkParams,
+           quad_tol: float) -> np.ndarray:
+    # growth rates at the splits, _SCAN_BATCH splits per batched quadrature
+    return np.concatenate([
+        _growth_parts(replace(scan, split=splits[i:i + _SCAN_BATCH]),
+                      network, quad_tol)[0]
+        for i in range(0, splits.size, _SCAN_BATCH)])
 
 
 def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
@@ -398,10 +392,13 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     """Maximize the stochastic growth rate over the split gamma.
 
     Scans a uniform grid of grid_size points on (1e-6, 1 - 1e-6),
-    _SCAN_BATCH splits per batched quadrature, then sharpens the best
-    bracket with golden-section search down to width 1e-9. A finite
-    -difference second derivative certifies the result is a local maximum
-    up to quadrature noise; failure raises ConvergenceError.
+    _SCAN_BATCH splits per batched quadrature, then zooms in on the best
+    grid bracket: each level evaluates _ZOOM_POINTS evenly spaced splits
+    inside the bracket in one batch, and the neighbours of the best split
+    seen so far become the next bracket, down to width 1e-9. NaN rates
+    never count as best. A finite-difference second derivative certifies
+    the result is a local maximum up to quadrature noise; failure raises
+    ConvergenceError.
     """
     require(3 <= grid_size <= _MAX_SCAN_GRID,
             f"grid must hold 3 to {_MAX_SCAN_GRID} points")
@@ -414,27 +411,33 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     # named, rather than as whatever a quadrature batch before it hits
     win_probability(scan, network)
 
-    def rate(gamma_: float) -> float:
-        return stochastic_growth_rate(replace(scan, split=gamma_), network,
-                                      quad_tol=quad_tol).growth_rate
-
-    values = np.concatenate([
-        _growth_parts(replace(scan, split=grid[i:i + _SCAN_BATCH]), network,
-                      quad_tol)[0]
-        for i in range(0, grid_size, _SCAN_BATCH)])
+    values = _rates(scan, grid, network, quad_tol)
     if not np.any(np.isfinite(values)):
         raise NoViableStrategyError("no split yields a finite growth rate")
     best_idx = int(np.nanargmax(values))
-    lo = grid[best_idx - 1] if best_idx > 0 else grid[0]
-    hi = grid[best_idx + 1] if best_idx < grid_size - 1 else grid[-1]
-    split, best = _golden_max(rate, float(lo), float(hi), _REFINE_TOL)
-    if values[best_idx] > best:
-        split, best = float(grid[best_idx]), float(values[best_idx])
+    split, best = float(grid[best_idx]), float(values[best_idx])
+    lo = float(grid[max(best_idx - 1, 0)])
+    hi = float(grid[min(best_idx + 1, grid_size - 1)])
+    while hi - lo > _REFINE_TOL:
+        nodes = np.linspace(lo, hi, _ZOOM_POINTS + 2)
+        level = _rates(scan, nodes[1:-1], network, quad_tol)
+        if not np.isnan(level).all():
+            k = int(np.nanargmax(level))
+            if level[k] > best:
+                split, best = float(nodes[k + 1]), float(level[k])
+        # the best split lies in [lo, hi]; its neighbours among the nodes
+        # bracket it, at most two node spacings wide
+        j = int(np.searchsorted(nodes, split))
+        lo = float(nodes[max(j - 1, 0)])
+        hi = float(nodes[min(j + 1, nodes.size - 1)] if nodes[j] == split
+                   else nodes[j])
 
     # certify concavity at the optimum, up to quadrature noise
     h = 1e-4
     if edge < split - h and split + h < 1.0 - edge:
-        fd2 = (rate(split + h) - 2.0 * best + rate(split - h)) / (h * h)
+        below, above = _rates(scan, np.array([split - h, split + h]),
+                              network, quad_tol).tolist()
+        fd2 = (above - 2.0 * best + below) / (h * h)
         noise = (64.0 * quad_tol * max(1.0, abs(best)) + 1e-13) / (h * h)
         if fd2 > noise:
             raise ConvergenceError(

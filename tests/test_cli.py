@@ -77,7 +77,7 @@ def oracle_tables(scenario, seed=42):
         ("simulate_path", ["epoch", "wins", "wealth"],
          zip(range(1, len(path.wealth) + 1), path.wins.tolist(),
              path.wealth.tolist()),
-         (*sim, "--sim", "wealth", "--horizon", 9000)),
+         ("simulate", "--sim", "wealth", "--horizon", 9000)),
     ]
 
 
@@ -591,8 +591,9 @@ class TestExitCodes:
         # E = 1e-300 first-win would sweep 10^8 epochs, then censor all
         path = write_scenario(tmp_path, E=blocks)
         out = tmp_path / "artifacts"
+        samples = () if kind == "wealth" else ("--samples", 2000)
         assert run_cli("simulate", path, "--out", out, "--sim", kind,
-                       "--samples", 2000) == 1
+                       *samples) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: validation:")
         assert err.count("\n") == 1
@@ -750,6 +751,27 @@ class TestExitCodes:
         assert err == f"error: usage: unrecognized arguments: {flag} {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, flag", [
+        (kind, flag)
+        for kind, flags in {
+            "rounds": ("--horizon",),
+            "epochs": ("--reward-mode", "--horizon"),
+            "first-win": ("--per-trial", "--reward-mode", "--horizon"),
+            "wealth": ("--samples", "--per-trial", "--reward-mode")}.items()
+        for flag in flags])
+    def test_flag_the_sim_kind_does_not_read_is_refused(
+            self, reference_file, tmp_path, capsys, kind, flag):
+        out = tmp_path / "artifacts"
+        value = {"--per-trial": (), "--reward-mode": ("sampled",)}.get(
+            flag, ("5",))
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("simulate", reference_file, "--out", out, "--sim", kind,
+                    flag, *value)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: usage: --sim {kind} does not read {flag}\n"
+        assert not out.exists()
+
     def test_readme_flag_table_matches_parser(self):
         # the README's command -> flags table, one row per command
         readme = (Path(__file__).resolve().parents[1] / "README.md")
@@ -787,16 +809,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("quad_tol", ["inf", "1", "nan"])
     @pytest.mark.parametrize("command", [
-        ("growth",), ("optimize",), ("verify", "--samples", 2000)],
+        ("growth",), ("optimize",), ("fee",), ("verify", "--samples", 2000)],
         ids=lambda c: c[0])
     def test_quad_tol_outside_unit_interval_refused(
-            self, reference_file, tmp_path, capsys, command, quad_tol):
+            self, reference_file, tmp_path, capsys, monkeypatch, command,
+            quad_tol):
+        # refused up front: verify would draw its epoch batch before the
+        # growth row that reads --quad-tol
+        def unreached(*args):
+            raise AssertionError("drew samples before checking --quad-tol")
+
+        monkeypatch.setattr(mcsim, "simulate_epochs", unreached)
         out = tmp_path / "artifacts"
         assert run_cli(command[0], reference_file, "--out", out,
                        "--quad-tol", quad_tol, *command[1:]) == 1
         err = capsys.readouterr().err
         assert err == "error: validation: quad_tol must lie in (0, 1)\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -978,6 +1007,8 @@ def _run_scenario(scenario, command, *flags):
         out = Path(tmp) / "artifacts"
         result = _run_child(*command, path, "--out", out, *flags)
         assert result.returncode in (0, 1, 2, 3), result.stderr
+        # the callers pass only flags the command reads
+        assert not result.stderr.startswith("error: usage:"), result.stderr
         artifacts = sorted(out.iterdir()) if out.exists() else []
         if result.returncode:
             assert result.stderr.startswith("error: "), result.stderr
@@ -1040,14 +1071,21 @@ class TestInputContract:
             self, command, scenario, samples, horizon, rows, step, extra):
         # bounded sizes: at most 2,000 samples, N <= 200, a horizon of at
         # most 2,000 epochs and 10^4 wait grid rows
+        # each --sim kind gets only the flags it reads
+        kind = command[2] if command[0] == "simulate" else None
         flags = []
-        if command[0] in ("simulate", "verify"):
+        if command[0] == "verify" or kind in ("rounds", "epochs",
+                                              "first-win"):
             flags += ["--samples", samples]
         if command[0] == "wait":
             flags += ["--grid-max", repr(rows * step), "--grid-step",
                       repr(step)]
-        if command[0] == "simulate":
-            flags += ["--horizon", horizon, *extra]
+        if kind == "wealth":
+            flags += ["--horizon", horizon]
+        if kind == "rounds":
+            flags += extra
+        if kind == "epochs" and "--per-trial" in extra:
+            flags += ["--per-trial"]
         _run_scenario(scenario, command, *flags)
 
 

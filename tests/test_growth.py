@@ -297,6 +297,12 @@ class TestOptimizeGamma:
         dense_best = float(grid[int(np.argmax(values))])
         assert abs(opt.split - dense_best) <= 1e-3
 
+    def test_edge_optimum_is_the_edge_split(self):
+        opt = optimize_gamma(*EDGE_OPTIMUM)
+        assert opt.split == 1e-6
+        assert opt.growth_rate == pytest.approx(-8.648925567032565e-11,
+                                                rel=1e-12, abs=0)
+
     def test_block_reward_monotonicity(self):
         rates = [optimize_gamma(100.0, 1.0, 0.001,
                                 NetworkParams(expected_blocks=10.0,
@@ -320,13 +326,14 @@ def acceptance_draw(rng):
     return wealth, c_e, c_r, net
 
 
-# a wealth 2^17 times an acceptance-range draw's, where the split 1e-6
-# cannot reach quadrature tolerance within 50 levels
-STALLING = (66.48673598352909 * 2.0 ** 17, 4.114944413413739,
-            0.000344136432248918,
-            NetworkParams(expected_blocks=1.344072832389793,
-                          block_reward=0.8189680290357055,
-                          power=2521.3111330074507))
+# an acceptance-range draw whose best split is the grid's edge, 1e-6
+EDGE_OPTIMUM = (66.48673598352909, 4.114944413413739, 0.000344136432248918,
+                NetworkParams(expected_blocks=1.344072832389793,
+                              block_reward=0.8189680290357055,
+                              power=2521.3111330074507))
+# 2^17 times its wealth, where the split 1e-6 cannot reach quadrature
+# tolerance within 50 levels
+STALLING = (EDGE_OPTIMUM[0] * 2.0 ** 17, *EDGE_OPTIMUM[1:])
 
 
 class TestBatchedGrowth:
@@ -380,31 +387,76 @@ class TestBatchedGrowth:
         growth._growth_parts(MinerPlan(wealth, self.GRID[1:64], c_e, c_r),
                              net, 1e-10)
 
-    def test_optimizer_scans_in_batches_of_64(self, monkeypatch):
-        batches, singles = [], []
+    def test_optimizer_zooms_in_batched_levels(self, monkeypatch):
+        calls = []
         real_parts = growth._growth_parts
-        real_single = growth.stochastic_growth_rate
 
         def counted_parts(plan, *args):
-            batches.append(len(plan.split))
-            return real_parts(plan, *args)
+            parts = real_parts(plan, *args)
+            calls.append((plan.split.copy(), parts[0]))
+            return parts
 
-        def counted_single(plan, network, quad_tol):
-            singles.append(plan.split)
-            return real_single(plan, network, quad_tol=quad_tol)
+        def no_single(*args, **kwargs):
+            raise AssertionError("optimize_gamma made a one-split call")
 
         monkeypatch.setattr(growth, "_growth_parts", counted_parts)
-        monkeypatch.setattr(growth, "stochastic_growth_rate", counted_single)
+        monkeypatch.setattr(growth, "stochastic_growth_rate", no_single)
         grid_size = 200
         opt = optimize_gamma(100.0, 1.0, 0.001, REF_NET,
                              grid_size=grid_size, quad_tol=1e-8)
-        # each single evaluation is a batch of one
-        assert batches == [64, 64, 64, 8] + [1] * len(singles)
-        # golden section inside the best grid bracket, then the two
-        # concavity probes at +-1e-4: no split of the scan is re-evaluated
-        step = (1.0 - 2e-6) / (grid_size - 1)
-        assert 3 <= len(singles) <= 60
-        assert all(abs(s - opt.split) <= 2.0 * step + 1e-4 for s in singles)
+        scan, levels, probes = calls[:4], calls[4:-1], calls[-1]
+        assert [len(splits) for splits, _ in scan] == [64, 64, 64, 8]
+        assert 1 <= len(levels) <= 8
+        # each level spans a bracket inside the one before, around the best
+        # split so far, the first around the best grid split
+        grid = np.concatenate([splits for splits, _ in scan])
+        values = np.concatenate([g for _, g in scan])
+        k = int(np.argmax(values))
+        best, best_g = grid[k], values[k]
+        lo, hi = grid[k - 1], grid[k + 1]
+        for splits, g in levels:
+            assert len(splits) == growth._ZOOM_POINTS
+            step = (splits[-1] - splits[0]) / (len(splits) - 1)
+            assert np.allclose(np.diff(splits), step, rtol=1e-6, atol=0)
+            assert np.isclose(splits[0] - step, lo, rtol=0, atol=1e-15)
+            assert np.isclose(splits[-1] + step, hi, rtol=0, atol=1e-15)
+            if g.max() > best_g:
+                best, best_g = splits[int(np.argmax(g))], g.max()
+            # the next bracket: the best split's neighbours
+            nodes = np.concatenate([[splits[0] - step], splits,
+                                    [splits[-1] + step]])
+            lo = nodes[nodes < best].max(initial=nodes[0])
+            hi = nodes[nodes > best].min(initial=nodes[-1])
+        assert hi - lo <= 1e-9
+        assert (opt.split, opt.growth_rate) == (best, best_g)
+        # the two concavity probes at +-1e-4, in one call
+        assert probes[0].tolist() == [opt.split - 1e-4, opt.split + 1e-4]
+        assert max(g.max() for _, g in calls) <= opt.growth_rate
+
+    @pytest.mark.parametrize("poisoned", [slice(None), slice(0, None, 2)],
+                             ids=["whole-level", "every-other-split"])
+    def test_refine_never_takes_a_nan_rate(self, monkeypatch, poisoned):
+        real_parts = growth._growth_parts
+
+        def nan_in_levels(plan, *args):
+            g, *rest = real_parts(plan, *args)
+            if len(plan.split) == growth._ZOOM_POINTS:
+                g = g.copy()
+                g[poisoned] = math.nan
+            return (g, *rest)
+
+        grid = np.linspace(1e-6, 1.0 - 1e-6, 200)
+        clean = optimize_gamma(100.0, 1.0, 0.001, REF_NET, grid_size=200,
+                               quad_tol=1e-8)
+        monkeypatch.setattr(growth, "_growth_parts", nan_in_levels)
+        opt = optimize_gamma(100.0, 1.0, 0.001, REF_NET, grid_size=200,
+                             quad_tol=1e-8)
+        assert not math.isnan(opt.growth_rate)
+        if poisoned == slice(None):
+            # no level counts: the best grid split stands
+            assert opt.split in grid
+        else:
+            assert abs(opt.split - clean.split) <= 1e-8
 
 
 def scalar_conditional_reward(plan, network):
