@@ -447,57 +447,103 @@ def optimize_gamma(wealth: float, equipment_rate: float, running_rate: float,
     return OptimalSplit(split=split, growth_rate=best)
 
 
+_WMIN_REL_WIDTH = 1e-6  # bracket width, relative to W, at which a root stops
+_WMIN_RATE_TOL = 1e-8  # |g*| the returned wealth must also reach
+
+
+def _log_brent(rate, lo: float, hi: float, rate_lo: float,
+               rate_hi: float) -> float:
+    """Root of rate(W) on the wealth bracket [lo, hi] by Brent's method in
+    x = log W.
+
+    rate_lo and rate_hi are rate at lo and hi, already known: they differ
+    in sign, or one is 0. Each step is an inverse quadratic or secant step
+    through the last points, taken only where Brent's safeguards accept it
+    (inside the bracket, and at most half the step before last), else a
+    bisection; no step is shorter than half the target width while the
+    bracket is wider. Returns an evaluated wealth once the bracket holding
+    it is at most _WMIN_REL_WIDTH of it wide and |rate| there is at most
+    _WMIN_RATE_TOL (or rate is exactly 0); rate is only ever called strictly
+    inside the bracket. ConvergenceError after 200 steps, or when the
+    bracket can no longer be split.
+    """
+    # cur: the end with the smaller |rate|, the estimate; blk: the other
+    # end of the bracket; pre: the previous cur. Each is (W, log W, rate).
+    cur = (hi, math.log(hi), rate_hi)
+    pre = blk = (lo, math.log(lo), rate_lo)
+    s_pre = s_cur = cur[1] - pre[1]
+    delta = 0.5 * math.log1p(_WMIN_REL_WIDTH)
+    for _ in range(200):
+        if (pre[2] < 0.0) != (cur[2] < 0.0):
+            blk = pre
+            s_pre = s_cur = cur[1] - pre[1]
+        if abs(blk[2]) < abs(cur[2]):
+            pre, cur, blk = cur, blk, cur
+        (w, x, g), (x_pre, g_pre), (w_blk, x_blk, g_blk) = cur, pre[1:], blk
+        if g == 0.0 or (abs(w_blk - w) <= _WMIN_REL_WIDTH * w
+                        and abs(g) <= _WMIN_RATE_TOL):
+            return w
+        s_bis = 0.5 * (x_blk - x)
+        if abs(s_bis) > delta and abs(s_pre) > delta and abs(g) < abs(g_pre):
+            if x_pre == x_blk:
+                s_try = -g * (x - x_pre) / (g - g_pre)
+            else:
+                d_pre = (g_pre - g) / (x_pre - x)
+                d_blk = (g_blk - g) / (x_blk - x)
+                s_try = -g * (g_blk * d_blk - g_pre * d_pre) / (
+                    d_blk * d_pre * (g_blk - g_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        step = (math.copysign(delta, s_bis) if abs(s_cur) <= delta < abs(s_bis)
+                else s_cur)
+        w_new = math.exp(x + step)
+        if not min(w, w_blk) < w_new < max(w, w_blk):
+            break
+        pre, cur = cur, (w_new, x + step, rate(w_new))
+    raise ConvergenceError(
+        "Brent's method for the minimum viable wealth stalled",
+        best_estimate=cur[0], achieved_error=abs(cur[2]))
+
+
 def min_viable_wealth(start_wealth: float, equipment_rate: float,
                       running_rate: float, network: NetworkParams,
                       grid_size: int = 1024,
                       quad_tol: float = 1e-10) -> ViableWealth:
     """Smallest wealth with nonnegative optimal growth, g*(W_min) = 0.
 
-    From start_wealth the wealth is doubled while g* < 0, or halved while
+    From start_wealth the wealth is doubled while g* <= 0, or halved while
     g* >= 0, up to 60 times, until g* changes sign; NoRootError if it never
-    does. Bisection then shrinks that bracket until the relative width is
-    below 1e-6 and |g*| at the midpoint is below 1e-8. Each optimize_gamma
-    run (grid_size, quad_tol) is at a wealth not evaluated before. Returns
-    the root with the bracket the expansion found.
+    does. The expansion's last step, a wealth and its double, is the
+    bracket; _log_brent solves it in log W, reusing g* at both ends, until
+    the relative width is at most 1e-6 and |g*| at the returned wealth is
+    at most 1e-8. Each optimize_gamma run (grid_size, quad_tol) is at a
+    wealth not evaluated before. Returns the root with that bracket.
     """
     def best_rate(w: float) -> float:
         return optimize_gamma(w, equipment_rate, running_rate, network,
                               grid_size=grid_size,
                               quad_tol=quad_tol).growth_rate
 
-    w_lo = w_hi = start_wealth
-    if best_rate(start_wealth) < 0.0:
-        for _ in range(60):
-            w_hi *= 2.0
-            if best_rate(w_hi) > 0.0:
-                break
-        else:
-            raise NoRootError(
-                "g* stayed negative up to 2^60 times the start wealth")
+    w = start_wealth
+    g = best_rate(w)
+    rising = g < 0.0
+    for _ in range(60):
+        w_last, g_last = w, g
+        w = 2.0 * w if rising else 0.5 * w
+        g = best_rate(w)
+        if g > 0.0 if rising else g < 0.0:
+            break
     else:
-        for _ in range(60):
-            w_lo *= 0.5
-            if best_rate(w_lo) < 0.0:
-                break
-        else:
-            raise NoRootError(
-                "g* stayed nonnegative down to 2^-60 times the start wealth")
-    bracket = (w_lo, w_hi)
-
-    mid = 0.5 * (w_lo + w_hi)
-    g_mid = best_rate(mid)
-    for _ in range(200):
-        if g_mid >= 0.0:
-            w_hi = mid
-        else:
-            w_lo = mid
-        mid = 0.5 * (w_lo + w_hi)
-        g_mid = best_rate(mid)
-        if (w_hi - w_lo) <= 1e-6 * mid and abs(g_mid) <= 1e-8:
-            return ViableWealth(wealth=mid, bracket=bracket)
-    raise ConvergenceError(
-        "bisection for the minimum viable wealth stalled",
-        best_estimate=mid, achieved_error=abs(g_mid))
+        raise NoRootError(
+            "g* stayed negative up to 2^60 times the start wealth" if rising
+            else "g* stayed nonnegative down to 2^-60 times the start wealth")
+    (lo, g_lo), (hi, g_hi) = sorted([(w_last, g_last), (w, g)])
+    root = _log_brent(best_rate, lo, hi, g_lo, g_hi)
+    return ViableWealth(wealth=root, bracket=(lo, hi))
 
 
 def max_pool_fee(wealth: float, equipment_rate: float, running_rate: float,

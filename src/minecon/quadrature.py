@@ -15,8 +15,8 @@ from .errors import ConvergenceError
 
 # open intervals one refinement level may hold, summed over the integrals of
 # a batch: about 28 times the widest level an optimizer batch of 64 growth
-# rates reaches at the default tolerance (under 19,000), and a peak of about
-# 150 MB with the growth-rate integrand
+# rates reaches at the default tolerance (under 19,000), and a process peak
+# of about 145 MB when a growth rate at --quad-tol 1e-12 runs into it
 MAX_OPEN_INTERVALS = 1 << 19
 
 
@@ -73,8 +73,8 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
                          np.concatenate([owner, owner, owner])), dtype=float)
     f_lo, f_mid, f_hi = first[:n], first[n:2 * n], first[2 * n:]
     simpson = span[owner] / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    # one row per interval field, one column per open interval
-    state = np.array([left, right, f_lo, f_mid, f_hi, simpson])
+    # the fields of every open interval, one array each
+    state = (left, right, f_lo, f_mid, f_hi, simpson)
 
     # what the error reports if no level runs (max_depth < 0)
     depth = max_depth
@@ -84,14 +84,19 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
         left, right, f_lo, f_mid, f_hi, simpson = state
         n = owner.size
         mid = 0.5 * (left + right)
-        # rows: the left and the right half of every interval
-        quarter = 0.5 * (state[:2] + mid)
-        f_quarter = np.asarray(f(quarter.ravel(),
-                                 np.concatenate([owner, owner])),
-                               dtype=float).reshape(2, n)
+        # the two halves of every interval, all left halves first
+        half_lo = np.concatenate([left, mid])
+        half_hi = np.concatenate([mid, right])
+        half_owner = np.concatenate([owner, owner])
+        f_quarter = np.asarray(f(0.5 * (half_lo + half_hi), half_owner),
+                               dtype=float)
+        f_half_lo = np.concatenate([f_lo, f_mid])
+        f_half_hi = np.concatenate([f_mid, f_hi])
         width = right - left
-        halves = width / 12.0 * (state[2:4] + 4.0 * f_quarter + state[3:5])
-        s2 = halves[0] + halves[1]
+        twelfth = width / 12.0
+        halves = np.concatenate([twelfth, twelfth]) * (
+            f_half_lo + 4.0 * f_quarter + f_half_hi)
+        s2 = halves[:n] + halves[n:]
         err = (s2 - simpson) / 15.0
 
         scale = np.abs(value + np.bincount(owner, s2, minlength=k))
@@ -110,12 +115,15 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
         if depth == max_depth or 2 * live > MAX_OPEN_INTERVALS:
             break
 
-        # children [left, mid] then [mid, right] of each open interval
-        kept = owner[open_]
-        owner = np.concatenate([kept, kept])
-        children = np.array([[left, mid], [mid, right], state[2:4], f_quarter,
-                             state[3:5], halves])
-        state = children[:, :, open_].reshape(6, -1)
+        # the halves of the open intervals are the next level's intervals;
+        # on a level that closes none, that is every half
+        owner = half_owner
+        state = (half_lo, half_hi, f_half_lo, f_quarter, f_half_hi, halves)
+        if live < n:
+            kept = np.flatnonzero(open_)
+            kept = np.concatenate([kept, kept + n])
+            owner = owner.take(kept)
+            state = tuple(field.take(kept) for field in state)
 
     worst = int(np.argmax(np.bincount(owner[open_], minlength=k)))
     mine = open_ & (owner == worst)

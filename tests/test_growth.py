@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize as scipy_optimize
 
 from minecon import growth
 from minecon.errors import (CertainRuinError, ConvergenceError, MineconError,
@@ -677,6 +678,112 @@ class TestMinViableWealth:
         assert len(seen) == len(set(seen))
         assert root.bracket[0] <= root.wealth <= root.bracket[1]
         assert root.wealth in seen
+
+    def test_tour_job_takes_at_most_20_runs(self, monkeypatch):
+        seen = []
+
+        def counted(wealth, *args, **kwargs):
+            seen.append(wealth)
+            return optimize_gamma(wealth, *args, **kwargs)
+
+        monkeypatch.setattr(growth, "optimize_gamma", counted)
+        root = min_viable_wealth(100.0, equipment_rate=1.0,
+                                 running_rate=0.001, network=REF_NET,
+                                 grid_size=8, quad_tol=1e-6)
+        # halving 100 -> 3.125 takes 6 runs, the root 12 more
+        assert len(seen) <= 20
+        assert len(seen) == len(set(seen))
+        lo, hi = root.bracket
+        assert hi == 2.0 * lo
+        assert lo < root.wealth < hi
+        assert root.wealth == pytest.approx(3.5596630070358515, rel=1e-6)
+
+
+def log_brent(f, lo, hi):
+    """growth._log_brent on f over [lo, hi], checking every evaluation
+    lies strictly inside the bracket the signs seen so far allow; returns
+    the root and the wealths evaluated."""
+    calls = []
+    bracket = [lo, hi]
+    rising = f(hi) > 0.0
+
+    def checked(w):
+        assert bracket[0] < w < bracket[1]
+        calls.append(w)
+        value = f(w)
+        bracket[(value > 0.0) == rising] = w
+        return value
+
+    return growth._log_brent(checked, lo, hi, f(lo), f(hi)), calls
+
+
+def flat_then_rising(w):
+    # flat just below zero under the root, as g* is below W_min
+    return max(-1e-12, math.log(w / 3.7))
+
+
+def smooth(w):
+    return w * w - 2.0
+
+
+def cubic(w):
+    return math.log(w) ** 3 - 0.001
+
+
+class TestLogBrent:
+    def test_flat_then_rising(self):
+        root, calls = log_brent(flat_then_rising, 2.0, 4.0)
+        assert root == pytest.approx(3.7, rel=1e-6)
+        assert len(calls) <= 30
+
+    def test_smooth_root(self):
+        root, calls = log_brent(smooth, 1.0, 2.0)
+        assert root == pytest.approx(math.sqrt(2.0), rel=1e-6)
+        assert abs(smooth(root)) <= 1e-8
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("lo, hi, expected", [(2.0, 4.0, 2.0),
+                                                  (1.0, 2.0, 2.0)])
+    def test_exact_zero_at_a_bracket_end(self, lo, hi, expected):
+        root, calls = log_brent(lambda w: math.log(w / 2.0), lo, hi)
+        assert (root, calls) == (expected, [])
+
+    def test_interpolation_outside_the_bracket_is_not_taken(self):
+        # the second to fourth inverse quadratic steps, through points on
+        # the flat left and the steep right, land up to 3,000 bracket
+        # widths outside the bracket; log_brent asserts none is taken
+        def steep(w):
+            return math.expm1(20.0 * (math.log(w) - 0.6))
+
+        root, calls = log_brent(steep, 1.0, 2.0)
+        assert root == pytest.approx(math.exp(0.6), rel=1e-6)
+        assert abs(steep(root)) <= 1e-8
+        assert len(calls) <= 25
+
+    def test_unreachable_rate_tolerance_raises(self):
+        # |rate| is still 0.06 a width of 1e-6 from the root, and 1e-8
+        # only closer than double precision resolves
+        def cusp(w):
+            x = math.log(w) - 0.3
+            return math.copysign(abs(x) ** 0.2, x)
+
+        with pytest.raises(ConvergenceError,
+                           match="minimum viable wealth stalled"):
+            log_brent(cusp, 1.0, 2.0)
+
+    @pytest.mark.parametrize("f, lo, hi", [(flat_then_rising, 2.0, 4.0),
+                                           (smooth, 1.0, 2.0),
+                                           (cubic, 0.5, 2.0)])
+    def test_takes_scipy_brentq_steps(self, f, lo, hi):
+        # where |f| is within tolerance once the bracket is, both stop on
+        # the width alone and evaluate the same points
+        x, info = scipy_optimize.brentq(lambda x: f(math.exp(x)),
+                                        math.log(lo), math.log(hi),
+                                        xtol=math.log1p(1e-6),
+                                        full_output=True)
+        root, calls = log_brent(f, lo, hi)
+        assert len(calls) == info.function_calls - 2
+        assert root == pytest.approx(math.exp(x), rel=1e-12)
 
 
 class TestMaxPoolFee:

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from minecon import quadrature
+from minecon import growth, quadrature
 from minecon.errors import ConvergenceError
+from minecon.growth import MinerPlan
 from minecon.quadrature import adaptive_simpson, simpson_batch
+from minecon.rewarddist import NetworkParams
 
 
 def test_polynomial_is_nearly_exact():
@@ -147,3 +149,118 @@ def test_open_interval_cap_raises_with_best_estimate(monkeypatch):
     exact = (1.0 - math.cos(200.0)) / 200.0
     assert abs(info.value.best_estimate - exact) <= 1e-3
     assert info.value.achieved_error > 0
+
+
+# Values and errors recorded as float.hex: refactors of simpson_batch must
+# reproduce them bit for bit, because they feed every growth-rate artifact.
+# The growth rate's win branch on the reference scenario (W = 100, c_e = 1,
+# c_r = 0.001, E = 10, M = 1, P0 = 1000) at 64 evenly spaced splits in
+# [1e-6, 1 - 1e-6] and quad_tol 1e-10.
+REFERENCE_WIN_TERMS = (
+    "-0x1.0c947506dd200p-21", "0x1.88f7ad38b9e80p-18", "0x1.9a4e77bbb1050p-17",
+    "0x1.38561b8163408p-16", "0x1.a3c958c378980p-16", "0x1.07bfe1a6cbb50p-15",
+    "0x1.3dbc15fbc9bb8p-15", "0x1.73d8b265ad51cp-15", "0x1.aa152086ef194p-15",
+    "0x1.e070caa390d80p-15", "0x1.0b758dd2327e5p-14", "0x1.26c1bf8d98f1ep-14",
+    "0x1.421cb0b820a99p-14", "0x1.5d8617afb80ffp-14", "0x1.78fdab4ad378bp-14",
+    "0x1.948322b9e8966p-14", "0x1.b0163587c9a18p-14", "0x1.cbb69b9d77c70p-14",
+    "0x1.e7640d441b170p-14", "0x1.018f21931f302p-13", "0x1.0f727b28c2668p-13",
+    "0x1.1d5bf01be5238p-13", "0x1.2b4b5d5841b96p-13", "0x1.39409ffd046f4p-13",
+    "0x1.473b955d75736p-13", "0x1.553c1b012a22ap-13", "0x1.63420ea52be14p-13",
+    "0x1.714d4e3c1d8cap-13", "0x1.7f5db7eedc1c8p-13", "0x1.8d732a1db1af6p-13",
+    "0x1.9b8d835e511a4p-13", "0x1.a9aca27fa7518p-13", "0x1.b7d06687fe8ecp-13",
+    "0x1.c5f8aeb63a77ep-13", "0x1.d4255a81e2038p-13", "0x1.e256499b4d36ap-13",
+    "0x1.f08b5bf2a11e4p-13", "0x1.fec471a740493p-13", "0x1.0680b58be440dp-12",
+    "0x1.0da11477970b4p-12", "0x1.14c345e7bdb1ep-12", "0x1.1be73a7d0d0a9p-12",
+    "0x1.230ce2d460f8fp-12", "0x1.2a342fb0c3fa9p-12", "0x1.315d11f2f775fp-12",
+    "0x1.38877a99c53c2p-12", "0x1.3fb35ac27825cp-12", "0x1.46e0a3a77a758p-12",
+    "0x1.4e0f46a1d2194p-12", "0x1.553f352766349p-12", "0x1.5c7060d5410f8p-12",
+    "0x1.63a2bb5732515p-12", "0x1.6ad63682ad3b6p-12", "0x1.720ac448afa92p-12",
+    "0x1.794056b8a614cp-12", "0x1.8076e0004d341p-12", "0x1.87ae5268b1297p-12",
+    "0x1.8ee6a06797dacp-12", "0x1.961fbc7b3dc64p-12", "0x1.9d59994f3d9b8p-12",
+    "0x1.a49429aa5e920p-12", "0x1.abcf607130d50p-12", "0x1.b30d67509528cp-12",
+    "0x1.72f664a9c23fep-20",
+)
+REFERENCE_WIN_ERRORS = (
+    "0x1.46310d2a7e8e1p-43", "0x1.3844e3ef64b43p-45", "0x1.3f918114fe91bp-45",
+    "0x1.6aa8f96c44ec8p-45", "0x1.8e6963f7b22ccp-46", "0x1.953ed38bb4815p-46",
+    "0x1.9d52dfa62479ap-46", "0x1.c4834d8fcec0cp-46", "0x1.14fc9b68169a9p-45",
+    "0x1.214ed58b535f3p-45", "0x1.799458e9b793cp-45", "0x1.d1f3f9ccca16cp-45",
+    "0x1.641f47a0b0c00p-45", "0x1.a066bc74c7557p-46", "0x1.17d205851a39cp-46",
+    "0x1.328fa167e3adep-46", "0x1.4b13df5d1bed9p-46", "0x1.483cbee502d2bp-46",
+    "0x1.10f0aebc91b0bp-46", "0x1.16b7e04baa644p-46", "0x1.0ca872d7db4bdp-46",
+    "0x1.39187a2c6bb52p-46", "0x1.7005e85c38edcp-46", "0x1.5a4460e4ad46bp-46",
+    "0x1.047c70d91ed3ap-46", "0x1.20b6150c0e621p-46", "0x1.2362530261399p-46",
+    "0x1.6941cc5d20a72p-46", "0x1.7f7d83efef73bp-46", "0x1.09ef9f269f196p-46",
+    "0x1.2b6d403f6671cp-46", "0x1.a54e55dd47e0ep-47", "0x1.ae3f1290a9d28p-47",
+    "0x1.144673bb43142p-46", "0x1.42ec24f0bd113p-46", "0x1.0793b19f2f99dp-45",
+    "0x1.dfaf009ee36f4p-46", "0x1.35fd1198a4f1fp-46", "0x1.b91edbc8ed2f4p-47",
+    "0x1.f727173257858p-47", "0x1.bd5015f41ee17p-47", "0x1.d25886520dc07p-47",
+    "0x1.f7728dbf3c355p-47", "0x1.d22da6f0ddb1dp-47", "0x1.12c21c3d0f99bp-46",
+    "0x1.55c381f430a5ep-46", "0x1.0d63bed759a91p-46", "0x1.75c54c6374eccp-47",
+    "0x1.0c6a853670e79p-46", "0x1.36f84c3de83fdp-45", "0x1.86f3572eacbeep-47",
+    "0x1.6b117f1470df1p-47", "0x1.de861956424dep-47", "0x1.a11b2c9b473ffp-47",
+    "0x1.ab3a9a1d62e04p-47", "0x1.86d7c2c628d1dp-47", "0x1.73a5039d26f92p-45",
+    "0x1.73c550a47df38p-47", "0x1.ad566fdda5cf4p-47", "0x1.9513b0666b835p-47",
+    "0x1.6f93790808b7fp-47", "0x1.99742a3454969p-47", "0x1.e7dfb10d5dddfp-47",
+    "0x1.999999999999ap-74",
+)
+
+
+def hexes(array):
+    return tuple(float(x).hex() for x in array)
+
+
+def test_growth_batch_is_bit_exact(monkeypatch):
+    batches = []
+
+    def recording(*args, **kwargs):
+        batches.append(simpson_batch(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(growth, "simpson_batch", recording)
+    plan = MinerPlan(wealth=100.0, split=np.linspace(1e-6, 1.0 - 1e-6, 64),
+                     equipment_rate=1.0, running_rate=0.001)
+    network = NetworkParams(expected_blocks=10.0, block_reward=1.0,
+                            power=1000.0)
+    growth._growth_parts(plan, network, 1e-10)
+    (values, errors), = batches
+    assert hexes(values) == REFERENCE_WIN_TERMS
+    assert hexes(errors) == REFERENCE_WIN_ERRORS
+
+
+def test_zero_width_rows_are_bit_exact():
+    rates = np.array([0.5, 2.0, 7.0, 1.0])
+    values, errors = simpson_batch(
+        lambda t, owner: exp_densities(t, owner, rates),
+        np.array([0.0, 1.0, 0.0, 3.0]), np.array([4.0, 1.0, 2.0, 3.0]),
+        1e-12, 0.0)
+    assert hexes(values) == ("0x1.bab5557101f8cp-1", "0x0.0p+0",
+                             "0x1.ffffe41939025p-1", "0x0.0p+0")
+    assert hexes(errors) == ("0x1.5f40e22222221p-42", "0x0.0p+0",
+                             "0x1.72b7adbbf7778p-42", "0x0.0p+0")
+
+
+def test_nan_row_fails_with_its_own_error():
+    # row 1 is nan on half its interval, so it never converges; rows 0 and
+    # 2 do, and the failure is row 1's
+    def f(t, owner):
+        return np.where(owner == 1, np.where(t > 0.5, np.nan, t), np.exp(t))
+
+    with pytest.raises(ConvergenceError) as info:
+        simpson_batch(f, np.zeros(3), np.ones(3), 1e-8, 0.0, max_depth=8)
+    assert str(info.value) == ("adaptive Simpson did not reach tolerance "
+                               "within 8 refinement levels (achieved error "
+                               "nan)")
+    assert math.isnan(info.value.best_estimate)
+    assert math.isnan(info.value.achieved_error)
+
+
+def test_depth_cap_failure_is_bit_exact():
+    with pytest.raises(ConvergenceError) as info:
+        adaptive_simpson(lambda t: np.sqrt(np.abs(t)), 0.0, 1.0,
+                         rel_tol=1e-15, max_depth=30)
+    assert str(info.value) == ("adaptive Simpson did not reach tolerance "
+                               "within 30 refinement levels (achieved error "
+                               "2.796e-16)")
+    assert info.value.best_estimate.hex() == "0x1.5555555555553p-1"
+    assert info.value.achieved_error.hex() == "0x1.425dd2f0bf0eep-52"
