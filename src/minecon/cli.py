@@ -604,27 +604,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_fail(2, "usage", message))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of ``commands``."""
     # without abbreviations each flag has one spelling, so a prefix never
     # resolves to a flag the command was not meant to take
     parser = _Parser(
         prog="minecon", allow_abbrev=False,
         description="mining-economics engine: reward distributions, waiting "
                     "times, and wealth growth rates")
-    # the common flags are added once and shared: add_argument is the
-    # dearest step of building the parser, which is about 1 ms of a 2.7 ms
-    # in-process growth call on 2 vCPUs
-    common = argparse.ArgumentParser(add_help=False)
-    for flag in _COMMON_FLAGS:
-        common.add_argument(flag, **_FLAGS[flag])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, flags) in _COMMANDS.items():
-        sub_p = sub.add_parser(command, help=help_text, parents=[common],
-                               allow_abbrev=False)
-        for flag in flags:
+    for command in commands:
+        _, help_text, flags = _COMMANDS[command]
+        sub_p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in (*_COMMON_FLAGS, *flags):
             sub_p.add_argument(flag, **_FLAGS[flag])
-    sub.choices["simulate"].set_defaults(
-        **{_dest(flag): None for flag in _SIM_KIND_FLAGS})
+        if command == "simulate":
+            sub_p.set_defaults(
+                **{_dest(flag): None for flag in _SIM_KIND_FLAGS})
     return parser
 
 
@@ -633,7 +629,14 @@ def _dest(flag: str) -> str:
 
 
 def _parse(argv) -> argparse.Namespace:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its command builds that command's parser alone:
+    # add_argument is the dearest step of the build, and all seven parsers
+    # took 1.5-1.6 ms of a 3.6-3.8 ms in-process growth call on 2 vCPUs,
+    # growth's alone 0.36-0.44 ms. -h, an unknown command and a flag before
+    # the command get every command's parser, whose messages list them all.
+    first = argv[0] if argv else None
+    parser = _build_parser((first,) if first in _COMMANDS else _COMMANDS)
     args = parser.parse_args(argv)
     if args.command == "simulate":
         for flag, kinds in _SIM_KIND_FLAGS.items():

@@ -709,24 +709,36 @@ class TestExitCodes:
             run_cli("frobnicate", reference_file)
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ("frobnicate", "{scenario}"), ("dist", "{scenario}", "--bogus"),
-        ("dist", "{scenario}", "--s", "3"),  # no abbreviation of --seed
-        ("simulate", "{scenario}", "--samples", "x"),
-        ("simulate", "{scenario}", "--sim", "x"), ("dist",), ()],
+    @pytest.mark.parametrize("argv, message", [
+        (("frobnicate", "{scenario}"),
+         "argument command: invalid choice: 'frobnicate' (choose from "
+         "'dist', 'wait', 'growth', 'optimize', 'fee', 'simulate', 'verify')"),
+        (("dist", "{scenario}", "--bogus"), "unrecognized arguments: --bogus"),
+        # no abbreviation of --seed
+        (("dist", "{scenario}", "--s", "3"), "unrecognized arguments: --s 3"),
+        (("simulate", "{scenario}", "--samples", "x"),
+         "argument --samples: invalid int value: 'x'"),
+        (("simulate", "{scenario}", "--sim", "x"),
+         "argument --sim: invalid choice: 'x' (choose from 'rounds', "
+         "'epochs', 'first-win', 'wealth')"),
+        (("dist",), "the following arguments are required: scenario"),
+        ((), "the following arguments are required: command"),
+        # a flag before the command is read as the command
+        (("--seed", "1", "growth", "{scenario}"),
+         "argument command: invalid choice: '1' (choose from 'dist', "
+         "'wait', 'growth', 'optimize', 'fee', 'simulate', 'verify')"),
+        (("growth", "{scenario}", "extra"), "unrecognized arguments: extra")],
         ids=["command", "flag", "prefix", "type", "choice", "scenario",
-             "no-command"])
+             "no-command", "flag-first", "extra"])
     def test_usage_errors_print_one_line(self, reference_file, tmp_path,
-                                         capsys, monkeypatch, argv):
+                                         capsys, monkeypatch, argv, message):
         # run in tmp_path, where a run that got past the parser would
         # write its artifacts by default
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
             run_cli(*(a.format(scenario=reference_file) for a in argv))
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: usage: ")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
         assert list(tmp_path.iterdir()) == [reference_file]
 
     @pytest.mark.parametrize("command, flag", [
@@ -779,11 +791,9 @@ class TestExitCodes:
                           readme.read_text(), flags=re.MULTILINE)
         documented = {command: set(re.findall(r"`(--[\w-]+)`", flags))
                       for command, flags in rows}
-        sub = next(a for a in cli._build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
         parsed = {command: {s for a in p._actions for s in a.option_strings}
                   - {"-h", "--help", "--seed", "--out"}
-                  for command, p in sub.choices.items()}
+                  for command, p in _subparsers(cli._build_parser()).items()}
         assert documented == parsed
 
     @pytest.mark.parametrize("argv, message", [
@@ -826,6 +836,96 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: validation: quad_tol must lie in (0, 1)\n"
         assert not out.exists()
+
+
+def _subparsers(parser):
+    """command -> subparser of a parser from cli._build_parser."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# a value other than the default for every flag besides --sim
+_NON_DEFAULT = {"--seed": ("7",), "--out": ("elsewhere",),
+                "--samples": ("123",), "--quad-tol": ("1e-06",),
+                "--grid-size": ("64",), "--format": ("json",),
+                "--grid-max": ("100",), "--grid-step": ("0.5",),
+                "--wmin": (), "--reward-mode": ("sampled",),
+                "--horizon": ("50",), "--stream-id": ("3",),
+                "--per-trial": ()}
+
+
+def _every_flag_argv(command, kind=None):
+    """argv setting every flag the command (or its --sim kind) reads."""
+    flags = [f for f in (*cli._COMMON_FLAGS[1:], *cli._COMMANDS[command][2])
+             if kind is None or kind in cli._SIM_KIND_FLAGS.get(f, (kind,))]
+    argv = [command, "scenario.txt"]
+    for flag in flags:
+        argv += [flag, *_NON_DEFAULT.get(flag, (kind,))]
+    return argv
+
+
+class TestParser:
+    def test_every_flag_has_a_non_default_value(self):
+        assert set(_NON_DEFAULT) == set(cli._FLAGS) - {"scenario", "--sim"}
+
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param([command, "scenario.txt"], id=f"{command}-minimal")
+          for command in cli._COMMANDS),
+        *(pytest.param(_every_flag_argv(command), id=f"{command}-every-flag")
+          for command in cli._COMMANDS if command != "simulate"),
+        *(pytest.param(_every_flag_argv("simulate", kind),
+                       id=f"simulate-{kind}-every-flag")
+          for kind in cli._FLAGS["--sim"]["choices"])])
+    def test_one_command_build_parses_as_the_full_build(self, argv):
+        one = cli._build_parser((argv[0],)).parse_args(argv)
+        assert vars(one) == vars(cli._build_parser().parse_args(argv))
+
+    def test_help_lists_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["-h"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out
+        assert all(help_text in out for _, help_text, _ in
+                   cli._COMMANDS.values())
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_is_the_full_builds(self, capsys, monkeypatch,
+                                             command):
+        # argparse wraps help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "-h"])
+        assert excinfo.value.code == 0
+        expected = _subparsers(cli._build_parser())[command].format_help()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv, built, code", [
+        (("growth", "{scenario}", "--out", "{out}"), 1, 0),
+        ((), 7, 2), (("-h",), 7, 0), (("frobnicate", "{scenario}"), 7, 2),
+        (("--seed", "1", "growth", "{scenario}"), 7, 2)],
+        ids=["growth", "empty", "help", "unknown", "flag-first"])
+    def test_only_a_named_command_builds_one_parser(
+            self, reference_file, tmp_path, monkeypatch, capsys, argv,
+            built, code):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            counted)
+        argv = [a.format(scenario=reference_file, out=tmp_path / "out")
+                for a in argv]
+        try:
+            exit_code = cli.main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code
+        assert exit_code == code
+        assert len(names) == built
 
 
 class TestDeterminism:
