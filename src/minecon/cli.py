@@ -462,8 +462,8 @@ def _verify_rows(scenario: Scenario, args) -> list:
                      "M=0 ruin epoch equals ceil(reserve/cost)"))
 
     # bankruptcy: first-win trials with no win by the horizon. ecdf[k] is
-    # the share of the winning trials that won by epoch k; a censored trial,
-    # alive at 10^8 epochs, is past any horizon the drain path could take
+    # the share of the trials that won by epoch k; every trial has won by
+    # the grid's last epoch
     won = round(first.empirical_cdf[min(horizon, first.grid[-1])]
                 * first.report.samples)
     p_bankrupt = waiting.bankruptcy_probability(inputs, network, share)

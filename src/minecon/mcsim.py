@@ -2,9 +2,10 @@
 
 All randomness flows from numpy's Philox-4x64-10 counter-based generator,
 keyed by (seed, stream_id); identical configs reproduce bit-identical
-streams on any platform. The Poisson, Binomial, and Exponential samplers
-are built here directly on the uniform bitstream (inversion against cached
-cdf tables for small means, transformed rejection above), so the closed
+streams on any platform. The Poisson, Binomial, Exponential and Gamma
+samplers are built here directly on the uniform bitstream (inversion
+against cached cdf tables for small means, transformed rejection above,
+Marsaglia-Tsang with Box-Muller normals for the Gamma), so the closed
 forms under test never feed their own verification. A Chen-Asau guide table
 beside each cdf table settles most draws without a search; the rest are
 searched (Poisson) or bisected (binomial) between their bucket's bounds,
@@ -24,11 +25,9 @@ from .errors import NumericalError, require
 from .rewarddist import MinerShare, NetworkParams
 
 
-_CENSOR_CAP = 10 ** 8
-# longest mean first-win wait, in epochs, the sweep simulation takes. A run
-# sweeps one epoch at a time until the slowest trial wins, about
-# mean * ln(trials) sweeps: at E q = 1.01e-5 with 2,000 trials, 870,699
-# sweeps in 23.5 s on 2 vCPUs
+# longest mean first-win wait, in epochs, the simulation takes. It bounds
+# the ECDF table, one row per epoch up to the longest wait, about
+# mean * ln(trials) rows: 1.5e6 rows for 10^6 trials at E q = 1.01e-5
 _MAX_MEAN_WAIT = 10 ** 5
 # table-inversion / transformed-rejection crossover for Poisson sampling
 _PTRS_THRESHOLD = 30.0
@@ -82,7 +81,8 @@ class FirstWinResult:
     """First-win waiting times: summary stats plus the empirical CDF.
 
     empirical_cdf[k] is the fraction of trials whose first win came in
-    epochs 1..grid[k]; censored counts trials aborted at the epoch cap.
+    epochs 1..grid[k]. Every trial runs to its first win, so censored is
+    always 0; it stays for the callers that report it.
     """
 
     report: SimReport
@@ -308,6 +308,43 @@ def exponential_sample(rng: np.random.Generator, rate: float,
     return -np.log1p(-rng.random(size)) / rate
 
 
+def gamma_sample(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
+    """Gamma(shape[i], 1) draws for shapes >= 1, by Marsaglia & Tsang.
+
+    Each round gives every pending entry a normal x, using both Box-Muller
+    normals of each uniform pair, and one uniform u. With d = shape - 1/3
+    and v = (1 + x / sqrt(9 d))^3, it accepts d v when v > 0 and
+    log(1 - u) < x^2/2 + d (1 - v + log v); the rest draw again.
+    """
+    out = np.empty(shape.size)
+    for lo in range(0, shape.size, _BLOCK):  # bounds the temporaries
+        d = shape[lo:lo + _BLOCK] - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9.0 * d)
+        pending = np.arange(d.size)
+        while pending.size:
+            m = pending.size
+            radius = np.sqrt(-2.0 * np.log1p(-rng.random((m + 1) // 2)))
+            angle = 2.0 * math.pi * rng.random((m + 1) // 2)
+            x = np.concatenate((radius * np.cos(angle),
+                                radius * np.sin(angle)))[:m]
+            u = rng.random(m)
+            dp, v = d[pending], (1.0 + c[pending] * x) ** 3
+            live = np.flatnonzero(v > 0.0)
+            taken = live[np.log1p(-u[live]) < 0.5 * x[live] ** 2
+                         + dp[live] * (1.0 - v[live] + np.log(v[live]))]
+            out[lo + pending[taken]] = dp[taken] * v[taken]
+            pending = np.delete(pending, taken)
+    return out
+
+
+def _first_won_block(u: np.ndarray, q: float) -> np.ndarray:
+    # K ~ Geometric(q) by inversion, K = ceil(log1p(-u) / log1p(-q)) >= 1:
+    # P(K > k) = P(1 - u < (1 - q)^k) = (1 - q)^k
+    if q == 1.0:
+        return np.ones(u.size)
+    return np.maximum(1.0, np.ceil(np.log1p(-u) / math.log1p(-q)))
+
+
 @dataclass(frozen=True)
 class EpochBatch:
     """Simulated epochs: per-epoch block totals, blocks won and rewards."""
@@ -335,20 +372,22 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
                             config: SimConfig) -> FirstWinResult:
     """Epochs until the first won block, over config.sample_count trials.
 
-    Trials advance in parallel sweeps: each sweep draws the epoch's block
-    count per live trial, then one uniform against P(any win | w) =
-    1 - (1-q)^w, which marginalizes the Binomial exactly. Wins land at the
-    epoch midpoint k - 1/2, the natural continuous-time reading of "during
-    epoch k"; the empirical CDF is reported on the integer epoch grid,
-    where the midpoint convention drops back out. Trials still alive at
-    10^8 epochs are censored and excluded from the report. A run lasts
-    until the slowest trial wins, about mean * ln(trials) sweeps. A win
-    rate E q below 10^-5 per epoch (zero included), a mean wait past 10^5
-    epochs, is refused.
+    Epoch 1 is swept: each trial draws its block count w, then one uniform
+    against P(any win | w) = 1 - (1-q)^w, which marginalizes the Binomial
+    exactly. Blocks arrive as a Poisson process of rate E per epoch, which
+    restarts at the epoch boundary, so each survivor's first won block is
+    the K-th after it, K ~ Geometric(q), and arrives G/E epochs later with
+    G ~ Gamma(K, 1) (gamma_sample): the win lands in epoch 1 + ceil(G/E).
+    Wins land at the epoch midpoint k - 1/2, the natural continuous-time
+    reading of "during epoch k"; the empirical CDF is reported on the
+    integer epoch grid, where the midpoint convention drops back out. The
+    route never reads the closed form p0 = 1 - e^{-Eq}. A win rate E q
+    below 10^-5 per epoch (zero included), a mean wait past 10^5 epochs,
+    is refused.
     """
     e = network.expected_blocks
     q = share.win_probability
-    # E q sizes the work only; the estimate never reads it
+    # E q sizes the ECDF table only; the estimate never reads it
     require(e * q * _MAX_MEAN_WAIT >= 1.0,
             f"win rate E q = {e * q:.6g} per epoch puts the mean first win "
             f"past {_MAX_MEAN_WAIT} epochs")
@@ -358,30 +397,17 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     counts = np.arange(_largest_draw(e) + 1)
     win_given_w = -np.expm1(np.log1p(-q) * counts) \
         if q < 1.0 else (counts > 0).astype(float)
+    w = poisson_sample(rng, e, n)
+    won = rng.random(n) < win_given_w[w]
+    lost = np.flatnonzero(~won)
+    blocks = gamma_sample(rng, _first_won_block(rng.random(lost.size), q))
+    epochs = np.ones(n, dtype=np.int64)
+    epochs[lost] += np.ceil(blocks / e).astype(np.int64)
+    report = _mean_report(epochs - 0.5, config.seed)
 
-    times = np.full(n, np.inf)
-    active = np.arange(n)
-    epoch = 0
-    while active.size:
-        epoch += 1
-        if epoch > _CENSOR_CAP:
-            break
-        m = active.size
-        w = poisson_sample(rng, e, m)
-        won = rng.random(m) < win_given_w[w]
-        times[active[won]] = epoch - 0.5
-        active = active[~won]
-
-    censored = int(active.size)
-    wins = times[np.isfinite(times)]
-    report = _mean_report(wins, config.seed)
-
-    top = int(math.ceil(wins.max())) if wins.size else 0
-    grid = np.arange(top + 1)
-    ordered = np.sort(wins)
-    ecdf = np.searchsorted(ordered, grid, side="right") / wins.size
-    return FirstWinResult(report=report, grid=grid, empirical_cdf=ecdf,
-                          censored=censored)
+    ecdf = np.cumsum(np.bincount(epochs)) / n
+    return FirstWinResult(report=report, grid=np.arange(ecdf.size),
+                          empirical_cdf=ecdf, censored=0)
 
 
 def _positive_poisson(rng: np.random.Generator, mean: float,

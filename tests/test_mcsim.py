@@ -8,12 +8,14 @@ from scipy import stats
 
 from minecon.errors import NumericalError, ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
-from minecon.mcsim import (SimConfig, _binomial_cdf_table, _generator,
-                           _guided, _poisson_cdf_table, _poisson_invert,
+from minecon.mcsim import (SimConfig, _binomial_cdf_table, _first_won_block,
+                           _generator, _guided, _largest_draw,
+                           _poisson_cdf_table, _poisson_invert,
                            binomial_sample,
                            estimate_first_win_time, exponential_sample,
-                           poisson_sample, round_oracle, round_payoffs,
-                           simulate_epochs, simulate_wealth_path)
+                           gamma_sample, poisson_sample, round_oracle,
+                           round_payoffs, simulate_epochs,
+                           simulate_wealth_path)
 from minecon.rewarddist import (MinerShare, NetworkParams,
                                 win_count_pmf_closed)
 
@@ -34,6 +36,33 @@ def binomial_sample_per_count(rng, trials, q):
         cdf = _binomial_cdf_table(int(w), q)
         out[mask] = np.searchsorted(cdf, u[mask], side="right")
     return out
+
+
+def first_win_sweep(network, share, config):
+    """The epoch-by-epoch sweep estimate_first_win_time replaced, kept as its
+    oracle: every live trial draws each epoch's block count, then one uniform
+    against P(any win | w), until all have won. Returns each trial's
+    midpoint-recorded wait."""
+    e = network.expected_blocks
+    q = share.win_probability
+    rng = _generator(config)
+    n = config.sample_count
+
+    counts = np.arange(_largest_draw(e) + 1)
+    win_given_w = -np.expm1(np.log1p(-q) * counts) \
+        if q < 1.0 else (counts > 0).astype(float)
+
+    times = np.full(n, np.inf)
+    active = np.arange(n)
+    epoch = 0
+    while active.size:
+        epoch += 1
+        m = active.size
+        w = poisson_sample(rng, e, m)
+        won = rng.random(m) < win_given_w[w]
+        times[active[won]] = epoch - 0.5
+        active = active[~won]
+    return times
 
 
 class TestConfig:
@@ -181,6 +210,63 @@ class TestSamplers:
         assert float(draws.mean()) == pytest.approx(4.0, rel=0.02)
         assert float(draws.var()) == pytest.approx(16.0, rel=0.05)
         assert float(draws.min()) > 0.0
+
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 21.0, 1e3, 1e6])
+    def test_gamma_moments(self, shape):
+        # Gamma(a, 1): mean a, variance a, excess kurtosis 6/a
+        n = 200_000
+        rng = _generator(SimConfig(seed=44, sample_count=1))
+        draws = gamma_sample(rng, np.full(n, shape))
+        assert np.isfinite(draws).all()
+        assert float(draws.min()) > 0.0
+        # no normal is used twice: continuous draws repeat no value
+        assert np.unique(draws).size == n
+        assert abs(float(draws.mean()) - shape) <= 5 * math.sqrt(shape / n)
+        var_se = shape * math.sqrt((2.0 + 6.0 / shape) / n)
+        assert abs(float(draws.var(ddof=1)) - shape) <= 5 * var_se
+
+    def test_gamma_mixed_shapes_match_scipy(self):
+        # 90,000 draws span two of the sampler's 65,536-entry blocks
+        shapes = np.tile([1.0, 3.0, 40.0], 30_000)
+        rng = _generator(SimConfig(seed=45, sample_count=1))
+        draws = gamma_sample(rng, shapes)
+        for a in (1.0, 3.0, 40.0):
+            assert stats.kstest(draws[shapes == a],
+                                stats.gamma(a).cdf).pvalue > 1e-3
+
+    def test_gamma_same_seed_same_draws(self):
+        shapes = np.array([1.0, 2.5, 21.0, 1e6] * 1000)
+        a = gamma_sample(_generator(SimConfig(seed=46, sample_count=1)),
+                         shapes)
+        b = gamma_sample(_generator(SimConfig(seed=46, sample_count=1)),
+                         shapes)
+        np.testing.assert_array_equal(a, b)
+        assert gamma_sample(_generator(SimConfig(seed=46, sample_count=1)),
+                            np.empty(0)).size == 0
+
+    @pytest.mark.parametrize("q", [0.05, 1.0 / 21.0, 0.3])
+    def test_first_won_block_is_geometric(self, q):
+        n = 200_000
+        rng = _generator(SimConfig(seed=47, sample_count=1))
+        k = _first_won_block(rng.random(n), q)
+        assert (k >= 1).all() and (k == np.floor(k)).all()
+        mean, var = 1.0 / q, (1.0 - q) / q ** 2
+        assert abs(float(k.mean()) - mean) <= 5 * math.sqrt(var / n)
+        for j in (1, 2, 5):
+            tail = (1.0 - q) ** j
+            assert abs(float(np.mean(k > j)) - tail) \
+                <= 5 * math.sqrt(tail * (1.0 - tail) / n)
+
+    def test_first_won_block_edges(self):
+        u = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
+        np.testing.assert_array_equal(_first_won_block(u, 1.0), 1.0)
+        # E <= 1e7 and E q >= 1e-5 keep q >= 1e-12
+        for q in (0.3, 1e-3, 1e-8, 1e-12):
+            k = _first_won_block(u, q)
+            assert np.isfinite(k).all() and (k >= 1).all()
+            assert k[0] == 1.0
+        assert _first_won_block(u, 1e-12)[-1] \
+            == pytest.approx(53 * math.log(2) / 1e-12, rel=1e-6)
 
 
 class FixedUniforms:
@@ -349,6 +435,49 @@ class TestFirstWinTime:
         # every trial wins in epoch 1 and is recorded at the midpoint
         assert result.report.estimate == 0.5
         assert result.report.std_error == 0.0
+
+    SWEEP_CASES = [(10.0, 0.05), (10.0, 0.3), (10.0, 1.0),
+                   (200.0, 1.0 / 21.0), (0.5, 0.3)]
+
+    @pytest.mark.parametrize("e, q", SWEEP_CASES)
+    def test_matches_the_sweep_oracle(self, e, q):
+        # two-sample Kolmogorov-Smirnov bound at level 1e-3, conservative
+        # for these integer waits: c(1e-3) sqrt(2 / n) with c = 1.95
+        n = 20_000
+        result = estimate_first_win_time(network(e=e), MinerShare(q),
+                                         SimConfig(seed=21, sample_count=n))
+        sweep = first_win_sweep(network(e=e), MinerShare(q),
+                                SimConfig(seed=22, sample_count=n))
+        grid = np.arange(int(max(result.grid[-1], sweep.max() + 0.5)) + 1)
+        ours = np.ones(grid.size)
+        ours[:result.grid.size] = result.empirical_cdf
+        theirs = np.searchsorted(np.sort(sweep), grid, side="right") / n
+        assert float(np.max(np.abs(ours - theirs))) <= 1.95 * math.sqrt(2 / n)
+
+    @pytest.mark.parametrize("e, q", SWEEP_CASES)
+    def test_epoch_one_is_the_sweep_bit_for_bit(self, e, q):
+        config = SimConfig(seed=23, sample_count=20_000)
+        result = estimate_first_win_time(network(e=e), MinerShare(q), config)
+        sweep = first_win_sweep(network(e=e), MinerShare(q), config)
+        assert result.empirical_cdf[1] == np.mean(sweep == 0.5)
+
+    @pytest.mark.parametrize("e, q", [(10.0, 0.05), (0.5, 0.3)])
+    def test_tail_is_exactly_exponential_in_epochs(self, e, q):
+        # P(wait > k) = e^{-k E q}; epochs past 1 come from the Gamma route
+        n = 200_000
+        result = estimate_first_win_time(network(e=e), MinerShare(q),
+                                         SimConfig(seed=24, sample_count=n))
+        for k in (1, 2, 5):
+            tail = math.exp(-k * e * q)
+            assert abs(1.0 - float(result.empirical_cdf[k]) - tail) \
+                <= 4 * math.sqrt(tail * (1.0 - tail) / n)
+
+    def test_same_config_same_result(self):
+        config = SimConfig(seed=25, sample_count=5_000)
+        a = estimate_first_win_time(network(), MinerShare(0.01), config)
+        b = estimate_first_win_time(network(), MinerShare(0.01), config)
+        assert a.report == b.report
+        np.testing.assert_array_equal(a.empirical_cdf, b.empirical_cdf)
 
     def test_mean_wait_past_the_sweep_limit_is_refused(self, monkeypatch):
         # E q = 1e-6: about 10^6 sweeps per trial; refused before any draw
