@@ -4,12 +4,12 @@ All randomness flows from numpy's Philox-4x64-10 counter-based generator,
 keyed by (seed, stream_id); identical configs reproduce bit-identical
 streams on any platform. The Poisson, Binomial, Exponential and Gamma
 samplers are built here directly on the uniform bitstream (inversion
-against cached cdf tables for small means, transformed rejection above,
-Marsaglia-Tsang with Box-Muller normals for the Gamma), so the closed
-forms under test never feed their own verification. A Chen-Asau guide table
-beside each cdf table settles most draws without a search; the rest are
-searched (Poisson) or bisected (binomial) between their bucket's bounds,
-drawing the same.
+against cached cdf tables for the Poisson at every mean and for the
+Binomial, Marsaglia-Tsang with Box-Muller normals for the Gamma), so the
+closed forms under test never feed their own verification. A Chen-Asau
+guide table beside each cdf table settles most draws without a search; the
+rest are searched (Poisson) or bisected (binomial) between their bucket's
+bounds, drawing the same.
 """
 
 import math
@@ -29,19 +29,15 @@ from .rewarddist import MinerShare, NetworkParams
 # the ECDF table, one row per epoch up to the longest wait, about
 # mean * ln(trials) rows: 1.5e6 rows for 10^6 trials at E q = 1.01e-5
 _MAX_MEAN_WAIT = 10 ** 5
-# table-inversion / transformed-rejection crossover for Poisson sampling
-_PTRS_THRESHOLD = 30.0
-# largest mean PTRS takes: its lgamma table holds mean + 60 sd + 200 entries
-_MAX_PTRS_MEAN = 10 ** 7
-# per-table truncation: tails thinner than this are folded into the last entry
-_TABLE_TAIL = 1e-18
+# largest Poisson mean sampled: its table spans mean -+ (60 sd + 200),
+# 380k entries at 10^7
+_MAX_POISSON_MEAN = 10 ** 7
 # cdf entries the tables of one binomial_sample call may hold, w + 1 per
 # distinct count w (80 MB as float64, and as much again concatenated)
 _MAX_TABLE_ENTRIES = 10 ** 7
 _BLOCK = 1 << 16
 # guide[b] counts the cdf entries <= b / 2^10; key u's bucket is floor(u 2^10)
 _GUIDE_BITS = 10
-_GUIDE_MIN = 1024
 _GUIDE_EDGES = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
 # epochs one wealth path may hold (a few float64 arrays of 80 MB)
 _MAX_HORIZON = 10 ** 7
@@ -129,37 +125,46 @@ def _guided(build, *args) -> tuple:
 
 
 def _poisson_invert(mean: float, x: np.ndarray) -> np.ndarray:
-    # np.searchsorted(cdf, x, "right") at keys x in [0, 1], capped at the
-    # last entry; the guide settles the buckets holding no cdf entry
+    # the table's first count plus np.searchsorted(cdf, x, "right") at keys
+    # x in [0, 1], capped at the last entry; the guide settles the buckets
+    # holding no cdf entry
     cdf, guide = _guided(_poisson_cdf_table, mean)
     draws = np.empty(x.size, dtype=np.int64)
     for lo in range(0, x.size, _BLOCK):  # bounds the temporaries
         b = x[lo:lo + _BLOCK]
-        if b.size < _GUIDE_MIN:  # the guide's fixed cost outweighs the search
-            found = np.searchsorted(cdf, b, side="right")
-        else:
-            cell = (b * (1 << _GUIDE_BITS)).astype(np.intp)
-            found = guide[cell]
-            miss = np.flatnonzero(found != guide[1:].take(cell, mode="clip"))
-            found[miss] = np.searchsorted(cdf, b[miss], side="right")
+        cell = (b * (1 << _GUIDE_BITS)).astype(np.intp)
+        found = guide[cell]
+        miss = np.flatnonzero(found != guide[1:].take(cell, mode="clip"))
+        found[miss] = np.searchsorted(cdf, b[miss], side="right")
         draws[lo:lo + b.size] = found
-    return np.minimum(draws, cdf.size - 1, out=draws)
+    np.minimum(draws, cdf.size - 1, out=draws)
+    return np.add(draws, _poisson_span(mean)[0], out=draws)
+
+
+def _poisson_span(mean: float) -> tuple:
+    # first and last count of the Poisson table: mean -+ (60 sd + 200),
+    # clipped at 0; the mass outside, below e^-1000, underflows a double
+    require(mean <= _MAX_POISSON_MEAN,
+            f"Poisson mean {mean:.6g} exceeds the sampler's limit of "
+            f"{_MAX_POISSON_MEAN}")
+    half = 60.0 * math.sqrt(mean) + 200.0
+    return int(max(0.0, mean - half)), int(mean + half)
 
 
 def _poisson_cdf_table(mean: float) -> np.ndarray:
-    # cumulative Poisson probabilities out to the _TABLE_TAIL tail
-    term = math.exp(-mean)
-    cdf = [term]
-    cum = term
-    k = 0
-    while not (k > mean and term < _TABLE_TAIL):
-        k += 1
-        term *= mean / k
-        cum += term
-        cdf.append(min(cum, 1.0))
-        if k > 10_000_000:
-            raise NumericalError("Poisson table failed to terminate")
-    return _read_only(np.array(cdf))
+    # cumulative Poisson probabilities over _poisson_span(mean). Each mass
+    # is taken relative to the mode's, log p(k)/p(mode) a cumulative sum of
+    # log(mean/j), and the cumulative masses are divided by their sum: no
+    # e^-mean start, which underflows past mean 745. The masses are built
+    # here, not read from rewarddist, whose pmfs verify checks against
+    # these draws.
+    first, last = _poisson_span(mean)
+    step = np.log(mean / np.arange(first + 1, last + 1))  # log p(j)/p(j-1)
+    mode = int(mean) - first
+    below = np.cumsum(-step[mode - 1::-1])[::-1] if mode else np.empty(0)
+    log_mass = np.concatenate((below, [0.0], np.cumsum(step[mode:])))
+    cdf = np.cumsum(np.exp(log_mass))
+    return _read_only(cdf / cdf[-1])
 
 
 def _binomial_cdf_table(trials: int, q: float) -> np.ndarray:
@@ -191,65 +196,16 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 def poisson_sample(rng: np.random.Generator, mean: float,
                    size: int) -> np.ndarray:
-    """Poisson draws: cdf-table inversion for mean <= 30, PTRS above."""
+    """Poisson draws by inversion against the mean's cached cdf table.
+
+    One uniform per draw; the table spans mean -+ (60 sd + 200), so a mean
+    past 10^7, whose table would pass 380k entries, is refused.
+    """
     require(mean >= 0 and math.isfinite(mean),
             "Poisson mean must be nonnegative and finite")
     if mean == 0.0:
         return np.zeros(size, dtype=np.int64)
-    if mean <= _PTRS_THRESHOLD:
-        return _poisson_invert(mean, rng.random(size))
-    return _poisson_ptrs(rng, mean, size)
-
-
-def _largest_draw(mean: float) -> int:
-    """The largest count poisson_sample can return at this mean."""
-    if mean <= _PTRS_THRESHOLD:
-        return len(_guided(_poisson_cdf_table, mean)[0]) - 1
-    # PTRS rejects proposals past its lgamma table, ~60 sigma out
-    require(mean <= _MAX_PTRS_MEAN,
-            f"Poisson mean {mean:.6g} exceeds the sampler's limit of "
-            f"{_MAX_PTRS_MEAN}")
-    return int(mean + 60.0 * math.sqrt(mean) + 200.0)
-
-
-def _poisson_ptrs(rng: np.random.Generator, mean: float,
-                  size: int) -> np.ndarray:
-    # transformed rejection with squeeze (Hormann's PTRS), vectorized;
-    # proposals beyond the lgamma table are rejected
-    b = 0.931 + 2.53 * math.sqrt(mean)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_mean = math.log(mean)
-    k_cap = _largest_draw(mean)
-    lgamma_table = np.array([math.lgamma(k + 1.0) for k in range(k_cap + 1)])
-
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    while filled < size:
-        m = size - filled
-        u = rng.random(m) - 0.5
-        v = rng.random(m)
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + mean + 0.43).astype(np.int64)
-
-        accept = (us >= 0.07) & (v <= v_r)
-        plausible = ~accept & (k >= 0) & (k <= k_cap) \
-            & ~((us < 0.013) & (v > us))
-        if np.any(plausible):
-            kp = k[plausible]
-            usp = us[plausible]
-            lhs = (np.log(v[plausible]) + math.log(inv_alpha)
-                   - np.log(a / (usp * usp) + b))
-            rhs = kp * log_mean - mean - lgamma_table[kp]
-            full = np.zeros(m, dtype=bool)
-            full[np.nonzero(plausible)[0][lhs <= rhs]] = True
-            accept |= full
-        accept &= k >= 0
-        taken = k[accept]
-        out[filled:filled + taken.size] = taken
-        filled += taken.size
-    return out
+    return _poisson_invert(mean, rng.random(size))
 
 
 def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
@@ -394,11 +350,9 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     rng = _generator(config)
     n = config.sample_count
 
-    counts = np.arange(_largest_draw(e) + 1)
-    win_given_w = -np.expm1(np.log1p(-q) * counts) \
-        if q < 1.0 else (counts > 0).astype(float)
     w = poisson_sample(rng, e, n)
-    won = rng.random(n) < win_given_w[w]
+    win_given_w = -np.expm1(np.log1p(-q) * w) if q < 1.0 else w > 0
+    won = rng.random(n) < win_given_w
     lost = np.flatnonzero(~won)
     blocks = gamma_sample(rng, _first_won_block(rng.random(lost.size), q))
     epochs = np.ones(n, dtype=np.int64)
@@ -412,14 +366,8 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
 
 def _positive_poisson(rng: np.random.Generator, mean: float,
                       size: int) -> np.ndarray:
-    # Poisson(mean) conditioned on >= 1
-    if mean > _PTRS_THRESHOLD:
-        # P(0) = e^{-mean} < 1e-13; resample the (never-seen) zeros
-        draws = _poisson_ptrs(rng, mean, size)
-        while np.any(draws == 0):
-            zeros = draws == 0
-            draws[zeros] = _poisson_ptrs(rng, mean, int(zeros.sum()))
-        return draws
+    # Poisson(mean) conditioned on >= 1: keys in [cdf[0], 1] skip count 0
+    # (a table starting past 0 has cdf[0] = 0)
     floor = _guided(_poisson_cdf_table, mean)[0][0]
     return _poisson_invert(mean, floor + rng.random(size) * (1.0 - floor))
 

@@ -587,7 +587,7 @@ class TestExitCodes:
         (1e-300, "first-win")])
     def test_unsimulable_win_stream_is_refused(self, tmp_path, capsys,
                                                blocks, kind):
-        # E = 1e300 would need an lgamma table of 1e300 entries; at
+        # E = 1e300 is past the Poisson table's 10^7 mean limit; at
         # E = 1e-300 first-win's mean wait is past its 10^5-epoch limit
         path = write_scenario(tmp_path, E=blocks)
         out = tmp_path / "artifacts"

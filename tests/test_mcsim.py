@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,8 +10,8 @@ from scipy import stats
 from minecon.errors import NumericalError, ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _first_won_block,
-                           _generator, _guided, _largest_draw,
-                           _poisson_cdf_table, _poisson_invert,
+                           _generator, _guided, _poisson_cdf_table,
+                           _poisson_invert, _poisson_span,
                            binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            gamma_sample, poisson_sample, round_oracle,
@@ -48,10 +49,6 @@ def first_win_sweep(network, share, config):
     rng = _generator(config)
     n = config.sample_count
 
-    counts = np.arange(_largest_draw(e) + 1)
-    win_given_w = -np.expm1(np.log1p(-q) * counts) \
-        if q < 1.0 else (counts > 0).astype(float)
-
     times = np.full(n, np.inf)
     active = np.arange(n)
     epoch = 0
@@ -59,7 +56,8 @@ def first_win_sweep(network, share, config):
         epoch += 1
         m = active.size
         w = poisson_sample(rng, e, m)
-        won = rng.random(m) < win_given_w[w]
+        win_given_w = -np.expm1(np.log1p(-q) * w) if q < 1.0 else w > 0
+        won = rng.random(m) < win_given_w
         times[active[won]] = epoch - 0.5
         active = active[~won]
     return times
@@ -84,16 +82,38 @@ class TestSamplers:
         assert abs(float(draws.mean()) - mean) <= 4 * se
         assert float(draws.var()) == pytest.approx(mean, rel=0.02)
 
-    @pytest.mark.parametrize("mean", [0.7, 50.0])
+    @pytest.mark.parametrize("mean", [0.7, 50.0, 200.0, 1e4])
     def test_poisson_distribution_shape(self, mean):
-        # covers both the table-inversion and transformed-rejection paths
+        # from a table starting at 0 to one starting at 3,800; counts are
+        # pooled in bins of floor(sd) // 10 (one count below mean 400),
+        # which keeps the sampling noise in the total variation below the
+        # bound
         rng = _generator(SimConfig(seed=23, sample_count=1))
         n = 400_000
+        width = max(1, math.isqrt(int(mean)) // 10)
         draws = poisson_sample(rng, mean, n)
-        emp = np.bincount(draws) / n
-        ref = stats.poisson(mean).pmf(np.arange(emp.size))
+        emp = np.bincount(draws // width) / n
+        ref = stats.poisson(mean).pmf(np.arange(emp.size * width))
+        ref = ref.reshape(-1, width).sum(axis=1)
         tv = 0.5 * (np.abs(emp - ref).sum() + max(0.0, 1.0 - ref.sum()))
         assert tv <= 0.01
+
+    @pytest.mark.parametrize("mean", [1e-3, 0.476, 10.0, 30.0, 200.0, 1e4,
+                                      1e6, 1e7])
+    def test_poisson_table_matches_mpmath(self, mean):
+        # P(X <= k) = Q(k + 1, mean), the regularized upper incomplete
+        # gamma, at the mode and 1, 3 and 8 sd either side of the mean
+        cdf = _poisson_cdf_table(mean)
+        first, last = _poisson_span(mean)
+        assert cdf.size == last - first + 1
+        assert (np.diff(cdf) >= 0).all() and cdf[-1] == 1.0
+        sd = math.sqrt(mean)
+        for z in (-8, -3, -1, 0, 1, 3, 8):
+            k = max(0, int(mean + z * sd))
+            with mpmath.workdps(30):
+                want = mpmath.gammainc(k + 1, mean, mpmath.inf,
+                                       regularized=True)
+            assert abs(cdf[k - first] - float(want)) <= 1e-13, k
 
     def test_poisson_zero_mean(self):
         rng = _generator(SimConfig(seed=5, sample_count=1))
@@ -101,7 +121,7 @@ class TestSamplers:
 
     @pytest.mark.parametrize("mean", [1e7 + 1.0, 1e300])
     def test_poisson_mean_past_the_table_limit_is_refused(self, mean):
-        # PTRS's lgamma table would hold mean + 60 sd + 200 entries
+        # the table would span mean -+ (60 sd + 200): 380k entries at 10^7
         rng = _generator(SimConfig(seed=5, sample_count=1))
         with pytest.raises(ValidationError, match="Poisson mean"):
             poisson_sample(rng, mean, 10)
@@ -292,14 +312,18 @@ def edge_uniforms(cdf):
 class TestGuideTables:
     """Guided inversion against the plain searchsorted it replaces."""
 
-    @pytest.mark.parametrize("mean", np.geomspace(1e-3, 30.0, 23).tolist())
+    @pytest.mark.parametrize(
+        "mean", np.geomspace(1e-3, 30.0, 23).tolist() + [200.0, 1e4, 1e6])
     def test_poisson_matches_plain_search(self, mean):
+        # a draw is the table's first count, above 0 past mean 3,990, plus
+        # the capped plain search
         cdf = _guided(_poisson_cdf_table, mean)[0]
+        first = _poisson_span(mean)[0]
         u = np.concatenate([edge_uniforms(cdf),
                             np.random.default_rng(7).random(20_000)])
-        want = np.minimum(np.searchsorted(cdf, u, side="right"),
-                          cdf.size - 1)
-        # 1,023 keys and fewer skip the guide
+        want = first + np.minimum(np.searchsorted(cdf, u, side="right"),
+                                  cdf.size - 1)
+        # the whole key set and two short prefixes
         for size in (u.size, 1024, 1023):
             np.testing.assert_array_equal(
                 poisson_sample(FixedUniforms(u), mean, size), want[:size])
@@ -307,7 +331,7 @@ class TestGuideTables:
         x = np.concatenate([cdf[0] + u * (1.0 - cdf[0]), [1.0]])
         want = np.searchsorted(cdf, x, side="right")
         np.testing.assert_array_equal(_poisson_invert(mean, x),
-                                      np.minimum(want, cdf.size - 1))
+                                      first + np.minimum(want, cdf.size - 1))
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3, 0.5])
     def test_binomial_matches_plain_search(self, q):
@@ -478,6 +502,18 @@ class TestFirstWinTime:
         b = estimate_first_win_time(network(), MinerShare(0.01), config)
         assert a.report == b.report
         np.testing.assert_array_equal(a.empirical_cdf, b.empirical_cdf)
+
+    @pytest.mark.parametrize("q", [1e-3, 1e-7])
+    def test_largest_mean_is_drawn_from_its_table(self, q):
+        # E = 10^7, the sampler's limit: one table of under 400k entries
+        e, n = 1e7, 2_000
+        result = estimate_first_win_time(network(e=e), MinerShare(q),
+                                         SimConfig(seed=26, sample_count=n))
+        report = result.report
+        assert math.isfinite(report.estimate)
+        want = 1.0 / -math.expm1(-e * q) - 0.5
+        assert abs(report.estimate - want) <= 5 * report.std_error
+        assert _guided(_poisson_cdf_table, e)[0].size < 400_000
 
     def test_mean_wait_past_the_sweep_limit_is_refused(self, monkeypatch):
         # E q = 1e-6: about 10^6 sweeps per trial; refused before any draw
