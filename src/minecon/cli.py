@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -137,13 +138,6 @@ def load_scenario(path) -> Scenario:
 # -- deterministic serialization -------------------------------------------
 
 
-def _fmt(x) -> str:
-    value = float(x)
-    if not math.isfinite(value):
-        raise NumericalError(f"non-finite value {value!r} in output")
-    return format(value, ".17g")
-
-
 def _json_text(value, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -174,7 +168,10 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite value {value!r} in output")
+        return format(value, ".17g")
     return str(value)
 
 
@@ -183,17 +180,18 @@ def _json_file(path: Path, payload: dict) -> tuple:
 
 
 def _table_file(base: Path, fmt: str, columns: dict) -> tuple:
-    """Render named 1-D columns as a CSV or JSON table with one format call
-    per row: integer columns print as ``{}``, float columns as ``{:.17g}``,
-    the same text _cell gives each value."""
-    cols = [np.asarray(c) for c in columns.values()]
+    """Render named 1-D columns as a CSV or JSON table with one ``%`` call
+    per batch of rows: float columns print as ``%.17g``, every other column
+    as ``%s`` (bools as true/false), the same text _cell gives each value."""
+    cols = [np.where(c, "true", "false") if c.dtype.kind == "b" else c
+            for c in map(np.asarray, columns.values())]
     finite = [np.isfinite(c) for c in cols if c.dtype.kind == "f"]
     if not all(f.all() for f in finite):
         row = min(int(np.argmin(f)) for f in finite if not f.all())
         value = next(float(c[row]) for c in cols
                      if c.dtype.kind == "f" and not np.isfinite(c[row]))
         raise NumericalError(f"non-finite value {value!r} in output")
-    specs = ["{:.17g}" if c.dtype.kind == "f" else "{}" for c in cols]
+    specs = ["%.17g" if c.dtype.kind == "f" else "%s" for c in cols]
     if fmt == "csv":
         template, sep = ",".join(specs), "\n"
     else:
@@ -204,8 +202,9 @@ def _table_file(base: Path, fmt: str, columns: dict) -> tuple:
     # rows are formatted _RENDER_ROWS at a time, so only that many rows of
     # Python numbers and strings are alive at once
     rows = len(cols[0])
-    chunks = (sep.join(map(template.format,
-                           *(c[lo:lo + _RENDER_ROWS].tolist() for c in cols)))
+    chunks = (sep.join([template] * min(rows - lo, _RENDER_ROWS)) % tuple(
+        chain.from_iterable(zip(*(c[lo:lo + _RENDER_ROWS].tolist()
+                                  for c in cols))))
               for lo in range(0, rows, _RENDER_ROWS))
     if fmt == "csv":
         return base.with_suffix(".csv"), "\n".join([",".join(columns),

@@ -221,9 +221,13 @@ def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
     E times win_probability would differ in the last bit, so the rate keeps
     its own rounding order.
     """
-    p = plan.power
-    return _per_joined_power(network.expected_blocks * p, p, network,
-                             "win rate E p/(P0 + p)")
+    e, p = network.expected_blocks, plan.power
+    rate = _per_joined_power(e * p, p, network, "win rate E p/(P0 + p)")
+    # the rate is at most E, so only an overflowing E p leaves it infinite
+    if not np.isfinite(rate).all():
+        raise NumericalError(f"E p overflows at E = {e!r}, "
+                             f"p = {float(np.max(p))!r}")
+    return rate
 
 
 def conditional_reward(plan: MinerPlan, network: NetworkParams) -> float:

@@ -301,6 +301,12 @@ def _first_won_block(u: np.ndarray, q: float) -> np.ndarray:
     return np.maximum(1.0, np.ceil(np.log1p(-u) / math.log1p(-q)))
 
 
+def _win_given_w(w: np.ndarray, q: float) -> np.ndarray:
+    # P(any win | w) = 1 - (1-q)^w, once per count in [w.min(), w.max()]
+    lo = w.min()
+    return -np.expm1(np.log1p(-q) * np.arange(lo, w.max() + 1))[w - lo]
+
+
 @dataclass(frozen=True)
 class EpochBatch:
     """Simulated epochs: per-epoch block totals, blocks won and rewards."""
@@ -351,7 +357,7 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     n = config.sample_count
 
     w = poisson_sample(rng, e, n)
-    win_given_w = -np.expm1(np.log1p(-q) * w) if q < 1.0 else w > 0
+    win_given_w = _win_given_w(w, q) if q < 1.0 else w > 0
     won = rng.random(n) < win_given_w
     lost = np.flatnonzero(~won)
     blocks = gamma_sample(rng, _first_won_block(rng.random(lost.size), q))

@@ -76,26 +76,32 @@ class LatticePmf:
                 "pmf must carry at least one mass")
         require(bool(np.all(masses >= 0)), "masses must be nonnegative")
         require(0 < self.tail_tol < 1, "tail_tol must lie in (0, 1)")
-        total = self.total_mass()
-        require(1.0 - self.tail_tol <= total <= 1.0 + 1e-12,
-                f"total mass {total!r} outside [1 - tail_tol, 1]")
+        object.__setattr__(self, "_total", _exact_sum(masses))
+        require(1.0 - self.tail_tol <= self._total <= 1.0 + 1e-12,
+                f"total mass {self._total!r} outside [1 - tail_tol, 1]")
 
     def points(self) -> np.ndarray:
         return self.step * np.arange(len(self.masses))
 
     def total_mass(self) -> float:
-        return math.fsum(self.masses.tolist())
+        return self._total
 
     def mean(self) -> float:
         # (m j) step, not m (j step): the last bits of pmf_mean depend on it
-        j = np.arange(len(self.masses))
-        return math.fsum((self.masses * j * self.step).tolist())
+        if "_mean" not in vars(self):
+            terms = self.masses * np.arange(len(self.masses)) * self.step
+            object.__setattr__(self, "_mean", _exact_sum(terms))
+        return self._mean
 
     def variance(self) -> float:
         mu = self.mean()
         points = self.points()
-        second = math.fsum((self.masses * (points * points)).tolist())
-        return second - mu * mu
+        return _exact_sum(self.masses * (points * points)) - mu * mu
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    # fsum rounds correctly in any order; largest first keeps partials few
+    return math.fsum(np.sort(values)[::-1].tolist())
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n), exact for n = 1..15

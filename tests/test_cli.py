@@ -398,6 +398,33 @@ class TestTableWriter:
             assert got == cell_table_text(fmt, columns, rows), artifact
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [0, 1, cli._RENDER_ROWS - 1,
+                                      cli._RENDER_ROWS, cli._RENDER_ROWS + 1])
+    def test_batch_edges_match_oracle(self, tmp_path, fmt, rows):
+        # int64, bool and float columns around one batch of rows; the
+        # floats cycle through values whose shortest text is tricky
+        floats = np.resize([-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17,
+                            2.0 ** 53 + 2, 1.0 / 3.0], rows)
+        columns = {"k": np.arange(rows, dtype=np.int64) - 7,
+                   "flag": np.arange(rows) % 3 == 0, "x": floats}
+        _, text = cli._table_file(tmp_path / "t", fmt, columns)
+        want = cell_table_text(fmt, list(columns),
+                               zip(*(c.tolist() for c in columns.values())))
+        # lines, so a mismatch reports the first differing line quickly
+        assert text.splitlines() == want.splitlines()
+        assert text == want
+
+    def test_dist_sums_the_pmf_three_times(self, reference_file, tmp_path,
+                                           monkeypatch):
+        # total mass, mean and second moment, each summed once
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum",
+                            lambda values: calls.append(1) or fsum(values))
+        assert run_cli("dist", reference_file, "--out", tmp_path) == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table_matches_oracle(self, tmp_path, fmt):
         _, text = cli._table_file(tmp_path / "t", fmt,
                                   {"a": np.zeros(0, dtype=np.int64),
@@ -521,6 +548,24 @@ class TestExitCodes:
         assert result.stderr.startswith("error: numeric:")
         assert result.stderr.count("\n") == 1
         assert not (tmp_path / "artifacts" / "growth.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("growth",), ("optimize",), ("simulate", "--sim", "rounds")])
+    def test_overflowing_win_rate_numerator_is_numeric_failure(
+            self, tmp_path, command):
+        # E p = 10 * 7.5e307 overflows though q = p/(P0 + p) is finite;
+        # optimize reaches splits where P0 + p overflows first
+        path = write_scenario(tmp_path, P0=1e308, W=1e308, c_e=1.5)
+        result = _run_child(command[0], path, "--out",
+                            tmp_path / "artifacts", *command[1:])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: numeric:")
+        assert result.stderr.count("\n") == 1
+        if command[0] != "optimize":
+            assert result.stderr == ("error: numeric: E p overflows at "
+                                     "E = 10.0, p = 7.5e+307\n")
+        assert not (tmp_path / "artifacts").exists() or \
+            not list((tmp_path / "artifacts").iterdir())
 
     @pytest.mark.parametrize("command", [
         ("dist",), ("wait",), ("growth",), ("optimize",), ("fee",),

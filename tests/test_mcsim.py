@@ -12,7 +12,7 @@ from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _first_won_block,
                            _generator, _guided, _poisson_cdf_table,
                            _poisson_invert, _poisson_span,
-                           binomial_sample,
+                           _win_given_w, binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            gamma_sample, poisson_sample, round_oracle,
                            round_payoffs, simulate_epochs,
@@ -459,6 +459,18 @@ class TestFirstWinTime:
         # every trial wins in epoch 1 and is recorded at the midpoint
         assert result.report.estimate == 0.5
         assert result.report.std_error == 0.0
+
+    @pytest.mark.parametrize("e", [10.0, 200.0, 1e6])
+    @pytest.mark.parametrize("q", [1e-3, 0.05, 0.5, 0.999])
+    def test_win_table_equals_per_draw_expression(self, e, q):
+        # one entry per count in [w.min(), w.max()], read by index, gives
+        # the floats 1 - (1-q)^w evaluated draw by draw
+        w = poisson_sample(_generator(SimConfig(seed=19, sample_count=1)),
+                           e, 100_000)
+        got = _win_given_w(w, q)
+        want = -np.expm1(np.log1p(-q) * w)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     SWEEP_CASES = [(10.0, 0.05), (10.0, 0.3), (10.0, 1.0),
                    (200.0, 1.0 / 21.0), (0.5, 0.3)]

@@ -306,6 +306,29 @@ class TestLatticePmf:
         assert pmf.variance() == pytest.approx(second - mean * mean,
                                                rel=1e-13)
 
+    @pytest.mark.parametrize("m", [1.0, 0.37, 3.3871])
+    @pytest.mark.parametrize("mean", [1e-3, 1.0, 476.0, 9524.0, 1e5])
+    def test_sums_equal_index_order_fsum(self, mean, m):
+        # the masses, the mean's terms and the second moment's terms are
+        # summed largest first; fsum is correctly rounded, so the floats
+        # are the ones an index-order fsum gives
+        pmf = total_reward_pmf(*make_epoch(mean, 0.5, m, 2))
+        masses, points = pmf.masses, pmf.points()
+        mu = math.fsum((masses * np.arange(len(masses)) * m).tolist())
+        second = math.fsum((masses * (points * points)).tolist())
+        assert pmf.total_mass().hex() == math.fsum(masses.tolist()).hex()
+        assert pmf.mean().hex() == mu.hex()
+        assert pmf.variance().hex() == (second - mu * mu).hex()
+
+    def test_exact_sum_ignores_order_over_mixed_magnitudes(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(50):
+            size = int(rng.integers(1, 5000))
+            values = rng.random(size) * 10.0 ** rng.uniform(-300, 0, size)
+            rng.shuffle(values)
+            assert rewarddist._exact_sum(values).hex() == \
+                math.fsum(values.tolist()).hex()
+
 
 class TestShareValidation:
     def test_share_cannot_exceed_network(self):
