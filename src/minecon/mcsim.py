@@ -6,14 +6,14 @@ streams on any platform. The Poisson, Binomial, Exponential and Gamma
 samplers are built here directly on the uniform bitstream (inversion
 against cached cdf tables for the Poisson at every mean and for the
 Binomial, Marsaglia-Tsang with Box-Muller normals for the Gamma), so the
-closed forms under test never feed their own verification. A Chen-Asau
-guide table beside each cdf table settles most draws without a search; the
-rest are searched (Poisson) or bisected (binomial) between their bucket's
-bounds, drawing the same.
+closed forms under test never feed their own verification. Both cdf tables
+sum log mass ratios outward from the mode, so none starts from a mass that
+underflows. A Chen-Asau guide table beside each cdf table settles most
+draws without a search; the rest are searched (Poisson) or bisected
+(binomial) between their bucket's bounds, drawing the same.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import growth
-from .errors import NumericalError, require
+from .errors import require
 from .rewarddist import MinerShare, NetworkParams
 
 
@@ -33,7 +33,8 @@ _MAX_MEAN_WAIT = 10 ** 5
 # 380k entries at 10^7
 _MAX_POISSON_MEAN = 10 ** 7
 # cdf entries the tables of one binomial_sample call may hold, w + 1 per
-# distinct count w (80 MB as float64, and as much again concatenated)
+# distinct count w (80 MB as float64, as much again concatenated); drawing
+# two tables of 4.9e6 entries peaks at 233 MB RSS, building included
 _MAX_TABLE_ENTRIES = 10 ** 7
 _BLOCK = 1 << 16
 # guide[b] counts the cdf entries <= b / 2^10; key u's bucket is floor(u 2^10)
@@ -152,40 +153,43 @@ def _poisson_span(mean: float) -> tuple:
 
 
 def _poisson_cdf_table(mean: float) -> np.ndarray:
-    # cumulative Poisson probabilities over _poisson_span(mean). Each mass
-    # is taken relative to the mode's, log p(k)/p(mode) a cumulative sum of
-    # log(mean/j), and the cumulative masses are divided by their sum: no
-    # e^-mean start, which underflows past mean 745. The masses are built
-    # here, not read from rewarddist, whose pmfs verify checks against
-    # these draws.
+    # cumulative Poisson probabilities over _poisson_span(mean), from the
+    # steps log(mean/j); built here, not read from rewarddist, whose pmfs
+    # verify checks against these draws
     first, last = _poisson_span(mean)
-    step = np.log(mean / np.arange(first + 1, last + 1))  # log p(j)/p(j-1)
-    mode = int(mean) - first
-    below = np.cumsum(-step[mode - 1::-1])[::-1] if mode else np.empty(0)
-    log_mass = np.concatenate((below, [0.0], np.cumsum(step[mode:])))
-    cdf = np.cumsum(np.exp(log_mass))
-    return _read_only(cdf / cdf[-1])
+    step = np.log(mean / np.arange(first + 1, last + 1))
+    return _cdf_from_steps(step, int(mean) - first)
 
 
 def _binomial_cdf_table(trials: int, q: float) -> np.ndarray:
-    # cumulative Binomial(trials, q) probabilities over the full support
-    if trials == 0 or q == 0.0:
+    # cumulative Binomial(trials, q) probabilities over the full support,
+    # from the steps log((w - j + 1)/j) + log q - log1p(-q)
+    if q == 0.0:
         return _read_only(np.ones(1))
     if q == 1.0:
         cdf = np.zeros(trials + 1)
         cdf[-1] = 1.0
         return _read_only(cdf)
-    pmf = np.empty(trials + 1)
-    pmf[0] = (1.0 - q) ** trials
-    if pmf[0] < sys.float_info.min:  # the recurrence would start on no digits
-        raise NumericalError(f"Binomial table for w = {trials}, q = {q:.6g} "
-                             f"underflows: (1 - q)^w < {sys.float_info.min:.6g}")
-    ratio = q / (1.0 - q)
-    for v in range(trials):
-        pmf[v + 1] = pmf[v] * (trials - v) * ratio / (v + 1)
-    cdf = np.minimum(np.cumsum(pmf), 1.0)
-    cdf[-1] = 1.0
-    return _read_only(cdf)
+    step = np.arange(trials, 0, -1.0)
+    step /= np.arange(1.0, trials + 1)
+    np.log(step, out=step)
+    step += math.log(q) - math.log1p(-q)
+    return _cdf_from_steps(step, min(math.floor((trials + 1) * q), trials))
+
+
+def _cdf_from_steps(step: np.ndarray, mode: int) -> np.ndarray:
+    # cdf of counts 0..step.size from step[j - 1] = log p(j)/p(j-1), in one
+    # array: log p(k)/p(mode) sums the steps outward from the mode (no first
+    # mass to underflow), and the cumulative masses divide by their sum
+    cdf = np.empty(step.size + 1)
+    below = cdf[:mode][::-1]
+    np.add.accumulate(step[:mode][::-1], out=below)
+    np.negative(below, out=below)
+    cdf[mode] = 0.0
+    np.add.accumulate(step[mode:], out=cdf[mode + 1:])
+    np.exp(cdf, out=cdf)
+    np.add.accumulate(cdf, out=cdf)
+    return _read_only(np.divide(cdf, cdf[-1], out=cdf))
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -218,7 +222,7 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
     of searchsorted(side="right"). Drawing order and uniform consumption
     depend only on the length of `trials`, keeping streams reproducible.
     Counts whose tables would hold more than 10^7 entries in all are
-    refused, and so is a table whose first mass (1 - q)^w underflows.
+    refused.
     """
     require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
     u = rng.random(trials.size)

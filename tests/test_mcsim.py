@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from minecon.errors import NumericalError, ValidationError
+from minecon.errors import ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _first_won_block,
                            _generator, _guided, _poisson_cdf_table,
@@ -37,6 +37,19 @@ def binomial_sample_per_count(rng, trials, q):
         cdf = _binomial_cdf_table(int(w), q)
         out[mask] = np.searchsorted(cdf, u[mask], side="right")
     return out
+
+
+def poisson_cdf_table_concatenated(mean):
+    """The Poisson table build that now runs in place through
+    _cdf_from_steps, kept as its oracle: log masses relative to the mode's,
+    concatenated, then exponentiated, summed and normalized."""
+    first, last = _poisson_span(mean)
+    step = np.log(mean / np.arange(first + 1, last + 1))
+    mode = int(mean) - first
+    below = np.cumsum(-step[mode - 1::-1])[::-1] if mode else np.empty(0)
+    log_mass = np.concatenate((below, [0.0], np.cumsum(step[mode:])))
+    cdf = np.cumsum(np.exp(log_mass))
+    return cdf / cdf[-1]
 
 
 def first_win_sweep(network, share, config):
@@ -115,6 +128,15 @@ class TestSamplers:
                                        regularized=True)
             assert abs(cdf[k - first] - float(want)) <= 1e-13, k
 
+    @pytest.mark.parametrize(
+        "mean", np.geomspace(1e-3, 30.0, 23).tolist() + [200.0, 1e4, 1e6,
+                                                         1e7])
+    def test_poisson_table_matches_concatenated_build(self, mean):
+        # the in-place build keeps every Poisson table, and so every draw
+        got = [x.hex() for x in _poisson_cdf_table(mean).tolist()]
+        want = [x.hex() for x in poisson_cdf_table_concatenated(mean).tolist()]
+        assert got == want
+
     def test_poisson_zero_mean(self):
         rng = _generator(SimConfig(seed=5, sample_count=1))
         assert not poisson_sample(rng, 0.0, 100).any()
@@ -188,14 +210,33 @@ class TestSamplers:
             binomial_sample(Fixed(), trials, q),
             binomial_sample_per_count(Fixed(), trials, q))
 
-    def test_binomial_refuses_underflowing_tables(self):
-        # (1 - q)^w at q = 0.99: 1e-306 at w = 153, subnormal at w = 155,
-        # where the table would hold too few digits to draw from
+    @pytest.mark.parametrize("trials, q", [
+        (10, 0.3), (60, 1e-3), (200, 1.0 / 21.0), (400, 0.5), (155, 0.99),
+        (400, 0.99), (2000, 1.0 / 21.0)])
+    def test_binomial_table_matches_mpmath(self, trials, q):
+        # every entry; at q = 0.99 past w = 154 the first mass, (1 - q)^w,
+        # is below the smallest normal double
+        cdf = _binomial_cdf_table(trials, q)
+        with mpmath.workdps(40):
+            p = mpmath.mpf(q)
+            want = np.array([float(x) for x in np.cumsum(
+                [mpmath.binomial(trials, k) * p ** k * (1 - p) ** (trials - k)
+                 for k in range(trials + 1)])])
+        assert np.max(np.abs(cdf - want)) <= 1e-14
+
+    @pytest.mark.parametrize("trials", [155, 400])
+    def test_binomial_draws_for_a_dominant_share(self, trials):
+        # q = 0.99, where (1 - q)^w underflows: the draws still follow the
+        # Binomial; 200,000 draws put the total variation's sampling noise
+        # near 0.002
         rng = _generator(SimConfig(seed=47, sample_count=1))
-        draws = binomial_sample(rng, np.full(1000, 153), 0.99)
-        assert draws.mean() == pytest.approx(151.47, abs=0.1)
-        with pytest.raises(NumericalError, match=r"w = 155, q = 0\.99 "):
-            binomial_sample(rng, np.array([3, 155]), 0.99)
+        n, q = 200_000, 0.99
+        draws = binomial_sample(rng, np.full(n, trials), q)
+        se = math.sqrt(trials * q * (1.0 - q) / n)
+        assert abs(float(draws.mean()) - trials * q) <= 5 * se
+        emp = np.bincount(draws, minlength=trials + 1) / n
+        ref = stats.binom(trials, q).pmf(np.arange(trials + 1))
+        assert 0.5 * np.abs(emp - ref).sum() <= 0.01
 
     def test_binomial_refuses_oversized_tables_before_building(self):
         # w + 1 entries per distinct count w, at most 10^7 in all
@@ -208,8 +249,8 @@ class TestSamplers:
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0 / 21.0, 1e-3])
     def test_binomial_tables_are_sorted(self, q):
-        # cumulative sums can round past 1 before the final 1.0; they are
-        # clipped, so the guide and the bisection search sorted tables
+        # cumulative masses divided by their sum, the last, stay sorted and
+        # end at 1.0, so the guide and the bisection search sorted tables
         for w in range(400):
             cdf = _guided(_binomial_cdf_table, w, q)[0]
             assert (np.diff(cdf) >= 0).all(), w
