@@ -6,11 +6,11 @@ streams on any platform. The Poisson, Binomial, Exponential and Gamma
 samplers are built here directly on the uniform bitstream (inversion
 against cached cdf tables for the Poisson at every mean and for the
 Binomial, Marsaglia-Tsang with Box-Muller normals for the Gamma), so the
-closed forms under test never feed their own verification. Both cdf tables
-sum log mass ratios outward from the mode, so none starts from a mass that
-underflows. A Chen-Asau guide table beside each cdf table settles most
-draws without a search; the rest are searched (Poisson) or bisected
-(binomial) between their bucket's bounds, drawing the same.
+closed forms under test never feed their own verification. Every cdf table
+spans mean -+ (60 sd + 200), clipped to its support, and sums log mass
+ratios outward from the mode, so none starts from a mass that underflows.
+One guided inversion serves both samplers: a Chen-Asau guide table settles
+most draws, and the rest are bisected between their bucket's bounds.
 """
 
 import math
@@ -29,17 +29,19 @@ from .rewarddist import MinerShare, NetworkParams
 # the ECDF table, one row per epoch up to the longest wait, about
 # mean * ln(trials) rows: 1.5e6 rows for 10^6 trials at E q = 1.01e-5
 _MAX_MEAN_WAIT = 10 ** 5
-# largest Poisson mean sampled: its table spans mean -+ (60 sd + 200),
-# 380k entries at 10^7
+# largest Poisson mean sampled: its table holds 380k entries at 10^7
 _MAX_POISSON_MEAN = 10 ** 7
-# cdf entries the tables of one binomial_sample call may hold, w + 1 per
-# distinct count w (80 MB as float64, as much again concatenated); drawing
-# two tables of 4.9e6 entries peaks at 233 MB RSS, building included
+# cdf entries the tables of one binomial_sample call may hold over their
+# spans (80 MB as float64, as much again concatenated); 9.9e6 entries at
+# E = 10^7, q = 1/2 peak at 194 MB RSS, building included
 _MAX_TABLE_ENTRIES = 10 ** 7
 _BLOCK = 1 << 16
-# guide[b] counts the cdf entries <= b / 2^10; key u's bucket is floor(u 2^10)
+# guide[b] is the draw of key _GUIDE_EDGES[b], key u's bucket floor(u 2^10):
+# edges b / 2^10, then the last double below 1 (putting a table's tail of
+# entries equal to 1 past every key below 1), then 1
 _GUIDE_BITS = 10
-_GUIDE_EDGES = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+_GUIDE_EDGES = np.append(np.arange(1 << _GUIDE_BITS) / (1 << _GUIDE_BITS),
+                         [np.nextafter(1.0, 0.0), 1.0])
 # epochs one wealth path may hold (a few float64 arrays of 80 MB)
 _MAX_HORIZON = 10 ** 7
 
@@ -119,68 +121,85 @@ def _mean_report(values: np.ndarray, seed: int, scale: float = 1.0) -> SimReport
 
 @lru_cache(maxsize=4096)
 def _guided(build, *args) -> tuple:
-    # (cdf, guide) for build(*args); 4,096 guides of 1,025 int32s: 16.8 MB
-    cdf = build(*args)
+    # (first, cdf, guide) for (first, cdf) = build(*args), where cdf[k] is
+    # P(X <= first + k); 4,096 guides of 1,026 int32s: 16.8 MB
+    first, cdf = build(*args)
     guide = np.searchsorted(cdf, _GUIDE_EDGES, side="right")
-    return cdf, _read_only(guide.astype(np.int32))
+    guide = first + np.minimum(guide, cdf.size - 1)
+    return first, cdf, _read_only(guide.astype(np.int32))
 
 
-def _poisson_invert(mean: float, x: np.ndarray) -> np.ndarray:
-    # the table's first count plus np.searchsorted(cdf, x, "right") at keys
-    # x in [0, 1], capped at the last entry; the guide settles the buckets
-    # holding no cdf entry
-    cdf, guide = _guided(_poisson_cdf_table, mean)
-    draws = np.empty(x.size, dtype=np.int64)
-    for lo in range(0, x.size, _BLOCK):  # bounds the temporaries
-        b = x[lo:lo + _BLOCK]
-        cell = (b * (1 << _GUIDE_BITS)).astype(np.intp)
-        found = guide[cell]
-        miss = np.flatnonzero(found != guide[1:].take(cell, mode="clip"))
-        found[miss] = np.searchsorted(cdf, b[miss], side="right")
-        draws[lo:lo + b.size] = found
-    np.minimum(draws, cdf.size - 1, out=draws)
-    return np.add(draws, _poisson_span(mean)[0], out=draws)
+def _invert(tables: dict, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # draw i is first + searchsorted(cdf, u[i], "right"), capped at the last
+    # count, for (first, cdf, guide) = tables[index[i]] and u[i] in [0, 1]: it
+    # lies between guide[b] and guide[b + 1], b = u[i]'s bucket, bisected
+    keys = np.fromiter(tables, dtype=np.intp)
+    firsts, cdfs, guides = zip(*tables.values())
+    table, guide = np.concatenate(cdfs), np.concatenate(guides)
+    # table[base[j] + d] is the cdf entry of draw d in the j-th table
+    base = np.cumsum([0, *map(len, cdfs[:-1])]) - firsts
+    # cell[w - w0] is where the guide of tables[w] starts
+    w0 = keys.min()
+    cell = np.zeros(keys.max() - w0 + 1, dtype=np.intp)
+    cell[keys - w0] = np.arange(keys.size) * _GUIDE_EDGES.size
+    out = np.empty(u.size, dtype=np.int64)
+    for lo in range(0, u.size, _BLOCK):  # bounds the temporaries
+        x = u[lo:lo + _BLOCK]
+        c = cell[index[lo:lo + _BLOCK] - w0]
+        c += (x * (1 << _GUIDE_BITS)).astype(np.intp)
+        found = guide[c]
+        miss = np.flatnonzero(found != guide[1:][c])
+        b, x = base[c[miss] // _GUIDE_EDGES.size], x[miss]
+        low, high = found[miss] + b, guide[1:][c[miss]] + b
+        for _ in range(int(np.max(high - low, initial=0)).bit_length()):
+            mid = (low + high) >> 1
+            right = table[mid] <= x
+            low = np.where(right, mid + 1, low)
+            high = np.where(right, high, mid)
+        found[miss] = np.minimum(low, high) - b  # key 1 ends past high
+        out[lo:lo + _BLOCK] = found
+    return out
 
 
-def _poisson_span(mean: float) -> tuple:
-    # first and last count of the Poisson table: mean -+ (60 sd + 200),
-    # clipped at 0; the mass outside, below e^-1000, underflows a double
+def _span(mean, sd, top) -> tuple:
+    # first and last count of cdf tables: mean -+ (60 sd + 200) within
+    # [0, top]; every mass outside, below e^-1000 of the mode's, underflows
+    half = 60.0 * sd + 200.0
+    return (np.maximum(mean - half, 0.0).astype(np.int64),
+            np.minimum(mean + half, top).astype(np.int64))
+
+
+def _poisson_cdf_table(mean: float) -> tuple:
+    # first count and cumulative Poisson probabilities over its span, from
+    # the steps log(mean/j); built here, not read from rewarddist, whose
+    # pmfs verify checks against these draws
     require(mean <= _MAX_POISSON_MEAN,
             f"Poisson mean {mean:.6g} exceeds the sampler's limit of "
             f"{_MAX_POISSON_MEAN}")
-    half = 60.0 * math.sqrt(mean) + 200.0
-    return int(max(0.0, mean - half)), int(mean + half)
-
-
-def _poisson_cdf_table(mean: float) -> np.ndarray:
-    # cumulative Poisson probabilities over _poisson_span(mean), from the
-    # steps log(mean/j); built here, not read from rewarddist, whose pmfs
-    # verify checks against these draws
-    first, last = _poisson_span(mean)
+    first, last = _span(mean, math.sqrt(mean), math.inf)
     step = np.log(mean / np.arange(first + 1, last + 1))
-    return _cdf_from_steps(step, int(mean) - first)
+    return first, _cdf_from_steps(step, int(mean) - first)
 
 
-def _binomial_cdf_table(trials: int, q: float) -> np.ndarray:
-    # cumulative Binomial(trials, q) probabilities over the full support,
-    # from the steps log((w - j + 1)/j) + log q - log1p(-q)
-    if q == 0.0:
-        return _read_only(np.ones(1))
-    if q == 1.0:
-        cdf = np.zeros(trials + 1)
-        cdf[-1] = 1.0
-        return _read_only(cdf)
-    step = np.arange(trials, 0, -1.0)
-    step /= np.arange(1.0, trials + 1)
+def _binomial_cdf_table(trials: int, q: float) -> tuple:
+    # first count and cumulative Binomial(trials, q) probabilities over its
+    # span, from the steps log((w - j + 1)/j) + log q - log1p(-q)
+    mean = trials * q
+    first, last = _span(mean, np.sqrt(mean * (1.0 - q)), trials)
+    if q in (0.0, 1.0):  # the log of q or of 1 - q is -inf
+        return first, _read_only(np.append(np.full(last - first, 1 - q), 1.0))
+    step = np.arange(trials - first, trials - last, -1.0)
+    step /= np.arange(first + 1.0, last + 1)
     np.log(step, out=step)
     step += math.log(q) - math.log1p(-q)
-    return _cdf_from_steps(step, min(math.floor((trials + 1) * q), trials))
+    mode = min(math.floor((trials + 1) * q), trials)
+    return first, _cdf_from_steps(step, mode - first)
 
 
 def _cdf_from_steps(step: np.ndarray, mode: int) -> np.ndarray:
-    # cdf of counts 0..step.size from step[j - 1] = log p(j)/p(j-1), in one
-    # array: log p(k)/p(mode) sums the steps outward from the mode (no first
-    # mass to underflow), and the cumulative masses divide by their sum
+    # cdf of the counts first + k, k = 0..step.size, from step[k - 1] =
+    # log p(k)/p(k-1), in one array: log p(k)/p(mode) sums the steps outward
+    # from the mode (no first mass to underflow); masses divide by their sum
     cdf = np.empty(step.size + 1)
     below = cdf[:mode][::-1]
     np.add.accumulate(step[:mode][::-1], out=below)
@@ -209,56 +228,35 @@ def poisson_sample(rng: np.random.Generator, mean: float,
             "Poisson mean must be nonnegative and finite")
     if mean == 0.0:
         return np.zeros(size, dtype=np.int64)
-    return _poisson_invert(mean, rng.random(size))
+    return _invert({0: _guided(_poisson_cdf_table, mean)},
+                   np.broadcast_to(0, size), rng.random(size))
 
 
 def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
                     q: float) -> np.ndarray:
     """Binomial(trials[i], q) draws, one uniform per entry.
 
-    Each entry is inverted against its trial count's cached cdf table. The
-    count's guide settles most draws; a bisection of the table between the
-    bucket's guide bounds settles the rest, with the cdf[k] <= u comparisons
-    of searchsorted(side="right"). Drawing order and uniform consumption
-    depend only on the length of `trials`, keeping streams reproducible.
-    Counts whose tables would hold more than 10^7 entries in all are
-    refused.
+    Each entry is inverted against its trial count's cached cdf table,
+    which spans w q -+ (60 sd + 200), clipped to 0..w, with sd =
+    sqrt(w q (1 - q)). Drawing order and uniform consumption depend only on
+    the length of `trials`, keeping streams reproducible. Counts whose
+    spans hold more than 10^7 entries in all are refused before any table
+    is built.
     """
     require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
     u = rng.random(trials.size)
-    out = np.empty(trials.size, dtype=np.int64)
     if not trials.size:
-        return out
-    present = np.bincount(trials) > 0
-    counts = np.flatnonzero(present)
-    entries = int(counts.sum()) + counts.size
+        return np.empty(0, dtype=np.int64)
+    counts = np.flatnonzero(np.bincount(trials))
+    mean = counts * q
+    first, last = _span(mean, np.sqrt(mean * (1.0 - q)), counts)
+    entries = int((last - first).sum()) + counts.size
     require(entries <= _MAX_TABLE_ENTRIES,
             f"{counts.size} distinct block counts up to {counts[-1]} need "
             f"{entries} Binomial table entries, more than "
             f"{_MAX_TABLE_ENTRIES}")
-    rank = np.cumsum(present) - 1
-    cdfs, guides = zip(*(_guided(_binomial_cdf_table, int(w), q)
-                         for w in counts))
-    table, guide = np.concatenate(cdfs), np.concatenate(guides)
-    start = np.cumsum([0] + [cdf.size for cdf in cdfs[:-1]])
-    for lo in range(0, trials.size, _BLOCK):  # bounds the temporaries
-        block = slice(lo, lo + _BLOCK)
-        r, x = rank[trials[block]], u[block]
-        cell = r * _GUIDE_EDGES.size + (x * (1 << _GUIDE_BITS)).astype(np.intp)
-        found = guide[cell]
-        miss = np.flatnonzero(found != guide[cell + 1])
-        low, high = found[miss], guide[cell[miss] + 1]
-        base, x = start[r[miss]], x[miss]
-        # u < 1 = cdf[-1], so a settled key, low == high, has cdf[low] > u
-        # and stays settled
-        for _ in range(int(np.max(high - low, initial=0)).bit_length()):
-            mid = (low + high) >> 1
-            right = table[base + mid] <= x
-            low = np.where(right, mid + 1, low)
-            high = np.where(right, high, mid)
-        found[miss] = low
-        out[block] = found
-    return out
+    return _invert({w: _guided(_binomial_cdf_table, int(w), q)
+                    for w in counts}, trials, u)
 
 
 def exponential_sample(rng: np.random.Generator, rate: float,
@@ -378,8 +376,9 @@ def _positive_poisson(rng: np.random.Generator, mean: float,
                       size: int) -> np.ndarray:
     # Poisson(mean) conditioned on >= 1: keys in [cdf[0], 1] skip count 0
     # (a table starting past 0 has cdf[0] = 0)
-    floor = _guided(_poisson_cdf_table, mean)[0][0]
-    return _poisson_invert(mean, floor + rng.random(size) * (1.0 - floor))
+    table = _guided(_poisson_cdf_table, mean)
+    u = table[1][0] + rng.random(size) * (1.0 - table[1][0])
+    return _invert({0: table}, np.broadcast_to(0, size), u)
 
 
 def round_payoffs(plan: growth.MinerPlan, network: NetworkParams,

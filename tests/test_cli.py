@@ -611,6 +611,30 @@ class TestExitCodes:
             assert {row["status"] for row in payload["rows"]} <= {"PASS",
                                                                  "REPORT"}
 
+    def test_epochs_past_the_full_support_tables_are_sampled(self, tmp_path):
+        # E = 2e4: 854 distinct block counts, whose tables over 0..w would
+        # hold 1.7e7 entries, past the 10^7 limit; their spans hold 2.5e6
+        path = write_scenario(tmp_path, E=2e4)
+        out = tmp_path / "artifacts"
+        assert run_cli("simulate", path, "--out", out, "--sim", "epochs",
+                       "--samples", 20000) == 0
+        report = read_json(out / "simulate.json")["report"]
+        want = 2e4 * 1.0 * 50.0 / 1050.0
+        assert abs(report["estimate"] - want) <= 5 * report["std_error"]
+
+    def test_sampled_reward_past_the_poisson_limit_is_refused(self, tmp_path,
+                                                              capsys):
+        # E q = 4.76e7 at E = 1e9: the positive Poisson reward draw's table
+        # would pass the 10^7 mean limit
+        path = write_scenario(tmp_path, E=1e9)
+        out = tmp_path / "artifacts"
+        assert run_cli("simulate", path, "--out", out, "--sim", "rounds",
+                       "--reward-mode", "sampled", "--samples", 2000) == 1
+        assert capsys.readouterr().err == (
+            "error: validation: Poisson mean 4.7619e+07 exceeds the "
+            "sampler's limit of 10000000\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("samples", [-1, 0, 1])
     def test_verify_needs_two_samples(self, reference_file, tmp_path,
                                       samples):
@@ -1213,8 +1237,8 @@ class TestInputContract:
              step=1.0, extra=())
     @example(scenario=_UNDERFLOW, samples=2000, horizon=100, rows=100,
              step=1.0, extra=())
-    # E = 1e6: ~1,500 distinct block counts, whose Binomial tables would
-    # hold 1.5e9 entries
+    # E = 1e6: ~1,500 distinct block counts, whose Binomial tables' spans
+    # would hold 4.0e7 entries
     @example(scenario=dict(REFERENCE, E=1e6), samples=2000, horizon=100,
              rows=100, step=1.0, extra=())
     def test_sampling_commands_keep_the_exit_contract(

@@ -9,9 +9,9 @@ from scipy import stats
 
 from minecon.errors import ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
-from minecon.mcsim import (SimConfig, _binomial_cdf_table, _first_won_block,
-                           _generator, _guided, _poisson_cdf_table,
-                           _poisson_invert, _poisson_span,
+from minecon.mcsim import (SimConfig, _binomial_cdf_table, _cdf_from_steps,
+                           _first_won_block, _generator, _guided, _invert,
+                           _poisson_cdf_table, _span,
                            _win_given_w, binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            gamma_sample, poisson_sample, round_oracle,
@@ -27,23 +27,38 @@ def network(e=10.0, m=1.0, p=1000.0):
 
 def binomial_sample_per_count(rng, trials, q):
     """The per-count loop binomial_sample replaced, kept as its oracle: one
-    float search of each count's own cdf table."""
+    float search of each count's own cdf table, offset by its first
+    count."""
     u = rng.random(trials.size)
     out = np.zeros(trials.size, dtype=np.int64)
     for w in np.unique(trials):
         if w == 0:
             continue
         mask = trials == w
-        cdf = _binomial_cdf_table(int(w), q)
-        out[mask] = np.searchsorted(cdf, u[mask], side="right")
+        first, cdf = _binomial_cdf_table(int(w), q)
+        out[mask] = first + np.searchsorted(cdf, u[mask], side="right")
     return out
+
+
+def binomial_cdf_table_full(trials, q):
+    """The full-support binomial build that the span-cut table replaced,
+    kept as its oracle: the cdf of every count 0..trials, for 0 < q < 1."""
+    step = np.arange(trials, 0, -1.0)
+    step /= np.arange(1.0, trials + 1)
+    np.log(step, out=step)
+    step += math.log(q) - math.log1p(-q)
+    return _cdf_from_steps(step, min(math.floor((trials + 1) * q), trials))
+
+
+def poisson_span(mean):
+    return _span(mean, math.sqrt(mean), math.inf)
 
 
 def poisson_cdf_table_concatenated(mean):
     """The Poisson table build that now runs in place through
     _cdf_from_steps, kept as its oracle: log masses relative to the mode's,
     concatenated, then exponentiated, summed and normalized."""
-    first, last = _poisson_span(mean)
+    first, last = poisson_span(mean)
     step = np.log(mean / np.arange(first + 1, last + 1))
     mode = int(mean) - first
     below = np.cumsum(-step[mode - 1::-1])[::-1] if mode else np.empty(0)
@@ -116,9 +131,8 @@ class TestSamplers:
     def test_poisson_table_matches_mpmath(self, mean):
         # P(X <= k) = Q(k + 1, mean), the regularized upper incomplete
         # gamma, at the mode and 1, 3 and 8 sd either side of the mean
-        cdf = _poisson_cdf_table(mean)
-        first, last = _poisson_span(mean)
-        assert cdf.size == last - first + 1
+        first, cdf = _poisson_cdf_table(mean)
+        assert (first, first + cdf.size - 1) == poisson_span(mean)
         assert (np.diff(cdf) >= 0).all() and cdf[-1] == 1.0
         sd = math.sqrt(mean)
         for z in (-8, -3, -1, 0, 1, 3, 8):
@@ -133,7 +147,7 @@ class TestSamplers:
                                                          1e7])
     def test_poisson_table_matches_concatenated_build(self, mean):
         # the in-place build keeps every Poisson table, and so every draw
-        got = [x.hex() for x in _poisson_cdf_table(mean).tolist()]
+        got = [x.hex() for x in _poisson_cdf_table(mean)[1].tolist()]
         want = [x.hex() for x in poisson_cdf_table_concatenated(mean).tolist()]
         assert got == want
 
@@ -174,14 +188,17 @@ class TestSamplers:
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3])
     def test_binomial_matches_per_count_oracle(self, q):
         # fuzzed trial arrays: empty, zeros, E = 10 and E = 200 Poisson
-        # counts, and 1,200 distinct counts
+        # counts, 1,200 distinct counts, and 50 counts near 10^4, whose
+        # spans cut the support at the top (and at the bottom for q = 0.3
+        # and q = 1)
         fuzz = np.random.default_rng(2024)
         cases = [np.zeros(0, dtype=np.int64), np.zeros(50, dtype=np.int64),
                  fuzz.poisson(10.0, 20_000),
                  fuzz.poisson(200.0, 20_000),
                  fuzz.permutation(np.repeat(np.arange(1200), 5)),
                  np.concatenate([fuzz.poisson(0.5, 5_000),
-                                 fuzz.integers(0, 700, 5_000)])]
+                                 fuzz.integers(0, 700, 5_000)]),
+                 fuzz.integers(10 ** 4, 10 ** 4 + 50, 5_000)]
         for k, trials in enumerate(cases):
             config = SimConfig(seed=53, sample_count=1, stream_id=k)
             got = binomial_sample(_generator(config), trials, q)
@@ -194,7 +211,7 @@ class TestSamplers:
         q = 0.3
         trials, u = [], []
         for w in range(1, 60):
-            for c in _binomial_cdf_table(w, q)[:-1]:
+            for c in _binomial_cdf_table(w, q)[1][:-1]:
                 k0 = math.floor(c * 2.0 ** 53)
                 for k in range(k0 - 1, k0 + 3):
                     if 0 <= k < 2 ** 53:
@@ -214,15 +231,39 @@ class TestSamplers:
         (10, 0.3), (60, 1e-3), (200, 1.0 / 21.0), (400, 0.5), (155, 0.99),
         (400, 0.99), (2000, 1.0 / 21.0)])
     def test_binomial_table_matches_mpmath(self, trials, q):
-        # every entry; at q = 0.99 past w = 154 the first mass, (1 - q)^w,
-        # is below the smallest normal double
-        cdf = _binomial_cdf_table(trials, q)
+        # every entry of the span; at q = 0.99 past w = 154 the first mass,
+        # (1 - q)^w, is below the smallest normal double. Outside the span
+        # (cut at (400, 0.99) and (2000, 1/21)) the cdf is 0 or 1
+        first, cdf = _binomial_cdf_table(trials, q)
         with mpmath.workdps(40):
             p = mpmath.mpf(q)
             want = np.array([float(x) for x in np.cumsum(
                 [mpmath.binomial(trials, k) * p ** k * (1 - p) ** (trials - k)
                  for k in range(trials + 1)])])
-        assert np.max(np.abs(cdf - want)) <= 1e-14
+        last = first + cdf.size - 1
+        assert np.max(np.abs(cdf - want[first:last + 1])) <= 1e-14
+        assert np.max(want[:first], initial=0.0) <= 1e-14
+        assert np.min(want[last:]) >= 1.0 - 1e-14
+
+    @pytest.mark.parametrize("trials, q", [
+        (10, 0.3), (60, 1e-3), (200, 1.0 / 21.0), (400, 0.5), (155, 0.99),
+        (400, 0.99), (2000, 1.0 / 21.0), (10 ** 5, 1e-12),
+        (10 ** 5, 1.0 - 1e-9), (10 ** 5, 0.3), (10 ** 5, 0.5)])
+    def test_binomial_table_matches_full_support_build(self, trials, q):
+        # the span keeps every entry of the full-support table; the entries
+        # it cuts are exactly 0 below and 1 above, so every draw stays
+        first, cdf = _binomial_cdf_table(trials, q)
+        mean = trials * q
+        span = _span(mean, math.sqrt(mean * (1.0 - q)), trials)
+        assert (first, first + cdf.size - 1) == span
+        full = binomial_cdf_table_full(trials, q)
+        got = [x.hex() for x in cdf.tolist()]
+        want = [x.hex() for x in full[first:first + cdf.size].tolist()]
+        assert got == want
+        assert not full[:first].any()
+        assert (full[first + cdf.size - 1:] == 1.0).all()
+        if trials == 10 ** 5 and q in (0.3, 0.5):
+            assert 0 < first and cdf.size < 20_000
 
     @pytest.mark.parametrize("trials", [155, 400])
     def test_binomial_draws_for_a_dominant_share(self, trials):
@@ -239,12 +280,19 @@ class TestSamplers:
         assert 0.5 * np.abs(emp - ref).sum() <= 0.01
 
     def test_binomial_refuses_oversized_tables_before_building(self):
-        # w + 1 entries per distinct count w, at most 10^7 in all
+        # at most 10^7 span entries in all: at q = 1/2 each count w spans
+        # w/2 -+ (30 sqrt(w) + 200), about 60,400 entries near w = 10^6, so
+        # 166 counts from 10^6 pass the limit
         rng = _generator(SimConfig(seed=47, sample_count=1))
         before = _guided.cache_info().misses
-        with pytest.raises(ValidationError, match="10000001 Binomial table "
+        trials = np.arange(10 ** 6, 10 ** 6 + 166)
+        half = [30.0 * math.sqrt(w) + 200.0 for w in trials.tolist()]
+        want = sum(int(w / 2 + h) - int(w / 2 - h) + 1
+                   for w, h in zip(trials.tolist(), half))
+        assert want == 10026976
+        with pytest.raises(ValidationError, match=f"{want} Binomial table "
                                                   "entries"):
-            binomial_sample(rng, np.array([3, 10 ** 7 - 4]), 0.3)
+            binomial_sample(rng, trials, 0.5)
         assert _guided.cache_info().misses == before
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0 / 21.0, 1e-3])
@@ -252,7 +300,7 @@ class TestSamplers:
         # cumulative masses divided by their sum, the last, stay sorted and
         # end at 1.0, so the guide and the bisection search sorted tables
         for w in range(400):
-            cdf = _guided(_binomial_cdf_table, w, q)[0]
+            cdf = _guided(_binomial_cdf_table, w, q)[1]
             assert (np.diff(cdf) >= 0).all(), w
             assert cdf[-1] == 1.0
 
@@ -263,7 +311,7 @@ class TestSamplers:
     def test_cached_tables_are_read_only(self, build, args):
         # every later draw shares the cached table, so an edit must fail
         with pytest.raises(ValueError):
-            build(*args)[0] = 0.5
+            build(*args)[1][0] = 0.5
 
     def test_exponential_moments(self):
         rng = _generator(SimConfig(seed=43, sample_count=1))
@@ -358,8 +406,8 @@ class TestGuideTables:
     def test_poisson_matches_plain_search(self, mean):
         # a draw is the table's first count, above 0 past mean 3,990, plus
         # the capped plain search
-        cdf = _guided(_poisson_cdf_table, mean)[0]
-        first = _poisson_span(mean)[0]
+        table = _guided(_poisson_cdf_table, mean)
+        first, cdf = table[:2]
         u = np.concatenate([edge_uniforms(cdf),
                             np.random.default_rng(7).random(20_000)])
         want = first + np.minimum(np.searchsorted(cdf, u, side="right"),
@@ -371,21 +419,21 @@ class TestGuideTables:
         # the conditioned draw maps uniforms into [cdf[0], 1], 1 included
         x = np.concatenate([cdf[0] + u * (1.0 - cdf[0]), [1.0]])
         want = np.searchsorted(cdf, x, side="right")
-        np.testing.assert_array_equal(_poisson_invert(mean, x),
-                                      first + np.minimum(want, cdf.size - 1))
+        np.testing.assert_array_equal(
+            _invert({0: table}, np.broadcast_to(0, x.size), x),
+            first + np.minimum(want, cdf.size - 1))
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3, 0.5])
     def test_binomial_matches_plain_search(self, q):
-        # 520 distinct counts, shuffled so neighbouring draws use
-        # different tables
+        # 520 distinct counts, and 3 near 10^4 whose spans cut the support,
+        # shuffled so neighbouring draws use different tables
         trials, u, want = [], [], []
-        for w in range(520):
-            cdf = _binomial_cdf_table(w, q)
+        for w in [*range(520), 10 ** 4, 10 ** 4 + 1, 2 * 10 ** 4]:
+            first, cdf = _binomial_cdf_table(w, q)
             edges = edge_uniforms(cdf)
             trials.append(np.full(edges.size, w))
             u.append(edges)
-            want.append(np.searchsorted(cdf, edges, side="right")
-                        if w else np.zeros(edges.size, dtype=np.int64))
+            want.append(first + np.searchsorted(cdf, edges, side="right"))
         order = np.random.default_rng(11).permutation(
             sum(t.size for t in trials))
         trials, u, want = (np.concatenate(a)[order]
@@ -403,14 +451,18 @@ class TestGuideTables:
 
     @pytest.mark.parametrize("build, args", [
         (_poisson_cdf_table, (3.0,)), (_poisson_cdf_table, (1e-3,)),
-        (_binomial_cdf_table, (5, 0.2)), (_binomial_cdf_table, (0, 0.2)),
-        (_binomial_cdf_table, (5, 0.0)), (_binomial_cdf_table, (5, 1.0))])
+        (_poisson_cdf_table, (1e4,)), (_binomial_cdf_table, (5, 0.2)),
+        (_binomial_cdf_table, (0, 0.2)), (_binomial_cdf_table, (5, 0.0)),
+        (_binomial_cdf_table, (5, 1.0)), (_binomial_cdf_table, (300, 1.0))])
     def test_guides_are_read_only_and_count_entries(self, build, args):
-        cdf, guide = _guided(build, *args)
-        assert guide.shape == (1025,)
+        # guide[b] is the capped draw of key b / 1024, then of the last
+        # double below 1, then of 1
+        first, cdf, guide = _guided(build, *args)
+        edges = np.append(np.arange(1024) / 1024, [1.0 - 2.0 ** -53, 1.0])
+        assert guide.shape == (1026,)
         np.testing.assert_array_equal(
-            guide, np.searchsorted(cdf, np.arange(1025) / 1024,
-                                   side="right"))
+            guide, first + np.minimum(np.searchsorted(cdf, edges, "right"),
+                                      cdf.size - 1))
         with pytest.raises(ValueError):
             guide[0] = 1
 
