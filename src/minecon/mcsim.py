@@ -33,8 +33,11 @@ _MAX_MEAN_WAIT = 10 ** 5
 _MAX_POISSON_MEAN = 10 ** 7
 # cdf entries the tables of one binomial_sample call may hold over their
 # spans (80 MB as float64, as much again concatenated); 9.9e6 entries at
-# E = 10^7, q = 1/2 peak at 194 MB RSS, building included
+# E = 10^7, q = 1/2 peak at 194 MB RSS, building included. The tables
+# _guided caches hold at most as many, and at most _MAX_TABLES tables
+# (4,096 guides of 1,026 int32s: 16.8 MB)
 _MAX_TABLE_ENTRIES = 10 ** 7
+_MAX_TABLES = 4096
 _BLOCK = 1 << 16
 # guide[b] is the draw of key _GUIDE_EDGES[b], key u's bucket floor(u 2^10):
 # edges b / 2^10, then the last double below 1 (putting a table's tail of
@@ -119,14 +122,34 @@ def _mean_report(values: np.ndarray, seed: int, scale: float = 1.0) -> SimReport
                      samples=n, seed=seed)
 
 
-@lru_cache(maxsize=4096)
+_cached_entries = 0  # cdf entries of the tables _guided caches
+
+
+@lru_cache(maxsize=None)
 def _guided(build, *args) -> tuple:
     # (first, cdf, guide) for (first, cdf) = build(*args), where cdf[k] is
-    # P(X <= first + k); 4,096 guides of 1,026 int32s: 16.8 MB
+    # P(X <= first + k)
+    global _cached_entries
     first, cdf = build(*args)
+    _make_room(1, cdf.size)
+    _cached_entries += cdf.size
     guide = np.searchsorted(cdf, _GUIDE_EDGES, side="right")
     guide = first + np.minimum(guide, cdf.size - 1)
     return first, cdf, _read_only(guide.astype(np.int32))
+
+
+def _make_room(tables: int, entries: int) -> None:
+    # drop every table _guided caches if `tables` more tables holding
+    # `entries` cdf entries would take the cache past _MAX_TABLES or
+    # _MAX_TABLE_ENTRIES; the count restarts after any clear
+    global _cached_entries
+    held = _guided.cache_info().currsize
+    if held == 0:
+        _cached_entries = 0
+    elif (held + tables > _MAX_TABLES
+          or _cached_entries + entries > _MAX_TABLE_ENTRIES):
+        _guided.cache_clear()
+        _cached_entries = 0
 
 
 def _invert(tables: dict, index: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -145,8 +168,9 @@ def _invert(tables: dict, index: np.ndarray, u: np.ndarray) -> np.ndarray:
     out = np.empty(u.size, dtype=np.int64)
     for lo in range(0, u.size, _BLOCK):  # bounds the temporaries
         x = u[lo:lo + _BLOCK]
-        c = cell[index[lo:lo + _BLOCK] - w0]
-        c += (x * (1 << _GUIDE_BITS)).astype(np.intp)
+        c = (x * (1 << _GUIDE_BITS)).astype(np.intp)
+        if keys.size > 1:  # one table's guide starts at 0
+            c += cell[index[lo:lo + _BLOCK] - w0]
         found = guide[c]
         miss = np.flatnonzero(found != guide[1:][c])
         b, x = base[c[miss] // _GUIDE_EDGES.size], x[miss]
@@ -255,6 +279,7 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
             f"{counts.size} distinct block counts up to {counts[-1]} need "
             f"{entries} Binomial table entries, more than "
             f"{_MAX_TABLE_ENTRIES}")
+    _make_room(counts.size, entries)
     return _invert({w: _guided(_binomial_cdf_table, int(w), q)
                     for w in counts}, trials, u)
 

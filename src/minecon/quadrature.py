@@ -16,7 +16,7 @@ from .errors import ConvergenceError
 # open intervals one refinement level may hold, summed over the integrals of
 # a batch: about 28 times the widest level an optimizer batch of 64 growth
 # rates reaches at the default tolerance (under 19,000), and a process peak
-# of about 145 MB when a growth rate at --quad-tol 1e-12 runs into it
+# of about 120 MB when a growth rate at --quad-tol 1e-12 runs into it
 MAX_OPEN_INTERVALS = 1 << 19
 
 
@@ -47,14 +47,15 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
                   max_depth: int = 50) -> tuple:
     """Integrate K integrands over [a_k, b_k] at once; returns (values, errors).
 
-    f(t, owner) gets the nodes and, for each node, the index k of the
-    integral it belongs to. Each integral follows adaptive_simpson's rule
-    with its own tolerances (rel_tol and abs_tol are scalars or length-K
-    arrays; b_k >= a_k, and b_k == a_k integrates to 0). Its sums run over
-    its own intervals in a fixed order, so an integral's value does not
-    depend on the other integrals of the batch. A failure raises
-    ConvergenceError for the integral holding the most open intervals (the
-    lowest index on a tie), with that integral's own estimate and error.
+    f(t, owner) gets the nodes, which it must leave unchanged, and, for
+    each node, the index k of the integral it belongs to. Each integral
+    follows adaptive_simpson's rule with its own tolerances (rel_tol and
+    abs_tol are scalars or length-K arrays; b_k >= a_k, and b_k == a_k
+    integrates to 0). Its sums run over its own intervals in a fixed
+    order, so an integral's value does not depend on the other integrals
+    of the batch. A failure raises ConvergenceError for the integral
+    holding the most open intervals (the lowest index on a tie), with that
+    integral's own estimate and error.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -69,35 +70,34 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
         return value, error
     left = a[owner]
     right = b[owner]
-    first = np.asarray(f(np.concatenate([left, 0.5 * (left + right), right]),
-                         np.concatenate([owner, owner, owner])), dtype=float)
-    f_lo, f_mid, f_hi = first[:n], first[n:2 * n], first[2 * n:]
-    simpson = span[owner] / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    # the fields of every open interval, one array each
-    state = (left, right, f_lo, f_mid, f_hi, simpson)
+    # the nodes of every open interval in three blocks of n: left ends,
+    # midpoints, right ends; fx holds the integrand there
+    x = np.concatenate([left, 0.5 * (left + right), right])
+    fx = np.asarray(f(x, np.concatenate([owner, owner, owner])), dtype=float)
+    simpson = span[owner] / 6.0 * (fx[:n] + 4.0 * fx[n:2 * n] + fx[2 * n:])
 
     # what the error reports if no level runs (max_depth < 0)
     depth = max_depth
     open_ = np.ones(n, dtype=bool)
     s_open, err_open = simpson, np.zeros(n)
     for depth in range(max_depth + 1):
-        left, right, f_lo, f_mid, f_hi, simpson = state
         n = owner.size
-        mid = 0.5 * (left + right)
-        # the two halves of every interval, all left halves first
-        half_lo = np.concatenate([left, mid])
-        half_hi = np.concatenate([mid, right])
+        # the two halves of every interval, all left halves first: x[:2n]
+        # holds their left ends, x[n:] their right ends
         half_owner = np.concatenate([owner, owner])
-        f_quarter = np.asarray(f(0.5 * (half_lo + half_hi), half_owner),
-                               dtype=float)
-        f_half_lo = np.concatenate([f_lo, f_mid])
-        f_half_hi = np.concatenate([f_mid, f_hi])
-        width = right - left
-        twelfth = width / 12.0
-        halves = np.concatenate([twelfth, twelfth]) * (
-            f_half_lo + 4.0 * f_quarter + f_half_hi)
-        s2 = halves[:n] + halves[n:]
-        err = (s2 - simpson) / 15.0
+        quarter = x[:2 * n] + x[n:]
+        quarter *= 0.5
+        f_quarter = np.asarray(f(quarter, half_owner), dtype=float)
+        # each half's Simpson sum, width/12 (f_lo + 4 f_quarter + f_hi)
+        halves = 4.0 * f_quarter
+        halves += fx[:2 * n]
+        halves += fx[n:]
+        width = x[2 * n:] - x[:n]
+        pair = halves.reshape(2, n)
+        pair *= width / 12.0
+        s2 = pair[0] + pair[1]
+        err = s2 - simpson
+        err /= 15.0
 
         scale = np.abs(value + np.bincount(owner, s2, minlength=k))
         tol = np.maximum(abs_tol, rel_tol * scale)
@@ -117,13 +117,16 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
 
         # the halves of the open intervals are the next level's intervals;
         # on a level that closes none, that is every half
-        owner = half_owner
-        state = (half_lo, half_hi, f_half_lo, f_quarter, f_half_hi, halves)
-        if live < n:
+        x = (x[:2 * n], quarter, x[n:])
+        fx = (fx[:2 * n], f_quarter, fx[n:])
+        if live == n:
+            owner, simpson = half_owner, halves
+            x, fx = np.concatenate(x), np.concatenate(fx)
+        else:
             kept = np.flatnonzero(open_)
             kept = np.concatenate([kept, kept + n])
-            owner = owner.take(kept)
-            state = tuple(field.take(kept) for field in state)
+            owner, simpson = half_owner.take(kept), halves.take(kept)
+            x, fx = _gather(x, kept), _gather(fx, kept)
 
     worst = int(np.argmax(np.bincount(owner[open_], minlength=k)))
     mine = open_ & (owner == worst)
@@ -137,3 +140,13 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
                     f"intervals, over the cap of {MAX_OPEN_INTERVALS}")
     raise ConvergenceError(message, best_estimate=best,
                            achieved_error=achieved)
+
+
+def _gather(blocks: tuple, index: np.ndarray) -> np.ndarray:
+    # the blocks' entries at index, block after block, in one new array;
+    # every index is in range, and mode "clip" takes straight into out
+    # (mode "raise" would take into a copy)
+    out = np.empty((len(blocks), index.size))
+    for block, row in zip(blocks, out):
+        block.take(index, out=row, mode="clip")
+    return out.reshape(-1)

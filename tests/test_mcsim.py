@@ -1,12 +1,14 @@
 """Seeded simulators against closed forms and scipy distributions."""
 
 import math
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+from minecon import mcsim
 from minecon.errors import ValidationError
 from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _cdf_from_steps,
@@ -294,6 +296,36 @@ class TestSamplers:
                                                   "entries"):
             binomial_sample(rng, trials, 0.5)
         assert _guided.cache_info().misses == before
+
+    def test_table_cache_stays_within_the_entry_limit(self, monkeypatch):
+        # with the limit at 5,000 entries, each round's Binomial(~50) and
+        # Poisson(~1,000) tables pass it together: cached tables are
+        # dropped, and the tables still alive after each call (the cached
+        # ones, watched by weak reference) never hold more than the limit
+        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 5000)
+        built = []
+
+        def recording(build):
+            def record(*args):
+                first, cdf = build(*args)
+                built.append(weakref.ref(cdf))
+                return first, cdf
+            return record
+
+        for name in ("_poisson_cdf_table", "_binomial_cdf_table"):
+            monkeypatch.setattr(mcsim, name, recording(getattr(mcsim, name)))
+        _guided.cache_clear()
+        rng = _generator(SimConfig(seed=48, sample_count=1))
+        for q in (0.5, 0.49, 0.48, 0.3):
+            trials = poisson_sample(rng, 50.0, 2000)
+            draws = binomial_sample(rng, trials, q)
+            assert (draws <= trials).all()
+            poisson_sample(rng, 2000.0 * q, 100)
+            alive = [cdf.size for cdf in (ref() for ref in built)
+                     if cdf is not None]
+            assert sum(alive) <= 5000
+            assert sum(alive) == mcsim._cached_entries
+        assert len(alive) < len(built)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0 / 21.0, 1e-3])
     def test_binomial_tables_are_sorted(self, q):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minecon import growth, quadrature
 from minecon.errors import ConvergenceError
@@ -264,3 +266,92 @@ def test_depth_cap_failure_is_bit_exact():
                                "2.796e-16)")
     assert info.value.best_estimate.hex() == "0x1.5555555555553p-1"
     assert info.value.achieved_error.hex() == "0x1.425dd2f0bf0eep-52"
+
+
+def failure(exc):
+    return (str(exc), exc.best_estimate.hex(), exc.achieved_error.hex())
+
+
+def exp_density_alone(rate, upper, rel_tol, max_depth):
+    # adaptive_simpson's (value, error), or its failure, as float.hex
+    try:
+        value, error = adaptive_simpson(lambda t: rate * np.exp(-rate * t),
+                                        0.0, upper, rel_tol=rel_tol,
+                                        max_depth=max_depth)
+    except ConvergenceError as exc:
+        return failure(exc)
+    return value.hex(), error.hex()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          database=None)
+@given(rows=st.lists(st.tuples(st.floats(0.01, 50.0),
+                               st.just(0.0) | st.floats(0.1, 40.0),
+                               st.floats(1e-12, 1e-6)),
+                     min_size=1, max_size=16),
+       max_depth=st.integers(0, 14) | st.just(50))
+def test_batch_rows_equal_single_integrals_bit_for_bit(rows, max_depth):
+    # each row alone gives the batch's value and error; a failing batch
+    # reports one failing row's own message, estimate and error
+    alone = [exp_density_alone(*row, max_depth) for row in rows]
+    rates, uppers, tols = (np.array(column) for column in zip(*rows))
+    try:
+        values, errors = simpson_batch(
+            lambda t, owner: exp_densities(t, owner, rates),
+            np.zeros(rates.size), uppers, rel_tol=tols, abs_tol=0.0,
+            max_depth=max_depth)
+    except ConvergenceError as exc:
+        assert failure(exc) in alone
+    else:
+        assert list(zip(hexes(values), hexes(errors))) == alone
+
+
+# One-split growth rates at quad_tol 1e-10 (the k = 1 path of
+# simpson_batch) on three acceptance-range scenarios, draws 4, 6 and 9 of
+# numpy.random.default_rng(2024) as the benchmark's growth sweep makes them:
+# (W, gamma, c_e, c_r, E, M, P0) and the GrowthBreakdown fields in order.
+ONE_SPLIT_SCENARIOS = (
+    ((72.26948129366839, 0.8111536304251938, 3.5280429488033582,
+      0.0009429522955425396, 2.810377078026019, 4.842185937262151,
+      49508.75473762781),
+     ("-0x1.83a3562a9b7e2p-10", "0x1.7f1a03911c1c8p-7",
+      "0x1.17ecd70ffb4b3p+6", "-0x1.17988c86a85d4p-5",
+      "-0x1.7a43c96efc7fbp-4", "0x1.bba9b2e9bdd7ap+0")),
+    ((11.792798213257562, 0.28268045580458995, 2.467390947087122,
+      0.0004717430727432146, 1.7654794324800611, 1.741283906031708,
+      567.5853905653022),
+     ("0x1.c8f8b4976af21p-10", "0x1.9d318b1d1ff1bp-6",
+      "0x1.1082b67f1a3b3p+11", "0x1.1b1f8effd08a3p-4",
+      "-0x1.03234fa6453d7p-79", "0x1.ff60a918f6859p-1")),
+    ((166.3397833642883, 0.35767822918477843, 5.228158021583521,
+      0.00010640276350530423, 7.02137892831191, 2.556290754264367,
+      5850.93183203703),
+     ("0x1.7a51b4cc0efefp-11", "0x1.6af18494b1051p-2",
+      "0x1.9385f207f37d4p+11", "0x1.0ad85dfde45b2p-9", "-0x0.0p+0",
+      "0x1.bac617029fb42p-2")),
+)
+REFERENCE_NETWORK = NetworkParams(expected_blocks=10.0, block_reward=1.0,
+                                  power=1000.0)
+
+
+@pytest.mark.parametrize("scenario, pinned", ONE_SPLIT_SCENARIOS)
+def test_one_split_growth_rate_is_bit_exact(scenario, pinned):
+    wealth, split, c_e, c_r, e, m, p0 = scenario
+    plan = MinerPlan(wealth=wealth, split=split, equipment_rate=c_e,
+                     running_rate=c_r)
+    network = NetworkParams(expected_blocks=e, block_reward=m, power=p0)
+    parts = growth.stochastic_growth_rate(plan, network)
+    assert hexes(vars(parts).values()) == pinned
+
+
+def test_optimal_split_is_bit_exact():
+    opt = growth.optimize_gamma(100.0, 1.0, 0.001, REFERENCE_NETWORK)
+    assert hexes(opt) == ("0x1.fc8998826e7aep-1", "0x1.8bf67a9234972p-12")
+
+
+def test_min_viable_wealth_is_bit_exact():
+    root = growth.min_viable_wealth(100.0, 1.0, 0.001, REFERENCE_NETWORK,
+                                    grid_size=8, quad_tol=1e-6)
+    assert hexes([root.wealth, *root.bracket]) == (
+        "0x1.c7a301b64d55fp+1", "0x1.9000000000000p+1",
+        "0x1.9000000000000p+2")

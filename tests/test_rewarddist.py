@@ -150,7 +150,8 @@ class TestEpochRewardPmf:
             pmf = epoch_reward_pmf(network, share)
             assert 1.0 - 1e-12 <= pmf.total_mass() <= 1.0 + 1e-12
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
     @given(mean=st.floats(1e-3, 1e5), step=st.floats(1e-3, 1e3))
     def test_lattice_pmf_properties(self, mean, step):
         network = NetworkParams(expected_blocks=mean, block_reward=step,
