@@ -10,6 +10,7 @@ before it writes the first, so a failure leaves none behind.
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
@@ -300,18 +301,17 @@ def _cmd_growth(scenario: Scenario, args, out: Path) -> None:
 
 
 def _cmd_optimize(scenario: Scenario, args, out: Path) -> None:
-    network = scenario.network()
-    opt = growth.optimize_gamma(scenario.W, scenario.c_e, scenario.c_r,
-                                network, grid_size=args.grid_size,
-                                quad_tol=args.quad_tol)
+    # the W_min search starts at W and returns W's split, so W is optimized
+    # once either way
+    run = growth.min_viable_wealth if args.wmin else growth.optimize_gamma
+    result = run(scenario.W, scenario.c_e, scenario.c_r, scenario.network(),
+                 grid_size=args.grid_size, quad_tol=args.quad_tol)
+    opt = result.start if args.wmin else result
     payload = _envelope("optimize", scenario, args.seed)
     payload.update({"split": opt.split, "growth_rate": opt.growth_rate})
     if args.wmin:
-        root = growth.min_viable_wealth(
-            scenario.W, scenario.c_e, scenario.c_r, network,
-            grid_size=args.grid_size, quad_tol=args.quad_tol)
-        payload["min_viable_wealth"] = root.wealth
-        payload["bracket"] = list(root.bracket)
+        payload["min_viable_wealth"] = result.wealth
+        payload["bracket"] = list(result.bracket)
     _write(_json_file(out / "optimize.json", payload))
 
 
@@ -668,7 +668,44 @@ def _check_flags(args) -> None:
                 f"--grid-max/--grid-step exceeds {_MAX_GRID_ROWS} grid rows")
 
 
+_heap_kept = False  # the allocator is per process: main sets it once
+
+
+def _keep_freed_heap() -> None:
+    # glibc gives freed memory back to the kernel eagerly: it trims the
+    # heap top and mmaps large blocks, so the numpy temporaries of every
+    # quadrature level and sampler batch fault their pages in afresh. One
+    # reference optimize_gamma took 8,900-9,500 minor faults; with blocks
+    # up to 32 MiB served from the heap, and the heap trimmed only once
+    # 256 MiB of it is free, it takes under 50. Freed heap still counts
+    # against an address-space cap (the tests' children run under 1.5 GB),
+    # and no command frees a heap top near 256 MiB (the quadrature's cap
+    # peaks near 120 MB), so a larger trim threshold buys nothing. Arrays
+    # past 32 MiB, such as sampler tables at the entry limit, stay mmapped
+    # and go back when freed. Either value alone is slower: setting the
+    # trim threshold alone pins the mmap threshold at 128 KiB, and the
+    # mmap threshold alone leaves the trimming. Only the CLI sets them;
+    # importing minecon leaves the allocator alone. Each mallopt call also
+    # consolidates glibc's free lists (70-130 us between benchmark jobs,
+    # and the small jobs after it slow down), so a process calls it once.
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    import ctypes
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    if glibc and mallopt(m_mmap_threshold, 32 << 20):
+        mallopt(m_trim_threshold, 256 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _parse(argv)
     try:
         _check_flags(args)

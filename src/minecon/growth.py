@@ -134,6 +134,7 @@ class OptimalSplit(NamedTuple):
 class ViableWealth(NamedTuple):
     wealth: float
     bracket: tuple
+    start: OptimalSplit  # optimize_gamma at the start wealth
 
 
 def _check_rounds(rounds: list, initial_wealth: float) -> None:
@@ -381,8 +382,9 @@ def _smooth_growth_parts(plan: MinerPlan, network: NetworkParams,
 
 _REFINE_TOL = 1e-9  # bracket width at which the zoom refine stops
 # splits integrated side by side: on the reference scenario the optimizer
-# allocates at most ~3 MB at once with 64 (0.2 MB one at a time) and ~32 MB
-# with all 1024 at once, for no further speed-up
+# allocates at most ~3 MB at once with 64 (0.2 MB one at a time), ~11 MB
+# with 256 for at most a tenth off its time, and ~32 MB with all 1024 at
+# once, which is slower (both with the CLI's allocator settings)
 _SCAN_BATCH = 64
 _MAX_SCAN_GRID = 10 ** 6  # splits in the scan; each scan array ~8 MB
 # interior points of the bracket per zoom level, one batched call: each
@@ -534,7 +536,8 @@ def min_viable_wealth(start_wealth: float, equipment_rate: float,
     bracket; _log_brent solves it in log W, reusing g* at both ends, until
     the relative width is at most 1e-6 and |g*| at the returned wealth is
     at most 1e-8. Each optimize_gamma run (grid_size, quad_tol) is at a
-    wealth not evaluated before. Returns the root with that bracket.
+    wealth not evaluated before. Returns the root with that bracket and
+    the optimal split at start_wealth.
     """
     def best_rate(w: float) -> float:
         return optimize_gamma(w, equipment_rate, running_rate, network,
@@ -542,7 +545,9 @@ def min_viable_wealth(start_wealth: float, equipment_rate: float,
                               quad_tol=quad_tol).growth_rate
 
     w = start_wealth
-    g = best_rate(w)
+    start = optimize_gamma(w, equipment_rate, running_rate, network,
+                           grid_size=grid_size, quad_tol=quad_tol)
+    g = start.growth_rate
     rising = g < 0.0
     for _ in range(60):
         w_last, g_last = w, g
@@ -556,7 +561,7 @@ def min_viable_wealth(start_wealth: float, equipment_rate: float,
             else "g* stayed nonnegative down to 2^-60 times the start wealth")
     (lo, g_lo), (hi, g_hi) = sorted([(w_last, g_last), (w, g)])
     root = _log_brent(best_rate, lo, hi, g_lo, g_hi)
-    return ViableWealth(wealth=root, bracket=(lo, hi))
+    return ViableWealth(wealth=root, bracket=(lo, hi), start=start)
 
 
 def max_pool_fee(wealth: float, equipment_rate: float, running_rate: float,

@@ -33,9 +33,10 @@ _MAX_MEAN_WAIT = 10 ** 5
 _MAX_POISSON_MEAN = 10 ** 7
 # cdf entries the tables of one binomial_sample call may hold over their
 # spans (80 MB as float64, as much again concatenated); 9.9e6 entries at
-# E = 10^7, q = 1/2 peak at 194 MB RSS, building included. The tables
-# _guided caches hold at most as many, and at most _MAX_TABLES tables
-# (4,096 guides of 1,026 int32s: 16.8 MB)
+# E = 10^7, q = 1/2 peak at 237 MB RSS, building included, with glibc's
+# default allocator settings or the CLI's (tables that size are mmapped
+# either way). The tables _guided caches hold at most as many, and at most
+# _MAX_TABLES tables (4,096 guides of 1,026 int32s: 16.8 MB)
 _MAX_TABLE_ENTRIES = 10 ** 7
 _MAX_TABLES = 4096
 _BLOCK = 1 << 16

@@ -16,7 +16,8 @@ from .errors import ConvergenceError
 # open intervals one refinement level may hold, summed over the integrals of
 # a batch: about 28 times the widest level an optimizer batch of 64 growth
 # rates reaches at the default tolerance (under 19,000), and a process peak
-# of about 120 MB when a growth rate at --quad-tol 1e-12 runs into it
+# of about 120 MB when a growth rate at --quad-tol 1e-12 runs into it (119
+# MB with the CLI's allocator settings, 123 MB with glibc's defaults)
 MAX_OPEN_INTERVALS = 1 << 19
 
 

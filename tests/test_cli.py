@@ -81,6 +81,16 @@ def oracle_tables(scenario, seed=42):
     ]
 
 
+def _run_python(script, *argv):
+    """A Python script in a child process that imports this minecon."""
+    src = str(Path(minecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def _run_child(*argv):
     """The CLI in a child process capped at 1.5 GB of address space."""
     script = ("import resource, sys\n"
@@ -88,12 +98,7 @@ def _run_child(*argv):
               "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, hard))\n"
               "from minecon.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
-    src = str(Path(minecon.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+    return _run_python(script, *argv)
 
 
 class TestScenarioFile:
@@ -261,6 +266,29 @@ class TestArtifacts:
         assert lo <= payload["min_viable_wealth"] <= hi
         assert payload["min_viable_wealth"] == pytest.approx(
             3.5596630070358515, rel=1e-3)
+
+    def test_optimize_wmin_optimizes_each_wealth_once(self, reference_file,
+                                                      tmp_path, monkeypatch):
+        # W's split comes from the root search's first run, not a second one
+        wealths = []
+        optimize_gamma = minecon.growth.optimize_gamma
+
+        def counted(wealth, *args, **kwargs):
+            wealths.append(wealth)
+            return optimize_gamma(wealth, *args, **kwargs)
+
+        monkeypatch.setattr(minecon.growth, "optimize_gamma", counted)
+        flags = ("--grid-size", 64)
+        assert run_cli("optimize", reference_file, "--out", tmp_path / "a",
+                       *flags) == 0
+        assert wealths == [100.0]
+        assert run_cli("optimize", reference_file, "--out", tmp_path / "b",
+                       *flags, "--wmin") == 0
+        assert wealths[1] == 100.0 and len(wealths) > 3
+        assert len(set(wealths[1:])) == len(wealths) - 1
+        plain = read_json(tmp_path / "a" / "optimize.json")
+        wmin = read_json(tmp_path / "b" / "optimize.json")
+        assert {k: wmin[k] for k in plain} == plain
 
     def test_fee_reference_values(self, reference_file, tmp_path):
         out = tmp_path / "artifacts"
@@ -1261,6 +1289,71 @@ class TestInputContract:
         if kind == "epochs" and "--per-trial" in extra:
             flags += ["--per-trial"]
         _run_scenario(scenario, command, *flags)
+
+
+def _has_mallopt():
+    import ctypes
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION")) and hasattr(
+            ctypes.CDLL(None), "mallopt")
+    except (AttributeError, OSError, TypeError, ValueError):
+        return False
+
+
+class TestAllocator:
+    @pytest.mark.skipif(not _has_mallopt(), reason="C library has no mallopt")
+    def test_main_keeps_freed_heap(self, reference_file, tmp_path):
+        # glibc's default trimming costs one reference optimize_gamma about
+        # 9,000 minor faults; after main, its temporaries reuse heap pages
+        script = (
+            "import resource, sys\n"
+            "from minecon import cli, growth, rewarddist\n"
+            "if cli.main(['growth', *sys.argv[1:]]) != 0:\n"
+            "    sys.exit('growth failed')\n"
+            "net = rewarddist.NetworkParams(expected_blocks=10.0,\n"
+            "                               block_reward=1.0, power=1000.0)\n"
+            "growth.optimize_gamma(100.0, 1.0, 0.001, net)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "growth.optimize_gamma(100.0, 1.0, 0.001, net)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(after - before)\n")
+        result = _run_python(script, reference_file, "--out", tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout.split()[-1]) < 1000
+
+    def test_import_leaves_the_allocator_alone(self):
+        script = ("import ctypes, numpy\n"
+                  "def record(*args):\n"
+                  "    raise SystemExit('CDLL opened on import')\n"
+                  "ctypes.CDLL = record\n"
+                  "import minecon, minecon.cli\n")
+        result = _run_python(script)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("refuses", [False, True])
+    def test_main_runs_where_mallopt_is_missing_or_refuses(
+            self, refuses, reference_file, tmp_path, monkeypatch, capsys):
+        import ctypes
+        argv = ["optimize", reference_file, "--grid-size", 64,
+                "--out", tmp_path]
+        assert run_cli(*argv) == 0
+        artifact = tmp_path / "optimize.json"
+        expected = capsys.readouterr(), artifact.read_bytes()
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0
+
+        libc = argparse.Namespace(**({"mallopt": mallopt} if refuses else {}))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(cli, "_heap_kept", False)
+        assert run_cli(*argv) == 0
+        assert (capsys.readouterr(), artifact.read_bytes()) == expected
+        assert run_cli(*argv) == 0  # a process tries mallopt once
+        # a refused mmap threshold leaves the trim threshold unset
+        assert calls == ([(-3, 32 << 20)] if refuses and _has_mallopt()
+                         else [])
 
 
 class TestConsoleEntry:
