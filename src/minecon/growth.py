@@ -258,17 +258,29 @@ def _growth_parts(plan: MinerPlan, network: NetworkParams,
     lam = win_rate_lambda(plan, network)
     drain = plan.drain_rate
     horizon = t_max(plan)
+    overflow = np.isinf(horizon)
+    if overflow.any():
+        raise NumericalError(
+            f"gamma*c_e*c_r = {float(drain[overflow][0])!r} is beyond double "
+            f"precision: the reserve's run time t_max = "
+            f"(1 - gamma)/(gamma*c_e*c_r) rounds to inf")
     rho = reward / plan.wealth
+    # the log argument 1 - drain t + rho, rounded as the integrand rounds
+    # it, never grows with t, and no node lies beyond t_max: so it is
+    # smallest there (a zero-width win branch has no node to check)
+    low = drain * horizon
+    np.subtract(1.0, low, out=low)
+    low += rho
     floor = gamma_ * (1.0 - 1e-12) - 1e-12
+    if not ((low >= floor) | (horizon == 0.0)).all():
+        raise NumericalError("log argument fell below gamma")
 
     def integrand(t, owner):
-        # lambda e^{-lambda t} log(1 - drain t + rho), in place
-        arg = drain.take(owner)
-        arg *= t
+        # lambda e^{-lambda t} log(1 - drain t + rho), in place; t holds
+        # rows of nodes, column j of split owner[j]
+        arg = drain.take(owner) * t
         np.subtract(1.0, arg, out=arg)
         arg += rho.take(owner)
-        if not (arg >= floor.take(owner)).all():
-            raise NumericalError("log argument fell below gamma")
         rate = lam.take(owner)
         value = rate * t
         np.negative(value, out=value)
@@ -297,9 +309,10 @@ def stochastic_growth_rate(plan: MinerPlan, network: NetworkParams,
                    + log(gamma) e^{-lambda t_max} ],
     with R the conditional reward per win. The win branch is integrated by
     adaptive Simpson at quad_tol; the integrand's log argument can never
-    drop below gamma, which is checked at every quadrature node
-    (NumericalError otherwise). This is the one-split case of the batched
-    evaluator behind optimize_gamma's grid scan, with the same values.
+    drop below gamma, which is checked at t_max, where the computed
+    argument is smallest (NumericalError otherwise, and where t_max
+    overflows). This is the one-split case of the batched evaluator behind
+    optimize_gamma's grid scan, with the same values.
     """
     parts = _growth_parts(replace(plan, split=np.array([plan.split])),
                           network, quad_tol)
@@ -382,10 +395,12 @@ def _smooth_growth_parts(plan: MinerPlan, network: NetworkParams,
 
 _REFINE_TOL = 1e-9  # bracket width at which the zoom refine stops
 # splits integrated side by side: on the reference scenario the optimizer
-# allocates at most ~3 MB at once with 64 (0.2 MB one at a time), ~11 MB
-# with 256 for at most a tenth off its time, and ~32 MB with all 1024 at
-# once, which is slower (both with the CLI's allocator settings)
-_SCAN_BATCH = 64
+# allocates at most ~9.5 MB at once with 256 (~2.7 MB with 64, ~28 MB with
+# all 1024), and one 256-split batch takes about 10-12 ms on 2 vCPUs. The
+# 1024-split scan then makes 4 batched calls and 72 quadrature levels
+# instead of 16 and 284, about 15% off the optimizer's time; 1024 at once
+# is slower again (all with the CLI's allocator settings)
+_SCAN_BATCH = 256
 _MAX_SCAN_GRID = 10 ** 6  # splits in the scan; each scan array ~8 MB
 # interior points of the bracket per zoom level, one batched call: each
 # level narrows the bracket about 17-fold

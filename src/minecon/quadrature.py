@@ -14,10 +14,12 @@ import numpy as np
 from .errors import ConvergenceError
 
 # open intervals one refinement level may hold, summed over the integrals of
-# a batch: about 28 times the widest level an optimizer batch of 64 growth
-# rates reaches at the default tolerance (under 19,000), and a process peak
-# of about 120 MB when a growth rate at --quad-tol 1e-12 runs into it (119
-# MB with the CLI's allocator settings, 123 MB with glibc's defaults)
+# a batch. The widest next level (2 live) of an optimizer batch of 256
+# growth rates is 53,930 on the reference and at most 69,486 on the
+# benchmark's 16 sweep draws at the default tolerance, 7.5 times under the
+# cap, and at most 223,342 at --quad-tol 1e-12, 2.3 times under it. A growth
+# rate at --quad-tol 1e-12 that runs into the cap peaks at about 119 MB
+# with the CLI's allocator settings
 MAX_OPEN_INTERVALS = 1 << 19
 
 
@@ -39,8 +41,10 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
         raise ValueError("integration interval must satisfy a <= b")
     if rel_tol <= 0 and abs_tol <= 0:
         raise ValueError("at least one of rel_tol, abs_tol must be positive")
-    value, error = simpson_batch(lambda t, owner: f(t), np.array([a]),
-                                 np.array([b]), rel_tol, abs_tol, max_depth)
+    # f gets the nodes flattened, one 1-D array per level
+    value, error = simpson_batch(lambda t, owner: f(t.reshape(-1)),
+                                 np.array([a]), np.array([b]), rel_tol,
+                                 abs_tol, max_depth)
     return float(value[0]), float(error[0])
 
 
@@ -48,8 +52,12 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
                   max_depth: int = 50) -> tuple:
     """Integrate K integrands over [a_k, b_k] at once; returns (values, errors).
 
-    f(t, owner) gets the nodes, which it must leave unchanged, and, for
-    each node, the index k of the integral it belongs to. Each integral
+    f(t, owner) gets the nodes as a (rows, n) array, which it must leave
+    unchanged, and the n-long index array owner: column j of t holds nodes
+    of integral owner[j], so per-integral constants gathered once by owner
+    broadcast over the rows. The first level passes 3 rows (left ends,
+    midpoints, right ends), every later one 2 (the quarter points); f
+    returns the values in t's shape. Each integral
     follows adaptive_simpson's rule with its own tolerances (rel_tol and
     abs_tol are scalars or length-K arrays; b_k >= a_k, and b_k == a_k
     integrates to 0). Its sums run over its own intervals in a fixed
@@ -74,21 +82,20 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
     # the nodes of every open interval in three blocks of n: left ends,
     # midpoints, right ends; fx holds the integrand there
     x = np.concatenate([left, 0.5 * (left + right), right])
-    fx = np.asarray(f(x, np.concatenate([owner, owner, owner])), dtype=float)
+    fx = _values(f, x, owner)
     simpson = span[owner] / 6.0 * (fx[:n] + 4.0 * fx[n:2 * n] + fx[2 * n:])
 
     # what the error reports if no level runs (max_depth < 0)
     depth = max_depth
-    open_ = np.ones(n, dtype=bool)
-    s_open, err_open = simpson, np.zeros(n)
+    done = np.zeros(n, dtype=bool)
+    estimate = simpson
     for depth in range(max_depth + 1):
         n = owner.size
         # the two halves of every interval, all left halves first: x[:2n]
         # holds their left ends, x[n:] their right ends
-        half_owner = np.concatenate([owner, owner])
         quarter = x[:2 * n] + x[n:]
         quarter *= 0.5
-        f_quarter = np.asarray(f(quarter, half_owner), dtype=float)
+        f_quarter = _values(f, quarter, owner)
         # each half's Simpson sum, width/12 (f_lo + 4 f_quarter + f_hi)
         halves = 4.0 * f_quarter
         halves += fx[:2 * n]
@@ -102,15 +109,16 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
 
         scale = np.abs(value + np.bincount(owner, s2, minlength=k))
         tol = np.maximum(abs_tol, rel_tol * scale)
-        done = np.abs(err) <= tol[owner] * width / span[owner]
+        size = np.abs(err)
+        done = size <= tol.take(owner) * width / span.take(owner)
 
-        done_owner, done_err = owner[done], err[done]
-        value += np.bincount(done_owner, s2[done] + done_err, minlength=k)
-        error += np.bincount(done_owner, np.abs(done_err), minlength=k)
-
-        open_ = ~done
-        s_open, err_open = s2, err
-        live = n - done_owner.size
+        # the accepted intervals' extrapolated sums and error sizes, added
+        # per integral in index order
+        estimate = np.add(s2, err, out=s2)
+        closed_owner = owner[done]
+        value += np.bincount(closed_owner, estimate[done], minlength=k)
+        error += np.bincount(closed_owner, size[done], minlength=k)
+        live = n - closed_owner.size
         if live == 0:
             return value, error
         if depth == max_depth or 2 * live > MAX_OPEN_INTERVALS:
@@ -121,18 +129,21 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
         x = (x[:2 * n], quarter, x[n:])
         fx = (fx[:2 * n], f_quarter, fx[n:])
         if live == n:
-            owner, simpson = half_owner, halves
+            simpson = halves
             x, fx = np.concatenate(x), np.concatenate(fx)
         else:
-            kept = np.flatnonzero(open_)
+            kept = np.flatnonzero(~done)
+            owner = owner.take(kept)
             kept = np.concatenate([kept, kept + n])
-            owner, simpson = half_owner.take(kept), halves.take(kept)
+            simpson = halves.take(kept)
             x, fx = _gather(x, kept), _gather(fx, kept)
+        owner = np.concatenate([owner, owner])
 
+    open_ = ~done
     worst = int(np.argmax(np.bincount(owner[open_], minlength=k)))
     mine = open_ & (owner == worst)
-    best = float(value[worst] + np.sum(s_open[mine] + err_open[mine]))
-    achieved = (float(error[worst] + np.sum(np.abs(err_open[mine])))
+    best = float(value[worst] + np.sum(estimate[mine]))
+    achieved = (float(error[worst] + np.sum(size[mine]))
                 if max_depth >= 0 else math.inf)
     message = (f"adaptive Simpson did not reach tolerance within {depth} "
                f"refinement levels (achieved error {achieved:.3e})")
@@ -141,6 +152,13 @@ def simpson_batch(f, a: np.ndarray, b: np.ndarray, rel_tol, abs_tol,
                     f"intervals, over the cap of {MAX_OPEN_INTERVALS}")
     raise ConvergenceError(message, best_estimate=best,
                            achieved_error=achieved)
+
+
+def _values(f, nodes: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    # the integrand at nodes laid out as rows of owner.size, one column per
+    # interval, flattened back into the blocks' order
+    rows = nodes.reshape(-1, owner.size)
+    return np.asarray(f(rows, owner), dtype=float).reshape(-1)
 
 
 def _gather(blocks: tuple, index: np.ndarray) -> np.ndarray:

@@ -712,6 +712,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, drain", [("growth", "5e-321"),
+                                                 ("optimize", "0.0")])
+    def test_overflowing_t_max_is_numeric_failure(self, tmp_path, capsys,
+                                                  command, drain):
+        # gamma c_e c_r is 5e-321 at gamma = 0.5, and 0.0 at the scan's
+        # first split, so t_max = (1 - gamma)/(gamma c_e c_r) is inf
+        path = write_scenario(tmp_path, c_e=1e-20, c_r=1e-300)
+        out = tmp_path / "artifacts"
+        assert run_cli(command, path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: numeric: gamma*c_e*c_r = {drain} is beyond double "
+            f"precision: the reserve's run time t_max = "
+            f"(1 - gamma)/(gamma*c_e*c_r) rounds to inf\n")
+        assert list(out.iterdir()) == []
+
     def test_wait_rate_underflow_is_numeric_failure(self, tmp_path, capsys):
         # against P0 = 1e300 the win rate squared underflows to 0
         path = write_scenario(tmp_path, P0=1e300)

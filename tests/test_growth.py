@@ -208,6 +208,30 @@ class TestStochasticGrowthRate:
         assert abs(coarse - fine) <= 1e-7 * max(1.0, abs(fine))
 
 
+    def test_overflowing_t_max_is_numerical_error(self):
+        # gamma c_e c_r = 5e-321, so (1 - gamma)/(gamma c_e c_r) is inf:
+        # the error names t_max, not the log argument it would drive to -inf
+        plan = MinerPlan(wealth=100.0, split=0.5, equipment_rate=1e-20,
+                         running_rate=1e-300)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError) as info:
+            stochastic_growth_rate(plan, REF_NET)
+        assert str(info.value) == (
+            "gamma*c_e*c_r = 5e-321 is beyond double precision: the "
+            "reserve's run time t_max = (1 - gamma)/(gamma*c_e*c_r) rounds "
+            "to inf")
+
+    def test_zero_width_win_branch_passes_the_log_guard(self):
+        # gamma c_e c_r overflows to inf, so t_max is 0 and the win branch
+        # has no node; its log argument at t_max, 1 - inf*0 + rho, is nan,
+        # and the guard skips it as the quadrature does
+        plan = MinerPlan(wealth=100.0, split=0.5, equipment_rate=10.0,
+                         running_rate=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = stochastic_growth_rate(plan, REF_NET)
+        assert (b.t_max, b.win_term) == (0.0, 0.0)
+        assert b.growth_rate == b.win_rate * math.log(0.5)
+
 class TestSmoothGrowth:
     def test_optimal_gamma_unit_product(self):
         assert smooth_optimal_gamma(1.0, 1.0, 1.0) == pytest.approx(0.5)
@@ -402,11 +426,11 @@ class TestBatchedGrowth:
 
         monkeypatch.setattr(growth, "_growth_parts", counted_parts)
         monkeypatch.setattr(growth, "stochastic_growth_rate", no_single)
-        grid_size = 200
+        grid_size = 300
         opt = optimize_gamma(100.0, 1.0, 0.001, REF_NET,
                              grid_size=grid_size, quad_tol=1e-8)
-        scan, levels, probes = calls[:4], calls[4:-1], calls[-1]
-        assert [len(splits) for splits, _ in scan] == [64, 64, 64, 8]
+        scan, levels, probes = calls[:2], calls[2:-1], calls[-1]
+        assert [len(splits) for splits, _ in scan] == [256, 44]
         assert 1 <= len(levels) <= 8
         # each level spans a bracket inside the one before, around the best
         # split so far, the first around the best grid split
@@ -540,9 +564,9 @@ class TestBatchedModel:
 
         monkeypatch.setattr(growth, "_growth_parts", counted_parts)
         monkeypatch.setattr(growth, "conditional_reward", counted_reward)
-        optimize_gamma(100.0, 1.0, 0.001, REF_NET, grid_size=200,
+        optimize_gamma(100.0, 1.0, 0.001, REF_NET, grid_size=300,
                        quad_tol=1e-8)
-        assert parts[:4] == [64, 64, 64, 8]
+        assert parts[:2] == [256, 44]
         assert rewarded == parts
 
 

@@ -120,6 +120,40 @@ def test_batch_zero_width_integral_is_zero():
     assert (values[1], errors[1]) == (0.0, 0.0)
 
 
+def test_batch_passes_rows_of_nodes_with_one_owner_per_column():
+    rates = np.array([0.5, 1.0, 7.0])
+    uppers = np.array([80.0, 0.0, 1.0])
+    calls = []
+
+    def f(t, owner):
+        calls.append((t.shape, owner.shape))
+        # column j holds nodes of integral owner[j] only
+        assert ((0.0 <= t) & (t <= uppers[owner])).all()
+        return exp_densities(t, owner, rates)
+
+    simpson_batch(f, np.zeros(3), uppers, 1e-10, 0.0)
+    # the zero-width integral 1 has no column; level 0 passes the ends and
+    # midpoints, every later level the quarter points of its intervals
+    (first, first_owner), *later = calls
+    assert (first, first_owner) == ((3, 2), (2,))
+    assert len(later) >= 2
+    assert all(rows == 2 and owner == (n,) for (rows, n), owner in later)
+
+
+def test_single_integrand_gets_flat_nodes():
+    nodes = []
+
+    def f(t):
+        nodes.append(t.copy())
+        return np.exp(t)
+
+    adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-12)
+    assert nodes[0].tolist() == [0.0, 0.5, 1.0]
+    assert nodes[1].tolist() == [0.25, 0.75]
+    assert len(nodes) > 2
+    assert all(t.ndim == 1 for t in nodes)
+
+
 def test_batch_failure_carries_the_failing_integral():
     # per-integral tolerances: the exponential converges, the sqrt kink
     # cannot within 30 levels; the error is the kink's own
@@ -355,3 +389,75 @@ def test_min_viable_wealth_is_bit_exact():
     assert hexes([root.wealth, *root.bracket]) == (
         "0x1.c7a301b64d55fp+1", "0x1.9000000000000p+1",
         "0x1.9000000000000p+2")
+
+
+def watch_growth_levels(monkeypatch, check):
+    # call check(t, owner, batch) on every level of every growth-rate
+    # quadrature, before the integrand runs; batch holds the plan, the
+    # rewards, t_max and the widest next level so far. conditional_reward
+    # runs once per batch, ahead of its quadrature
+    batches = []
+    real_reward = growth.conditional_reward
+
+    def reward(plan, network):
+        batches.append({"plan": plan, "reward": real_reward(plan, network),
+                        "widest": 0})
+        return batches[-1]["reward"]
+
+    def batch(f, a, b, *args, **kwargs):
+        batches[-1]["t_max"] = b
+
+        def watched(t, owner, record=batches[-1]):
+            check(t, owner, record)
+            return f(t, owner)
+
+        return simpson_batch(watched, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(growth, "conditional_reward", reward)
+    monkeypatch.setattr(growth, "simpson_batch", batch)
+    return batches
+
+
+REFERENCE_SCENARIO = (100.0, 0.5, 1.0, 0.001, 10.0, 1.0, 1000.0)
+
+
+@pytest.mark.parametrize("scenario", [
+    REFERENCE_SCENARIO, *(scenario for scenario, _ in ONE_SPLIT_SCENARIOS)],
+    ids=["reference", "draw4", "draw6", "draw9"])
+def test_log_argument_is_smallest_at_t_max(monkeypatch, scenario):
+    # growth checks the log argument 1 - drain t + rho only at t_max: every
+    # node the quadrature visits lies in [0, t_max], and its argument, as
+    # the integrand rounds it, is at least the one at t_max
+    nodes = []
+
+    def check(t, owner, batch):
+        plan = batch["plan"]
+        drain = plan.drain_rate.take(owner)
+        rho = (batch["reward"] / plan.wealth).take(owner)
+        end = batch["t_max"].take(owner)
+        assert ((0.0 <= t) & (t <= end)).all()
+        assert (1.0 - drain * t + rho >= 1.0 - drain * end + rho).all()
+        nodes.append(t.size)
+
+    watch_growth_levels(monkeypatch, check)
+    wealth, split, c_e, c_r, e, m, p0 = scenario
+    network = NetworkParams(expected_blocks=e, block_reward=m, power=p0)
+    growth.stochastic_growth_rate(MinerPlan(wealth, split, c_e, c_r),
+                                  network)
+    growth.optimize_gamma(wealth, c_e, c_r, network)
+    assert sum(nodes) > 10 ** 5
+
+
+def test_open_intervals_stay_a_quarter_under_the_cap(monkeypatch):
+    # the widest next level (2 live) of every batch of a default-flag
+    # reference optimizer run: after level 0, each level's columns are the
+    # open intervals the level before it left, and the last leaves none
+    def check(t, owner, batch):
+        if t.shape[0] == 2:
+            batch["widest"] = max(batch["widest"], owner.size)
+
+    batches = watch_growth_levels(monkeypatch, check)
+    growth.optimize_gamma(100.0, 1.0, 0.001, REFERENCE_NETWORK)
+    widest = [batch["widest"] for batch in batches]
+    assert len(widest) > 4 and min(widest) > 0
+    assert max(widest) <= quadrature.MAX_OPEN_INTERVALS // 4
