@@ -3,8 +3,11 @@
 Scenario files are flat ``key = value`` text (``#`` comments allowed) or a
 JSON object with the same keys. Every JSON artifact embeds the scenario
 echo, library version, and seed; floats are printed with 17 significant
-digits so outputs round-trip exactly. A command renders all its artifacts
-before it writes the first, so a failure leaves none behind.
+digits so outputs round-trip exactly. Large tables render their rows in
+numpy where every float prints in fixed notation, and through one
+%-template call elsewhere, with the same bytes either way. A command
+renders all its artifacts before it writes the first, so a failure leaves
+none behind.
 """
 
 import argparse
@@ -180,33 +183,178 @@ def _json_file(path: Path, payload: dict) -> tuple:
     return path, _json_text(payload) + "\n"
 
 
-def _table_file(base: Path, fmt: str, columns: dict) -> tuple:
-    """Render named 1-D columns as a CSV or JSON table with one ``%`` call
-    per batch of rows: float columns print as ``%.17g``, every other column
-    as ``%s`` (bools as true/false), the same text _cell gives each value."""
+# -- table text ------------------------------------------------------------
+# A full batch of rows whose floats are all 0 or have 1e-4 <= |v| < 1e16,
+# where %.17g writes fixed notation, renders in numpy: each cell fills a
+# fixed-width slot of a (rows, width) byte buffer, NUL-padded, and one
+# bytes.translate drops the padding. The 17 digits of |v| are
+# m = round(|v| 10^k) for the k that puts m in [10^16, 10^17): Dekker's
+# two-product gives |v| 10^k = p + err exactly, and p >= 10^16 is an even
+# integer, so p + rint(err) rounds half to even, as %.17g does.
+
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0 .. 9999
+_WORDS = np.ascontiguousarray(_DIGITS.T + np.uint8(48)).view(np.uint32)
+_WORDS = _WORDS.ravel()  # "0000" .. "9999" as native uint32
+# each word's trailing '0's, 4 in "0000"
+_TRAILING = np.logical_and.accumulate(_DIGITS[::-1] == 0).sum(0)
+# row 25 lo + hi keeps bytes lo <= i < hi of 24 and zeroes the others
+_MASK = np.uint8(255) * ((np.arange(24) >= np.arange(25)[:, None, None])
+                         & (np.arange(24) < np.arange(25)[:, None]))
+_MASK = _MASK.reshape(625, 24)
+_POW10 = np.concatenate(([1.0], np.full(22, 10.0))).cumprod()  # exact
+_BOOLS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+
+
+def _split(a):
+    """Dekker's split of a into hi + lo, each with at most 26 bits."""
+    c = a * 134217729.0
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a, k):
+    """round(a 10^k) as int64, ties to even, where a 10^k >= 2^53."""
+    p = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _digits(value, count: int):
+    """Nonnegative integers as count zero-padded 4-digit groups a row, as
+    (rows, count) ints and (rows, 4 count) ASCII bytes."""
+    groups = np.empty((len(value), count), np.uint32)
+    for j in range(count - 1, -1, -1):
+        value, groups[:, j] = np.divmod(value, 10 ** 4)
+    return groups, np.take(_WORDS, groups).view(np.uint8)
+
+
+def _keep(text, lo, hi):
+    """Each row's bytes lo <= i < hi of text, the others NUL, over the
+    columns some row keeps."""
+    a, b = int(np.min(lo)), int(np.max(hi))
+    return text[:, a:b] & np.take(_MASK[:, a:b], 25 * lo + hi, axis=0)
+
+
+def _byte(mask, char: str):
+    return mask.view(np.uint8)[:, None] * np.uint8(ord(char))  # or NUL
+
+
+def _float_text(v) -> list:
+    """%.17g text of floats v in fixed notation, as byte columns."""
+    a = np.abs(v)
+    zero = a == 0.0
+    a[zero] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp)  # decimal exponent, or 1 off
+    m = _scaled(a, 16 - x)
+    # 17 digits tell doubles apart, so no m rounds up to 10^17 once x is
+    # right
+    while (off := (m >= 10 ** 17).astype(np.intp) - (m < 10 ** 16)).any():
+        x += off
+        m = _scaled(a, 16 - x)
+    m[zero], x[zero] = 0, 0
+    # 24 digits, 7 zeros and m's 17; m's trailing zeros are counted back
+    # from the last group while the groups are 0
+    groups, text = _digits(m, 6)
+    zeros = _TRAILING[groups[:, 5]]
+    rows = np.flatnonzero(groups[:, 5] == 0)
+    for j in range(4, 0, -1):
+        group = groups[rows, j]
+        zeros[rows] += _TRAILING[group]
+        rows = rows[group == 0]
+    # the point goes before digit x + 8, after one '0' at least, and the %g
+    # rule drops the fraction's trailing zeros, and the point with them
+    point = x + 8
+    end = np.maximum(24 - zeros, point)
+    return [_byte(np.signbit(v), "-"),
+            _keep(text, np.minimum(point - 1, 7), point),
+            _byte(end > point, "."), _keep(text, point, end)]
+
+
+def _int_text(c) -> list:
+    """Decimal text of integers c, as byte columns."""
+    mag = (np.abs(c.astype(np.int64)).view(np.uint64)
+           if c.dtype.kind == "i" else c.astype(np.uint64))
+    count = -(-len(str(int(mag.max()))) // 4)
+    text = _digits(mag, count)[1]
+    lead = np.argmax(text != 48, axis=1)  # leading '0's, but one in a 0
+    lead[mag == 0] = 4 * count - 1
+    return [_byte(c < 0, "-"), _keep(text, lead, 4 * count)]
+
+
+def _fixed_rows(pieces, sep: str, cols) -> str:
+    """The rows of cols in fixed notation between the text pieces, rows
+    joined by sep: the text _percent_rows gives them."""
+    parts = []
+    for piece, c in zip(pieces, cols):
+        parts.append(np.frombuffer(piece.encode(), np.uint8))
+        if c.dtype.kind == "f":
+            parts += _float_text(c)
+        elif c.dtype.kind == "b":
+            parts.append(_BOOLS[c.view(np.uint8)])
+        else:
+            parts += _int_text(c)
+    parts.append(np.frombuffer((pieces[-1] + sep).encode(), np.uint8))
+    rows = len(cols[0])
+    buf = np.concatenate([np.broadcast_to(p, (rows, len(p)))
+                          if p.ndim == 1 else p for p in parts], axis=1)
+    buf[-1, -len(sep):] = 0  # no sep after the last row
+    return buf.tobytes().translate(None, b"\0").decode()
+
+
+def _fixed_notation(cols) -> bool:
+    """Whether each column holds bools, ints or float64 values that are 0
+    or have 1e-4 <= |v| < 1e16."""
+    floats = [np.abs(c) for c in cols if c.dtype.kind == "f"]
+    return (all(c.dtype.kind in "biu" or c.dtype == np.float64 for c in cols)
+            and all(((a < 1e16) & ((a >= 1e-4) | (a == 0.0))).all()
+                    for a in floats))
+
+
+def _percent_rows(template: str, sep: str, cols) -> str:
+    """Rows through one %-template call, rows joined by sep: float columns
+    print as %.17g, every other column as %s (bools as true/false), the
+    same text _cell gives each value."""
     cols = [np.where(c, "true", "false") if c.dtype.kind == "b" else c
-            for c in map(np.asarray, columns.values())]
+            for c in cols]
+    return sep.join([template] * len(cols[0])) % tuple(
+        chain.from_iterable(zip(*(c.tolist() for c in cols))))
+
+
+def _table_file(base: Path, fmt: str, columns: dict) -> tuple:
+    """Render named 1-D columns as a CSV or JSON table, _RENDER_ROWS rows
+    at a time. A full batch whose floats all print in fixed notation
+    renders in numpy (_fixed_rows); any other batch, such as a table's
+    short last one, goes through one %-template call (_percent_rows), the
+    reference text. Both give the bytes _cell gives each value."""
+    cols = [np.asarray(c) for c in columns.values()]
     finite = [np.isfinite(c) for c in cols if c.dtype.kind == "f"]
     if not all(f.all() for f in finite):
         row = min(int(np.argmin(f)) for f in finite if not f.all())
         value = next(float(c[row]) for c in cols
                      if c.dtype.kind == "f" and not np.isfinite(c[row]))
         raise NumericalError(f"non-finite value {value!r} in output")
-    specs = ["%.17g" if c.dtype.kind == "f" else "%s" for c in cols]
     if fmt == "csv":
-        template, sep = ",".join(specs), "\n"
+        pieces, sep = ["", *[","] * (len(cols) - 1), ""], "\n"
     else:
         # the layout _json_text gives {"columns": [...], "rows": [[...], ...]}
-        template = ("    [\n" + ",\n".join("      " + s for s in specs)
-                    + "\n    ]")
+        pieces = ["    [\n      ", *[",\n      "] * (len(cols) - 1),
+                  "\n    ]"]
         sep = ",\n"
+    specs = ["%.17g" if c.dtype.kind == "f" else "%s" for c in cols]
+    template = "".join(chain.from_iterable(zip(pieces, specs))) + pieces[-1]
     # rows are formatted _RENDER_ROWS at a time, so only that many rows of
-    # Python numbers and strings are alive at once
+    # Python numbers and strings, or of byte slots, are alive at once
     rows = len(cols[0])
-    chunks = (sep.join([template] * min(rows - lo, _RENDER_ROWS)) % tuple(
-        chain.from_iterable(zip(*(c[lo:lo + _RENDER_ROWS].tolist()
-                                  for c in cols))))
-              for lo in range(0, rows, _RENDER_ROWS))
+    chunks = (_fixed_rows(pieces, sep, batch)
+              if len(batch[0]) == _RENDER_ROWS and _fixed_notation(batch)
+              else _percent_rows(template, sep, batch)
+              for batch in ([c[lo:lo + _RENDER_ROWS] for c in cols]
+                            for lo in range(0, rows, _RENDER_ROWS)))
     if fmt == "csv":
         return base.with_suffix(".csv"), "\n".join([",".join(columns),
                                                    *chunks, ""])

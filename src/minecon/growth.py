@@ -72,6 +72,7 @@ class MinerPlan:
         return self.power * self.running_rate
 
     @property
+    @np.errstate(over="ignore")  # an infinite drain makes t_max 0
     def drain_rate(self) -> float:
         """Fraction of W drained per epoch: gamma c_e c_r."""
         return self.split * self.equipment_rate * self.running_rate
@@ -187,11 +188,13 @@ def wealth_trajectory(initial_wealth: float, growth_rate: float,
     return initial_wealth * math.exp(growth_rate * time)
 
 
+@np.errstate(over="ignore", divide="ignore")  # _growth_parts checks inf
 def t_max(plan: MinerPlan) -> float:
     """Epochs until the reserve runs dry with no win: (1 - gamma)/(gamma c_e c_r)."""
     return (1.0 - plan.split) / plan.drain_rate
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked below
 def _per_joined_power(numerator, power, network: NetworkParams,
                       positive: str = ""):
     """numerator/(P0 + p) for a miner's power p. NumericalError where
@@ -216,6 +219,7 @@ def win_probability(plan: MinerPlan, network: NetworkParams) -> float:
     return _per_joined_power(p, p, network, "win probability q = p/(P0 + p)")
 
 
+@np.errstate(over="ignore")  # an overflowing E p is checked below
 def win_rate_lambda(plan: MinerPlan, network: NetworkParams) -> float:
     """First-win rate E q, rounded as E p / (P0 + p).
 
@@ -268,7 +272,8 @@ def _growth_parts(plan: MinerPlan, network: NetworkParams,
     # the log argument 1 - drain t + rho, rounded as the integrand rounds
     # it, never grows with t, and no node lies beyond t_max: so it is
     # smallest there (a zero-width win branch has no node to check)
-    low = drain * horizon
+    with np.errstate(invalid="ignore"):  # inf * 0 where t_max is 0
+        low = drain * horizon
     np.subtract(1.0, low, out=low)
     low += rho
     floor = gamma_ * (1.0 - 1e-12) - 1e-12

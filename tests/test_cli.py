@@ -445,6 +445,89 @@ class TestTableWriter:
         assert text.splitlines() == want.splitlines()
         assert text == want
 
+    @staticmethod
+    def render(fmt, columns):
+        """Check _table_file's text against the oracle's, and return the
+        row count of each batch that went through the % template."""
+        batches = []
+        percent = cli._percent_rows
+
+        def counted(template, sep, cols):
+            batches.append(len(cols[0]))
+            return percent(template, sep, cols)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(cli, "_percent_rows", counted)
+            _, text = cli._table_file(Path("t"), fmt, columns)
+        want = cell_table_text(fmt, list(columns),
+                               zip(*(c.tolist() for c in columns.values())))
+        # lines, so a mismatch reports the first differing line quickly
+        assert text.splitlines() == want.splitlines()
+        assert text == want
+        return batches
+
+    @staticmethod
+    def boundary_floats():
+        """Powers of ten and 1-3 ulps either side for exponents -5..17, and
+        values whose 18th significant digit is a 5 that %.17g rounds half
+        to even, up and down: d integer digits and 18 - d binary fraction
+        digits are exact."""
+        values = []
+        for e in range(-5, 18):
+            for direction in (0.0, math.inf):
+                x = 10.0 ** e
+                for _ in range(3):
+                    x = math.nextafter(x, direction)
+                    values.append(x)
+            values.append(10.0 ** e)
+        for d in range(1, 17):
+            base = float(int("123456789012345678"[:d]))
+            values += [base + j / 2.0 ** (18 - d) for j in (1, 3)]
+        return values + [-v for v in values] + [0.0, -0.0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fixed_route_boundaries_match_oracle(self, fmt):
+        # batch 1 holds only floats %.17g prints in fixed notation, so it
+        # takes the numpy route; batch 2 holds all the boundary floats, 1e17
+        # and 1e-5 among them, and the short tail is the % template's
+        rows = 2 * cli._RENDER_ROWS + 5
+        floats = np.array(self.boundary_floats())
+        fixed = floats[(floats == 0.0) | ((np.abs(floats) >= 1e-4)
+                                          & (np.abs(floats) < 1e16))]
+        assert 300 < fixed.size < floats.size
+        x = np.concatenate([np.resize(fixed, cli._RENDER_ROWS),
+                            np.resize(floats, rows - cli._RENDER_ROWS)])
+        info = np.iinfo(np.int64)
+        ints = np.resize(np.array([info.min, info.max, info.min + 1, -1, 0,
+                                   1, 9, -10, 9999, -10 ** 4, 10 ** 8,
+                                   -12345678901234567], np.int64), rows)
+        columns = {"k": ints, "flag": np.arange(rows) % 3 == 0, "x": x,
+                   "epoch": np.arange(rows, dtype=np.uint64)}
+        assert self.render(fmt, columns) == [cli._RENDER_ROWS, 5]
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(values=st.lists(st.tuples(st.booleans(), st.one_of(
+        st.just(0.0), st.floats(1e-4, 1e16, exclude_max=True))),
+        min_size=1, max_size=300), fmt=st.sampled_from(["csv", "json"]))
+    def test_fixed_route_matches_oracle(self, values, fmt):
+        # two full batches of floats that print in fixed notation
+        x = np.resize([-v if negative else v for negative, v in values],
+                      2 * cli._RENDER_ROWS)
+        assert self.render(fmt, {"x": x, "y": x[::-1].copy()}) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_exponent_float_sends_its_batch_to_percent(self, fmt):
+        rows = 2 * cli._RENDER_ROWS
+        wealth = np.linspace(100.0, 85593.05, rows)
+        columns = {"epoch": np.arange(1, rows + 1), "wealth": wealth}
+        assert self.render(fmt, columns) == []
+        # the double below 1e-4, and 1e16: both print with an exponent
+        wealth[7] = 9.9999999999999991e-05
+        assert self.render(fmt, columns) == [cli._RENDER_ROWS]
+        wealth[cli._RENDER_ROWS + 7] = 1e16
+        assert self.render(fmt, columns) == [cli._RENDER_ROWS] * 2
+
     def test_dist_sums_the_pmf_three_times(self, reference_file, tmp_path,
                                            monkeypatch):
         # total mass, mean and second moment, each summed once

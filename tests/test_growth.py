@@ -1,6 +1,7 @@
 """Growth rates: finite games, the continuous-time model, and optimizers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,8 +214,9 @@ class TestStochasticGrowthRate:
         # the error names t_max, not the log argument it would drive to -inf
         plan = MinerPlan(wealth=100.0, split=0.5, equipment_rate=1e-20,
                          running_rate=1e-300)
-        with np.errstate(over="ignore"), \
+        with warnings.catch_warnings(), \
                 pytest.raises(NumericalError) as info:
+            warnings.simplefilter("error")  # the error comes first
             stochastic_growth_rate(plan, REF_NET)
         assert str(info.value) == (
             "gamma*c_e*c_r = 5e-321 is beyond double precision: the "
@@ -227,7 +229,8 @@ class TestStochasticGrowthRate:
         # and the guard skips it as the quadrature does
         plan = MinerPlan(wealth=100.0, split=0.5, equipment_rate=10.0,
                          running_rate=1e308)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf * 0 is computed quietly
             b = stochastic_growth_rate(plan, REF_NET)
         assert (b.t_max, b.win_term) == (0.0, 0.0)
         assert b.growth_rate == b.win_rate * math.log(0.5)
@@ -571,6 +574,14 @@ class TestBatchedModel:
 
 
 class TestShareGuard:
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        # a library caller gets the NumericalError, with no numpy warning
+        # before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
     # P0 + p overflows: p = 0.9 * 1e308 * 1.5 against P0 = 1e308
     OVERFLOW = (MinerPlan(1e308, 0.9, 1.5, 0.001),
                 NetworkParams(expected_blocks=10.0, block_reward=1.0,
