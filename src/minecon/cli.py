@@ -107,17 +107,20 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError("scenario: file is not UTF-8 text") from None
+    if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"scenario: bad JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ValidationError("scenario: JSON root must be an object")
-        return Scenario.from_mapping(data)
-    data = {}
+        return Scenario.from_mapping(
+            {key: _json_number(key, value) for key, value in data.items()})
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,17 +129,37 @@ def load_scenario(path) -> Scenario:
             raise ValidationError(
                 f"scenario: line {lineno} is not 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in data:
-            raise ValidationError(f"scenario: duplicate key {key!r}")
         try:
-            data[key] = float(value)
+            pairs.append((key.strip(), float(value)))
         except ValueError:
             raise ValidationError(
-                f"scenario: line {lineno}: {value!r} is not a number"
+                f"scenario: line {lineno}: {value.strip()!r} is not a number"
             ) from None
-    return Scenario.from_mapping(data)
+    return Scenario.from_mapping(_unique(pairs))
+
+
+def _unique(pairs) -> dict:
+    """The dict of (key, value) pairs, refusing a key given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValidationError(f"scenario: duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
+def _json_number(key: str, value):
+    """A JSON scenario value: a number, or text float reads, as in the text
+    format; null, booleans, arrays and objects are refused."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise ValidationError(
+        f"scenario: {key} = {json.dumps(value)} is not a number")
 
 
 # -- deterministic serialization -------------------------------------------
@@ -180,7 +203,7 @@ def _cell(value) -> str:
 
 
 def _json_file(path: Path, payload: dict) -> tuple:
-    return path, _json_text(payload) + "\n"
+    return path, [_json_text(payload) + "\n"]
 
 
 # -- table text ------------------------------------------------------------
@@ -202,7 +225,6 @@ _MASK = np.uint8(255) * ((np.arange(24) >= np.arange(25)[:, None, None])
                          & (np.arange(24) < np.arange(25)[:, None]))
 _MASK = _MASK.reshape(625, 24)
 _POW10 = np.concatenate(([1.0], np.full(22, 10.0))).cumprod()  # exact
-_BOOLS = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
 
 
 def _split(a):
@@ -276,9 +298,8 @@ def _float_text(v) -> list:
 
 
 def _int_text(c) -> list:
-    """Decimal text of integers c, as byte columns."""
-    mag = (np.abs(c.astype(np.int64)).view(np.uint64)
-           if c.dtype.kind == "i" else c.astype(np.uint64))
+    """Decimal text of int64 values c, as byte columns."""
+    mag = np.abs(c).view(np.uint64)  # |min| wraps to -2^63, read as 2^63
     count = -(-len(str(int(mag.max()))) // 4)
     text = _digits(mag, count)[1]
     lead = np.argmax(text != 48, axis=1)  # leading '0's, but one in a 0
@@ -286,48 +307,37 @@ def _int_text(c) -> list:
     return [_byte(c < 0, "-"), _keep(text, lead, 4 * count)]
 
 
-def _fixed_rows(pieces, sep: str, cols) -> str:
-    """The rows of cols in fixed notation between the text pieces, rows
-    joined by sep: the text _percent_rows gives them."""
+def _fixed_rows(pieces, cols) -> str:
+    """The rows of cols in fixed notation between the text pieces, the
+    last of which ends each row: the text _percent_rows gives them."""
     parts = []
     for piece, c in zip(pieces, cols):
         parts.append(np.frombuffer(piece.encode(), np.uint8))
-        if c.dtype.kind == "f":
-            parts += _float_text(c)
-        elif c.dtype.kind == "b":
-            parts.append(_BOOLS[c.view(np.uint8)])
-        else:
-            parts += _int_text(c)
-    parts.append(np.frombuffer((pieces[-1] + sep).encode(), np.uint8))
+        parts += _float_text(c) if c.dtype.kind == "f" else _int_text(c)
+    parts.append(np.frombuffer(pieces[-1].encode(), np.uint8))
     rows = len(cols[0])
     buf = np.concatenate([np.broadcast_to(p, (rows, len(p)))
                           if p.ndim == 1 else p for p in parts], axis=1)
-    buf[-1, -len(sep):] = 0  # no sep after the last row
     return buf.tobytes().translate(None, b"\0").decode()
 
 
 def _fixed_notation(cols) -> bool:
-    """Whether each column holds bools, ints or float64 values that are 0
-    or have 1e-4 <= |v| < 1e16."""
-    floats = [np.abs(c) for c in cols if c.dtype.kind == "f"]
-    return (all(c.dtype.kind in "biu" or c.dtype == np.float64 for c in cols)
-            and all(((a < 1e16) & ((a >= 1e-4) | (a == 0.0))).all()
-                    for a in floats))
+    """Whether every float in cols is 0 or has 1e-4 <= |v| < 1e16."""
+    return all(((a < 1e16) & ((a >= 1e-4) | (a == 0.0))).all()
+               for a in (np.abs(c) for c in cols if c.dtype.kind == "f"))
 
 
-def _percent_rows(template: str, sep: str, cols) -> str:
-    """Rows through one %-template call, rows joined by sep: float columns
-    print as %.17g, every other column as %s (bools as true/false), the
-    same text _cell gives each value."""
-    cols = [np.where(c, "true", "false") if c.dtype.kind == "b" else c
-            for c in cols]
-    return sep.join([template] * len(cols[0])) % tuple(
+def _percent_rows(template: str, cols) -> str:
+    """Rows through one %-template call: float columns print as %.17g, int
+    columns as %s, the same text _cell gives each value."""
+    return template * len(cols[0]) % tuple(
         chain.from_iterable(zip(*(c.tolist() for c in cols))))
 
 
 def _table_file(base: Path, fmt: str, columns: dict) -> tuple:
-    """Render named 1-D columns as a CSV or JSON table, _RENDER_ROWS rows
-    at a time. A full batch whose floats all print in fixed notation
+    """Render named 1-D int64 and float64 columns as a CSV or JSON table:
+    its path and its text as chunks of _RENDER_ROWS rows, each row ending
+    in its separator. A full batch whose floats all print in fixed notation
     renders in numpy (_fixed_rows); any other batch, such as a table's
     short last one, goes through one %-template call (_percent_rows), the
     reference text. Both give the bytes _cell gives each value."""
@@ -339,36 +349,36 @@ def _table_file(base: Path, fmt: str, columns: dict) -> tuple:
                      if c.dtype.kind == "f" and not np.isfinite(c[row]))
         raise NumericalError(f"non-finite value {value!r} in output")
     if fmt == "csv":
-        pieces, sep = ["", *[","] * (len(cols) - 1), ""], "\n"
+        pieces = ["", *[","] * (len(cols) - 1), "\n"]
     else:
         # the layout _json_text gives {"columns": [...], "rows": [[...], ...]}
         pieces = ["    [\n      ", *[",\n      "] * (len(cols) - 1),
-                  "\n    ]"]
-        sep = ",\n"
+                  "\n    ],\n"]
     specs = ["%.17g" if c.dtype.kind == "f" else "%s" for c in cols]
     template = "".join(chain.from_iterable(zip(pieces, specs))) + pieces[-1]
     # rows are formatted _RENDER_ROWS at a time, so only that many rows of
     # Python numbers and strings, or of byte slots, are alive at once
     rows = len(cols[0])
-    chunks = (_fixed_rows(pieces, sep, batch)
+    chunks = [_fixed_rows(pieces, batch)
               if len(batch[0]) == _RENDER_ROWS and _fixed_notation(batch)
-              else _percent_rows(template, sep, batch)
+              else _percent_rows(template, batch)
               for batch in ([c[lo:lo + _RENDER_ROWS] for c in cols]
-                            for lo in range(0, rows, _RENDER_ROWS)))
+                            for lo in range(0, rows, _RENDER_ROWS))]
     if fmt == "csv":
-        return base.with_suffix(".csv"), "\n".join([",".join(columns),
-                                                   *chunks, ""])
-    body = f"[\n{sep.join(chunks)}\n  ]" if rows else "[]"
-    return base.with_suffix(".json"), (
-        f'{{\n  "columns": {_json_text(list(columns), 1)},\n'
-        f'  "rows": {body}\n}}\n')
+        return base.with_suffix(".csv"), [",".join(columns) + "\n", *chunks]
+    head = f'{{\n  "columns": {_json_text(list(columns), 1)},\n  "rows": '
+    if not rows:
+        return base.with_suffix(".json"), [head + "[]\n}\n"]
+    chunks[-1] = chunks[-1][:-2] + "\n"  # no comma after the last row
+    return base.with_suffix(".json"), [head + "[\n", *chunks, "  ]\n}\n"]
 
 
 def _write(*files) -> None:
-    """Write (path, text) pairs, all rendered before the first is written,
-    so a value that fails to serialize leaves no artifact behind."""
-    for path, text in files:
-        path.write_text(text)
+    """Write (path, text chunks) pairs, all rendered before the first is
+    written, so a value that fails to serialize leaves no artifact behind."""
+    for path, chunks in files:
+        with path.open("w") as file:
+            file.writelines(chunks)
         print(f"wrote {path}")
 
 

@@ -19,10 +19,13 @@ from .quadrature import adaptive_simpson, simpson_batch
 from .rewarddist import NetworkParams
 
 
-# libm's expm1 and exp entry by entry: numpy's own differ in the last bit
-# on about 2% and 5% of arguments, which would move artifact digits
-_expm1 = np.vectorize(math.expm1, otypes=[float])
-_exp = np.vectorize(math.exp, otypes=[float])
+def _libm(f, x) -> np.ndarray:
+    """libm's f (math.expm1 or math.exp) entry by entry, as an array of x's
+    shape, 0-d for a scalar: numpy's own expm1 and exp differ in the last
+    bit on a few percent of arguments, which would move artifact digits."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,8 @@ def conditional_reward(plan: MinerPlan, network: NetworkParams) -> float:
     M = 0 network.
     """
     q = win_probability(plan, network)
-    return network.block_reward * q / -_expm1(-network.expected_blocks * q)
+    return network.block_reward * q / -_libm(math.expm1,
+                                              -network.expected_blocks * q)
 
 
 def _growth_parts(plan: MinerPlan, network: NetworkParams,

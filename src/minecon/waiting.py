@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, require
-from .growth import _exp, _expm1
+from .growth import _libm
 from .rewarddist import MinerShare, NetworkParams
 
 
@@ -46,7 +46,7 @@ def waiting_cdf(x, network: NetworkParams, share: MinerShare):
 
     x is one time or an array of them; libm's expm1 rounds every entry.
     """
-    return -_expm1(-_times(x) * _rate(network, share))
+    return -_libm(math.expm1, -_times(x) * _rate(network, share))
 
 
 def waiting_pdf(x, network: NetworkParams, share: MinerShare):
@@ -55,7 +55,7 @@ def waiting_pdf(x, network: NetworkParams, share: MinerShare):
     x = _times(x)
     rate = _rate(network, share)
     require(rate > 0, "waiting time is degenerate at rate 0")
-    return rate * _exp(-x * rate)
+    return rate * _libm(math.exp, -x * rate)
 
 
 def _divisor_rate(network: NetworkParams, share: MinerShare,

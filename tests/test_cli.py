@@ -1,6 +1,8 @@
 """Command-line round trips: artifacts, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,49 @@ class TestScenarioFile:
         path = tmp_path / "nogamma.txt"
         path.write_text("\n".join(f"{k} = {v}" for k, v in params.items()))
         assert load_scenario(path).gamma is None
+
+    @staticmethod
+    def refused(path, capsys):
+        """The one error line of a growth run on path that exits 1 and
+        writes nothing."""
+        out = path.parent / "artifacts"
+        assert run_cli("growth", path, "--out", out) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"W", b"\xff"))
+        assert self.refused(path, capsys) == (
+            "error: validation: scenario: file is not UTF-8 text\n")
+
+    @pytest.mark.parametrize("value", ["[1]", "null", "{}", '"ten"', "true",
+                                       "false"])
+    def test_json_value_that_is_not_a_number_exits_1(self, tmp_path, capsys,
+                                                     value):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(REFERENCE).replace('"M": 1,',
+                                                      f'"M": {value},'))
+        assert self.refused(path, capsys) == (
+            f"error: validation: scenario: M = {value} is not a number\n")
+
+    def test_duplicate_json_key_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(REFERENCE)[:-1] + ', "E": 11}')
+        assert self.refused(path, capsys) == (
+            "error: validation: scenario: duplicate key 'E'\n")
+
+    def test_json_numeric_strings_read_as_numbers(self, tmp_path,
+                                                  reference_file):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({k: str(v) for k, v in REFERENCE.items()}))
+        for scenario in (path, reference_file):
+            assert run_cli("growth", scenario, "--out",
+                           tmp_path / scenario.suffix[1:]) == 0
+        assert ((tmp_path / "json" / "growth.json").read_bytes()
+                == (tmp_path / "txt" / "growth.json").read_bytes())
 
 
 class TestArtifacts:
@@ -432,13 +478,13 @@ class TestTableWriter:
     @pytest.mark.parametrize("rows", [0, 1, cli._RENDER_ROWS - 1,
                                       cli._RENDER_ROWS, cli._RENDER_ROWS + 1])
     def test_batch_edges_match_oracle(self, tmp_path, fmt, rows):
-        # int64, bool and float columns around one batch of rows; the
-        # floats cycle through values whose shortest text is tricky
+        # int64 and float columns around one batch of rows; the floats
+        # cycle through values whose shortest text is tricky
         floats = np.resize([-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17,
                             2.0 ** 53 + 2, 1.0 / 3.0], rows)
-        columns = {"k": np.arange(rows, dtype=np.int64) - 7,
-                   "flag": np.arange(rows) % 3 == 0, "x": floats}
-        _, text = cli._table_file(tmp_path / "t", fmt, columns)
+        columns = {"k": np.arange(rows, dtype=np.int64) - 7, "x": floats}
+        _, chunks = cli._table_file(tmp_path / "t", fmt, columns)
+        text = "".join(chunks)
         want = cell_table_text(fmt, list(columns),
                                zip(*(c.tolist() for c in columns.values())))
         # lines, so a mismatch reports the first differing line quickly
@@ -452,13 +498,13 @@ class TestTableWriter:
         batches = []
         percent = cli._percent_rows
 
-        def counted(template, sep, cols):
+        def counted(template, cols):
             batches.append(len(cols[0]))
-            return percent(template, sep, cols)
+            return percent(template, cols)
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(cli, "_percent_rows", counted)
-            _, text = cli._table_file(Path("t"), fmt, columns)
+            text = "".join(cli._table_file(Path("t"), fmt, columns)[1])
         want = cell_table_text(fmt, list(columns),
                                zip(*(c.tolist() for c in columns.values())))
         # lines, so a mismatch reports the first differing line quickly
@@ -501,8 +547,7 @@ class TestTableWriter:
         ints = np.resize(np.array([info.min, info.max, info.min + 1, -1, 0,
                                    1, 9, -10, 9999, -10 ** 4, 10 ** 8,
                                    -12345678901234567], np.int64), rows)
-        columns = {"k": ints, "flag": np.arange(rows) % 3 == 0, "x": x,
-                   "epoch": np.arange(rows, dtype=np.uint64)}
+        columns = {"k": ints, "x": x}
         assert self.render(fmt, columns) == [cli._RENDER_ROWS, 5]
 
     @settings(max_examples=20, deadline=None, derandomize=True,
@@ -528,6 +573,22 @@ class TestTableWriter:
         wealth[cli._RENDER_ROWS + 7] = 1e16
         assert self.render(fmt, columns) == [cli._RENDER_ROWS] * 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_holds_the_text_once(self, tmp_path, fmt):
+        # a wealth-path table: while it is written, its rendered rows and
+        # one batch's temporaries are all the writer holds
+        rows = 300_000
+        columns = {"epoch": np.arange(1, rows + 1, dtype=np.int64),
+                   "wins": np.arange(rows, dtype=np.int64) % 3,
+                   "wealth": np.linspace(100.0, 85593.05, rows)}
+        tracemalloc.start()
+        try:
+            cli._write(cli._table_file(tmp_path / "t", fmt, columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (tmp_path / f"t.{fmt}").stat().st_size
+
     def test_dist_sums_the_pmf_three_times(self, reference_file, tmp_path,
                                            monkeypatch):
         # total mass, mean and second moment, each summed once
@@ -540,10 +601,10 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table_matches_oracle(self, tmp_path, fmt):
-        _, text = cli._table_file(tmp_path / "t", fmt,
-                                  {"a": np.zeros(0, dtype=np.int64),
-                                   "b": np.zeros(0)})
-        assert text == cell_table_text(fmt, ["a", "b"], [])
+        _, chunks = cli._table_file(tmp_path / "t", fmt,
+                                    {"a": np.zeros(0, dtype=np.int64),
+                                     "b": np.zeros(0)})
+        assert "".join(chunks) == cell_table_text(fmt, ["a", "b"], [])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1387,6 +1448,49 @@ class TestInputContract:
         if kind == "epochs" and "--per-trial" in extra:
             flags += ["--per-trial"]
         _run_scenario(scenario, command, *flags)
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(key=st.sampled_from(sorted(REFERENCE)), value=st.recursive(
+        st.none() | st.booleans() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6))
+    def test_json_values_keep_the_exit_contract(self, key, value):
+        _run_scenario_file(json.dumps(dict(REFERENCE, **{key: value}))
+                           .encode())
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.binary(max_size=64) | st.binary(max_size=64).map(
+        lambda raw: b"{" + raw))
+    def test_scenario_bytes_keep_the_exit_contract(self, data):
+        _run_scenario_file(data)
+
+
+def _run_scenario_file(data):
+    """growth in this process on a scenario file of these bytes, held to
+    the exit contract: exit 0 with its artifact, or exit 1 with one error
+    line and no artifact; any other exception fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario"
+        path.write_bytes(data)
+        out = Path(tmp) / "artifacts"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli("growth", path, "--out", out)
+        artifacts = sorted(p.name for p in out.iterdir()) if out.exists() \
+            else []
+        if code:
+            assert code == 1, err.getvalue()
+            assert err.getvalue().startswith("error: validation: scenario: ")
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert artifacts == []
+        else:
+            assert err.getvalue() == ""
+            assert artifacts == ["growth.json"]
 
 
 def _has_mallopt():
