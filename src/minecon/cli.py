@@ -108,13 +108,18 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ValidationError("scenario: file is not UTF-8 text") from None
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text, object_pairs_hook=_unique)
-        except json.JSONDecodeError as exc:
+        except ValidationError:  # a duplicate key
+            raise
+        except (ValueError, RecursionError) as exc:
+            # also an integer past Python's digit limit, or nesting past
+            # the recursion limit
             raise ValidationError(f"scenario: bad JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ValidationError("scenario: JSON root must be an object")
@@ -157,6 +162,11 @@ def _json_number(key: str, value):
         except ValueError:
             pass
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(f"scenario: {key} is an integer past the "
+                                  f"double range") from None
         return value
     raise ValidationError(
         f"scenario: {key} = {json.dumps(value)} is not a number")
@@ -519,11 +529,13 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
         result = mcsim.estimate_first_win_time(network, scenario.share(),
                                                config)
         payload["report"] = asdict(result.report)
-        payload["censored"] = result.censored
+        payload["censored"] = 0  # every trial runs to its first win
+        # the step ECDF: epoch 0, then each epoch in which a trial first won
+        won, count = np.unique(result.epochs, return_counts=True)
         tables.append(_table_file(out / "simulate_ecdf", args.format,
-                                  {"epoch": result.grid,
-                                   "cumulative_probability":
-                                       result.empirical_cdf}))
+                                  {"epoch": np.append(0, won),
+                                   "cumulative_probability": np.append(
+                                       0.0, np.cumsum(count) / args.samples)}))
     else:  # wealth
         path = mcsim.simulate_wealth_path(scenario.plan(), network,
                                           args.horizon, config)
@@ -618,14 +630,11 @@ def _verify_rows(scenario: Scenario, args) -> list:
                      horizon if ruin_exact else -1, horizon, 0,
                      "M=0 ruin epoch equals ceil(reserve/cost)"))
 
-    # bankruptcy: first-win trials with no win by the horizon. ecdf[k] is
-    # the share of the trials that won by epoch k; every trial has won by
-    # the grid's last epoch
-    won = round(first.empirical_cdf[min(horizon, first.grid[-1])]
-                * first.report.samples)
+    # bankruptcy: first-win trials with no win by the horizon
+    ruined = np.count_nonzero(first.epochs > horizon)
     p_bankrupt = waiting.bankruptcy_probability(inputs, network, share)
     rows.append(_stat_row(
-        "bankruptcy-probability", (trials - won) / trials, p_bankrupt,
+        "bankruptcy-probability", ruined / trials, p_bankrupt,
         3.0 * math.sqrt(p_bankrupt * (1 - p_bankrupt) / trials),
         "first-win trials with no win by the horizon vs exp(-x* E q)"))
 

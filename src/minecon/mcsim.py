@@ -25,10 +25,11 @@ from .errors import require
 from .rewarddist import MinerShare, NetworkParams
 
 
-# longest mean first-win wait, in epochs, the simulation takes. It bounds
-# the ECDF table, one row per epoch up to the longest wait, about
-# mean * ln(trials) rows: 1.5e6 rows for 10^6 trials at E q = 1.01e-5
-_MAX_MEAN_WAIT = 10 ** 5
+# longest mean first-win wait, in epochs, the simulation takes: epochs stay
+# exact integers in the midpoints k - 1/2 only up to 2^52, and P(wait > k)
+# = e^{-k E q}, so at E q >= 2^-46 any of 10^7 trials passes 2^52 epochs
+# with probability 10^7 e^-64 < 2e-21
+_MAX_MEAN_WAIT = 2 ** 46
 # largest Poisson mean sampled: its table holds 380k entries at 10^7
 _MAX_POISSON_MEAN = 10 ** 7
 # cdf entries the tables of one binomial_sample call may hold over their
@@ -81,17 +82,14 @@ class SimReport:
 
 @dataclass(frozen=True)
 class FirstWinResult:
-    """First-win waiting times: summary stats plus the empirical CDF.
+    """First-win waiting times: summary stats plus the drawn sample.
 
-    empirical_cdf[k] is the fraction of trials whose first win came in
-    epochs 1..grid[k]. Every trial runs to its first win, so censored is
-    always 0; it stays for the callers that report it.
+    epochs[i] is the epoch (1, 2, ...) of trial i's first win; every trial
+    runs to its first win.
     """
 
     report: SimReport
-    grid: np.ndarray
-    empirical_cdf: np.ndarray
-    censored: int
+    epochs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -369,15 +367,14 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     the K-th after it, K ~ Geometric(q), and arrives G/E epochs later with
     G ~ Gamma(K, 1) (gamma_sample): the win lands in epoch 1 + ceil(G/E).
     Wins land at the epoch midpoint k - 1/2, the natural continuous-time
-    reading of "during epoch k"; the empirical CDF is reported on the
-    integer epoch grid, where the midpoint convention drops back out. The
-    route never reads the closed form p0 = 1 - e^{-Eq}. A win rate E q
-    below 10^-5 per epoch (zero included), a mean wait past 10^5 epochs,
-    is refused.
+    reading of "during epoch k"; the integer epochs are returned, where the
+    midpoint convention drops back out. The route never reads the closed
+    form p0 = 1 - e^{-Eq}. A win rate E q below 2^-46 per epoch (zero
+    included), a mean wait past 2^46 epochs, is refused.
     """
     e = network.expected_blocks
     q = share.win_probability
-    # E q sizes the ECDF table only; the estimate never reads it
+    # E q bounds the epoch numbers only; the estimate never reads it
     require(e * q * _MAX_MEAN_WAIT >= 1.0,
             f"win rate E q = {e * q:.6g} per epoch puts the mean first win "
             f"past {_MAX_MEAN_WAIT} epochs")
@@ -391,11 +388,8 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     blocks = gamma_sample(rng, _first_won_block(rng.random(lost.size), q))
     epochs = np.ones(n, dtype=np.int64)
     epochs[lost] += np.ceil(blocks / e).astype(np.int64)
-    report = _mean_report(epochs - 0.5, config.seed)
-
-    ecdf = np.cumsum(np.bincount(epochs)) / n
-    return FirstWinResult(report=report, grid=np.arange(ecdf.size),
-                          empirical_cdf=ecdf, censored=0)
+    return FirstWinResult(report=_mean_report(epochs - 0.5, config.seed),
+                          epochs=epochs)
 
 
 def _positive_poisson(rng: np.random.Generator, mean: float,

@@ -260,9 +260,10 @@ def variance_paper(network: NetworkParams, share: MinerShare,
     """Window reward variance, closed form with the exponential integral.
 
     Evaluates
-        epochs * e^{-E} * E^2 * M^2 * [1 + q(1-q) * (Ei(E) - log(E) - gamma)],
-    so a window costs one Ei, whose domain is x > 0 (E > 0 here; E >= 709.7
-    overflows). Dimensionally inconsistent with the thinning
+        epochs * e^{-E} * E^2 * M^2 * [1 + q(1-q) * (Ei(E) - log(E) - gamma)]
+    as epochs * E^2 * M^2 * [e^{-E} + q(1-q) * (e^{-E} Ei(E)
+    - e^{-E} (log(E) + gamma))], so a window costs one scaled Ei, finite at
+    every E > 0. Dimensionally inconsistent with the thinning
     derivation (see variance_thinned); reported side by side so Monte Carlo
     can adjudicate, never silently corrected.
     """
@@ -270,10 +271,11 @@ def variance_paper(network: NetworkParams, share: MinerShare,
     e = network.expected_blocks
     m = network.block_reward
     q = share.win_probability
-    bracket = 1.0 + q * (1.0 - q) * (specfun.exp_integral_ei(e)
-                                     - math.log(e)
-                                     - specfun.EULER_MASCHERONI)
-    return epochs * (math.exp(-e) * e * e * m * m * bracket)
+    decay = math.exp(-e)
+    bracket = decay + q * (1.0 - q) * (
+        specfun.exp_integral_ei(e, scaled=True)
+        - decay * (math.log(e) + specfun.EULER_MASCHERONI))
+    return epochs * (e * e * m * m * bracket)
 
 
 def variance_thinned(network: NetworkParams, share: MinerShare,

@@ -21,16 +21,21 @@ _MAX_SERIES_TERMS = 1000
 _MAX_ASYMPTOTIC_TERMS = 400
 
 
-def exp_integral_ei(x: float) -> float:
-    """Exponential integral Ei(x) for real x > 0.
+def exp_integral_ei(x: float, scaled: bool = False) -> float:
+    """Exponential integral Ei(x) for real x > 0, or e^{-x} Ei(x) if scaled.
 
     Relative error <= 1e-12 for 1e-6 <= x <= 700. Power series
     gamma + ln x + sum x^k/(k*k!) on (0, 40]; optimally truncated
-    asymptotic expansion e^x/x * sum k!/x^k above 40. NaN and x <= 0 raise
-    ValidationError, x > 709.7 raises OverflowError.
+    asymptotic expansion e^x/x * sum k!/x^k above 40, which the scaled form
+    divides by x alone, so it has no overflow limit. NaN and x <= 0 raise
+    ValidationError; unscaled, x > 709.7 raises OverflowError.
     """
     if not x > 0.0:
         raise ValidationError(f"Ei is defined here only for x > 0, got {x!r}")
+    if scaled:
+        if x > _POS_CROSSOVER:
+            return _asymptotic_sum(x) / x
+        return math.exp(-x) * _ei_series(x)
     if x > _OVERFLOW_LIMIT:
         raise OverflowError(f"Ei({x!r}) overflows double precision")
     if x > _POS_CROSSOVER:
@@ -55,7 +60,11 @@ def _ei_series(x: float) -> float:
 
 
 def _ei_asymptotic(x: float) -> float:
-    # e^x/x * sum_{k>=0} k!/x^k, truncated at the smallest term
+    return math.exp(x) / x * _asymptotic_sum(x)
+
+
+def _asymptotic_sum(x: float) -> float:
+    # sum_{k>=0} k!/x^k, truncated at the smallest term: Ei(x) e^{-x} x
     total = 1.0
     term = 1.0
     k = 1
@@ -68,4 +77,4 @@ def _ei_asymptotic(x: float) -> float:
         if term < 1e-18 * total:
             break
         k += 1
-    return math.exp(x) / x * total
+    return total

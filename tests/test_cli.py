@@ -59,6 +59,10 @@ def oracle_tables(scenario, seed=42):
     payoffs = mcsim.round_payoffs(plan, network, config)
     batch = mcsim.simulate_epochs(network, share, config)
     first = mcsim.estimate_first_win_time(network, share, config)
+    # the dense ECDF, one row per epoch, of which the step ECDF keeps epoch
+    # 0 and each epoch whose value moves
+    ecdf = np.cumsum(np.bincount(first.epochs)) / first.epochs.size
+    steps = np.flatnonzero(np.diff(ecdf, prepend=-1.0))
     path = mcsim.simulate_wealth_path(plan, network, 9000, config)
     sim = ("simulate", "--samples", 9000)
     return [
@@ -75,7 +79,7 @@ def oracle_tables(scenario, seed=42):
           zip(range(1, len(batch) + 1), batch.blocks_won, batch.rewards)],
          (*sim, "--sim", "epochs", "--per-trial")),
         ("simulate_ecdf", ["epoch", "cumulative_probability"],
-         zip(first.grid.tolist(), first.empirical_cdf.tolist()),
+         zip(steps.tolist(), ecdf[steps].tolist()),
          (*sim, "--sim", "first-win")),
         ("simulate_path", ["epoch", "wins", "wealth"],
          zip(range(1, len(path.wealth) + 1), path.wins.tolist(),
@@ -200,6 +204,16 @@ class TestScenarioFile:
         path.write_text(json.dumps(REFERENCE)[:-1] + ', "E": 11}')
         assert self.refused(path, capsys) == (
             "error: validation: scenario: duplicate key 'E'\n")
+
+    @pytest.mark.parametrize("name, text", [
+        ("scenario.txt", "".join(f"{k} = {v}\n" for k, v in REFERENCE.items())),
+        ("scenario.json", json.dumps(REFERENCE))], ids=["text", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, reference_file, name,
+                                        text):
+        # as Windows Notepad saves UTF-8 text
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_scenario(path) == load_scenario(reference_file)
 
     def test_json_numeric_strings_read_as_numbers(self, tmp_path,
                                                   reference_file):
@@ -436,6 +450,22 @@ class TestArtifacts:
         cdf = [float(r[1]) for r in rows]
         assert cdf == sorted(cdf)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_simulate_first_win_at_a_million_epoch_mean_wait(self, tmp_path):
+        # W = 2e-4 puts E q just under 1e-6, a mean wait of about 10^6
+        # epochs: every trial is drawn, and the step ECDF has at most one
+        # row per trial past epoch 0
+        path = write_scenario(tmp_path, W=2e-4)
+        out = tmp_path / "artifacts"
+        assert run_cli("simulate", path, "--out", out, "--sim", "first-win",
+                       "--samples", 2000) == 0
+        report = read_json(out / "simulate.json")["report"]
+        rate = 10.0 * 1e-4 / (1000.0 + 1e-4)
+        want = 1.0 / -math.expm1(-rate) - 0.5
+        assert abs(report["estimate"] - want) <= 5 * report["std_error"]
+        _, rows = read_csv(out / "simulate_ecdf.csv")
+        assert len(rows) <= 2001
+        assert float(rows[-1][1]) == 1.0
 
     def test_simulate_wealth_path(self, reference_file, tmp_path):
         out = tmp_path / "artifacts"
@@ -794,6 +824,26 @@ class TestExitCodes:
         want = 2e4 * 1.0 * 50.0 / 1050.0
         assert abs(report["estimate"] - want) <= 5 * report["std_error"]
 
+    @pytest.mark.parametrize("blocks", [800.0, 5000.0])
+    @pytest.mark.parametrize("command", ["dist", "verify"])
+    def test_window_variance_past_ei_overflow(self, tmp_path, command,
+                                              blocks):
+        # Ei(E) overflows a double past E = 709.7; variance_paper reads
+        # only e^{-E} Ei(E), which does not
+        path = write_scenario(tmp_path, E=blocks)
+        out = tmp_path / "artifacts"
+        assert run_cli(command, path, "--out", out) == 0
+        scenario = load_scenario(path)
+        want = rewarddist.variance_paper(scenario.network(), scenario.share(),
+                                         scenario.N)
+        assert math.isfinite(want) and want > 0
+        if command == "dist":
+            got = read_json(out / "dist_moments.json")["variance_paper"]
+        else:
+            rows = read_json(out / "verify.json")["rows"]
+            got = {r["name"]: r for r in rows}["variance-paper"]["observed"]
+        assert got == want
+
     def test_sampled_reward_past_the_poisson_limit_is_refused(self, tmp_path,
                                                               capsys):
         # E q = 4.76e7 at E = 1e9: the positive Poisson reward draw's table
@@ -834,7 +884,7 @@ class TestExitCodes:
     def test_unsimulable_win_stream_is_refused(self, tmp_path, capsys,
                                                blocks, kind):
         # E = 1e300 is past the Poisson table's 10^7 mean limit; at
-        # E = 1e-300 first-win's mean wait is past its 10^5-epoch limit
+        # E = 1e-300 first-win's mean wait is past its 2^46-epoch limit
         path = write_scenario(tmp_path, E=blocks)
         out = tmp_path / "artifacts"
         samples = () if kind == "wealth" else ("--samples", 2000)
@@ -1056,6 +1106,18 @@ class TestExitCodes:
                   - {"-h", "--help", "--seed", "--out"}
                   for command, p in _subparsers(cli._build_parser()).items()}
         assert documented == parsed
+
+    def test_readme_sampling_domain_matches_the_limits(self):
+        # each bullet's limit, spelled 10^k or 2^k, equals its constant
+        readme = (Path(__file__).resolve().parents[1] / "README.md")
+        section = readme.read_text().split("\n## Sampling domain\n")[1]
+        leads = re.findall(r"^- \*\*(.*?)\*\*",
+                           section.split("\n## ")[0], flags=re.MULTILINE)
+        spelled = [int(base) ** int(power) for lead in leads for base, power
+                   in re.findall(r"\b(10|2)\^(\d+)\b", lead)]
+        assert spelled == [mcsim._MAX_POISSON_MEAN, mcsim._MAX_TABLE_ENTRIES,
+                           mcsim._MAX_HORIZON, cli._MAX_SAMPLES,
+                           mcsim._MAX_MEAN_WAIT]
 
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--samples", 10 ** 18), "--samples must be at most"),
@@ -1450,29 +1512,101 @@ class TestInputContract:
         _run_scenario(scenario, command, *flags)
 
 
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=11)  # E q = 1.4e-16: first-win refuses
+    @example(seed=2856)  # N E q = 9.9e6: dist's pmf would pass 10^7 masses
+    def test_probe_box_runs_dist_and_first_win(self, seed):
+        # E, M, P0, W, c_e and c_r at 10^U(-6, 6), drawn by numpy so that
+        # they spread over the box: each run exits 0, or 1 with the one
+        # refusal recomputed here from the scenario
+        exponents = np.random.default_rng(seed).uniform(-6.0, 6.0, size=6)
+        scenario = dict(zip(("E", "M", "P0", "W", "c_e", "c_r"),
+                            (10.0 ** exponents).tolist()),
+                        gamma=0.5, tau=1.0, N=10)
+        power = 0.5 * scenario["W"] * scenario["c_e"]
+        q = power / (scenario["P0"] + power)
+        rate, window_mean = scenario["E"] * q, 10 * scenario["E"] * q
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.txt"
+            path.write_text("".join(f"{k} = {v!r}\n"
+                                    for k, v in scenario.items()))
+
+            def run(*argv):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = run_cli(*argv, "--out", Path(tmp) / argv[0])
+                return code, err.getvalue()
+
+            code, err = run("dist", path)
+            top = math.floor(window_mean + 40.0 * math.sqrt(window_mean)
+                             + 40.0)
+            if top >= 10 ** 7:
+                assert (code, err) == (1, (
+                    f"error: validation: reward pmf at win mean "
+                    f"{window_mean:.6g} needs {top + 1} masses, more than "
+                    f"10000000\n"))
+            else:
+                assert (code, err) == (0, "")
+
+            code, err = run("simulate", path, "--sim", "first-win",
+                            "--samples", 2000)
+            if rate < 2.0 ** -46:
+                assert code == 1
+                assert err.startswith("error: validation: win rate E q = ")
+                assert err.endswith(" epochs\n") and err.count("\n") == 1
+                return
+            assert (code, err) == (0, "")
+            report = read_json(Path(tmp) / "simulate" /
+                               "simulate.json")["report"]
+            # 5 standard errors of the geometric law, whose sd is
+            # sqrt(1 - p0)/p0: the sample's is 0 when every trial wins at
+            # once. The mean moves in steps of 1/2000, and where fewer than
+            # one trial in 2,000 is expected to wait past epoch 1, one that
+            # does is a step past 5 standard errors
+            p0 = -math.expm1(-rate)
+            se = max(math.sqrt(math.exp(-rate) / 2000) / p0, 1 / 2000)
+            assert abs(report["estimate"] - (1.0 / p0 - 0.5)) <= 5 * se
+            _, rows = read_csv(Path(tmp) / "simulate" / "simulate_ecdf.csv")
+            assert len(rows) <= 2001
+
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(key=st.sampled_from(sorted(REFERENCE)), value=st.recursive(
-        st.none() | st.booleans() | st.text(max_size=8),
+        st.none() | st.booleans() | st.text(max_size=8) | st.integers()
+        | st.integers(2 ** 1024, 2 ** 1100),
         lambda inner: st.lists(inner, max_size=3)
         | st.dictionaries(st.text(max_size=3), inner, max_size=3),
         max_leaves=6))
+    @example(key="P0", value=10 ** 400)
     def test_json_values_keep_the_exit_contract(self, key, value):
-        _run_scenario_file(json.dumps(dict(REFERENCE, **{key: value}))
-                           .encode())
+        scenario = dict(REFERENCE, **{key: value})
+        data = json.dumps(scenario).encode()
+        if type(value) is int and abs(value) < 2 ** 1023:
+            # a JSON integer a double holds reads as the text format reads
+            # it, whatever growth then makes of the scenario
+            text = "".join(f"{k} = {v}\n" for k, v in scenario.items())
+            assert _growth_run(data) == _growth_run(text.encode())
+        else:
+            _run_scenario_file(data)
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.binary(max_size=64) | st.binary(max_size=64).map(
         lambda raw: b"{" + raw))
+    # an integer past Python's 4,300-digit limit, and nesting past the
+    # recursion limit
+    @example(data=b'{"E": ' + b"1" * 5000 + b"}")
+    @example(data=b'{"E": ' + b"[" * 10 ** 5 + b"]" * 10 ** 5 + b"}")
     def test_scenario_bytes_keep_the_exit_contract(self, data):
         _run_scenario_file(data)
 
 
-def _run_scenario_file(data):
-    """growth in this process on a scenario file of these bytes, held to
-    the exit contract: exit 0 with its artifact, or exit 1 with one error
-    line and no artifact; any other exception fails the test."""
+def _growth_run(data):
+    """(exit code, stderr, {artifact: bytes}) of growth in this process on
+    a scenario file of these bytes; any exception fails the test."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario"
         path.write_bytes(data)
@@ -1481,16 +1615,24 @@ def _run_scenario_file(data):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = run_cli("growth", path, "--out", out)
-        artifacts = sorted(p.name for p in out.iterdir()) if out.exists() \
-            else []
-        if code:
-            assert code == 1, err.getvalue()
-            assert err.getvalue().startswith("error: validation: scenario: ")
-            assert err.getvalue().count("\n") == 1, err.getvalue()
-            assert artifacts == []
-        else:
-            assert err.getvalue() == ""
-            assert artifacts == ["growth.json"]
+        artifacts = {p.name: p.read_bytes() for p in out.iterdir()} \
+            if out.exists() else {}
+        return code, err.getvalue(), artifacts
+
+
+def _run_scenario_file(data):
+    """growth on a scenario file of these bytes, held to the exit contract:
+    exit 0 with its artifact, or exit 1 with one error line and no
+    artifact."""
+    code, err, artifacts = _growth_run(data)
+    if code:
+        assert code == 1, err
+        assert err.startswith("error: validation: scenario: ")
+        assert err.count("\n") == 1, err
+        assert artifacts == {}
+    else:
+        assert err == ""
+        assert list(artifacts) == ["growth.json"]
 
 
 def _has_mallopt():

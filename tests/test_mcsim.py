@@ -563,18 +563,20 @@ class TestFirstWinTime:
         want = 1.0 / p0 - 0.5
         assert abs(result.report.estimate - want) <= \
             3 * result.report.std_error
-        assert result.censored == 0
+        assert result.epochs.dtype == np.int64
+        assert result.epochs.size == 100_000
 
     def test_ecdf_is_a_cdf_on_integer_grid(self):
+        # the step ECDF simulate writes: epoch 0, then each win epoch
         share = MinerShare(0.005)
         result = estimate_first_win_time(network(), share,
                                          SimConfig(seed=13,
                                                    sample_count=20_000))
-        cdf = result.empirical_cdf
-        assert result.grid[0] == 0
-        assert cdf[0] == 0.0
-        assert (np.diff(cdf) >= 0).all()
-        assert cdf[-1] == pytest.approx(1.0)
+        won, count = np.unique(result.epochs, return_counts=True)
+        cdf = np.append(0.0, np.cumsum(count) / 20_000)
+        assert won[0] >= 1
+        assert (np.diff(cdf) > 0).all()
+        assert cdf[-1] == 1.0
 
     def test_near_certain_winner_stops_immediately(self):
         share = MinerShare(999.0 / 1000.0)
@@ -609,9 +611,9 @@ class TestFirstWinTime:
                                          SimConfig(seed=21, sample_count=n))
         sweep = first_win_sweep(network(e=e), MinerShare(q),
                                 SimConfig(seed=22, sample_count=n))
-        grid = np.arange(int(max(result.grid[-1], sweep.max() + 0.5)) + 1)
-        ours = np.ones(grid.size)
-        ours[:result.grid.size] = result.empirical_cdf
+        grid = np.arange(int(max(result.epochs.max(), sweep.max() + 0.5))
+                         + 1)
+        ours = np.searchsorted(np.sort(result.epochs), grid, side="right") / n
         theirs = np.searchsorted(np.sort(sweep), grid, side="right") / n
         assert float(np.max(np.abs(ours - theirs))) <= 1.95 * math.sqrt(2 / n)
 
@@ -620,7 +622,7 @@ class TestFirstWinTime:
         config = SimConfig(seed=23, sample_count=20_000)
         result = estimate_first_win_time(network(e=e), MinerShare(q), config)
         sweep = first_win_sweep(network(e=e), MinerShare(q), config)
-        assert result.empirical_cdf[1] == np.mean(sweep == 0.5)
+        assert np.mean(result.epochs == 1) == np.mean(sweep == 0.5)
 
     @pytest.mark.parametrize("e, q", [(10.0, 0.05), (0.5, 0.3)])
     def test_tail_is_exactly_exponential_in_epochs(self, e, q):
@@ -630,7 +632,7 @@ class TestFirstWinTime:
                                          SimConfig(seed=24, sample_count=n))
         for k in (1, 2, 5):
             tail = math.exp(-k * e * q)
-            assert abs(1.0 - float(result.empirical_cdf[k]) - tail) \
+            assert abs(np.count_nonzero(result.epochs > k) / n - tail) \
                 <= 4 * math.sqrt(tail * (1.0 - tail) / n)
 
     def test_same_config_same_result(self):
@@ -638,7 +640,7 @@ class TestFirstWinTime:
         a = estimate_first_win_time(network(), MinerShare(0.01), config)
         b = estimate_first_win_time(network(), MinerShare(0.01), config)
         assert a.report == b.report
-        np.testing.assert_array_equal(a.empirical_cdf, b.empirical_cdf)
+        np.testing.assert_array_equal(a.epochs, b.epochs)
 
     @pytest.mark.parametrize("q", [1e-3, 1e-7])
     def test_largest_mean_is_drawn_from_its_table(self, q):
@@ -652,11 +654,14 @@ class TestFirstWinTime:
         assert abs(report.estimate - want) <= 5 * report.std_error
         assert _guided(_poisson_cdf_table, e)[0].size < 400_000
 
-    def test_mean_wait_past_the_sweep_limit_is_refused(self, monkeypatch):
-        # E q = 1e-6: about 10^6 sweeps per trial; refused before any draw
+    def test_mean_wait_past_exact_epochs_is_refused(self, monkeypatch):
+        # E q just under 2^-46: epochs past 2^52 would lose their midpoints'
+        # exactness; refused before any draw
         monkeypatch.setattr("minecon.mcsim.poisson_sample", None)
+        q = np.nextafter(2.0 ** -46 / 10.0, 0.0)
+        assert 10.0 * q < 2.0 ** -46
         with pytest.raises(ValidationError, match="mean first win"):
-            estimate_first_win_time(network(), MinerShare(1e-7),
+            estimate_first_win_time(network(), MinerShare(q),
                                     SimConfig(seed=1, sample_count=10))
 
     def test_zero_share_rejected(self):

@@ -266,13 +266,24 @@ class TestMoments:
         assert got == pytest.approx(0.48908671792036423, rel=1e-13)
 
 
+    @pytest.mark.parametrize("e", [1.0, 10.0, 700.0, 800.0, 1e4])
+    def test_variance_paper_matches_mpmath(self, e):
+        # past E = 709.7 Ei(E) overflows, e^{-E} Ei(E) does not
+        q, m, epochs = 1.0 / 21.0, 1.0, 100
+        with mpmath.workdps(50):
+            want = epochs * mpmath.mpf(e) ** 2 * m * m * mpmath.exp(-e) * (
+                1 + q * (1 - q) * (mpmath.ei(e) - mpmath.log(e)
+                                   - mpmath.euler))
+        got = variance_paper(*make_epoch(e, q, m, epochs))
+        assert got == pytest.approx(float(want), rel=1e-12)
+
     def test_identical_window_costs_one_ei(self, monkeypatch):
         calls = []
         real = specfun.exp_integral_ei
 
-        def counting(x):
+        def counting(x, **kwargs):
             calls.append(x)
-            return real(x)
+            return real(x, **kwargs)
 
         monkeypatch.setattr(specfun, "exp_integral_ei", counting)
         got = variance_paper(*make_epoch(1.0, 0.5, 1.0, 1000))

@@ -60,11 +60,34 @@ def test_crossover_band_agreement():
 def test_nonpositive_and_nan_raise(x):
     with pytest.raises(ValidationError):
         exp_integral_ei(x)
+    with pytest.raises(ValidationError):
+        exp_integral_ei(x, scaled=True)
 
 
 def test_overflow_above_limit():
     with pytest.raises(OverflowError):
         exp_integral_ei(710.0)
+
+
+def test_scaled_matches_mpmath_and_the_unscaled_form():
+    # e^{-x} Ei(x), relative to mpmath and to the unscaled form where that
+    # is finite; absolute near Ei's zero at x ~ 0.3725
+    xs = [v / 7.0 for v in range(1, 400)]
+    xs += [1e-6, 0.3725, 150.0, 300.0, 600.0, 700.0]
+    mpmath.mp.dps = 30
+    for x in xs:
+        want = float(mpmath.exp(-x) * mpmath.ei(x))
+        got = exp_integral_ei(x, scaled=True)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), x
+        assert got == pytest.approx(math.exp(-x) * exp_integral_ei(x),
+                                    rel=1e-12, abs=1e-15), x
+
+
+@pytest.mark.parametrize("x", [709.8, 800.0, 1e4, 1e7, 1e300])
+def test_scaled_has_no_overflow_limit(x):
+    with mpmath.workdps(30):
+        want = float(mpmath.exp(-x) * mpmath.ei(x))
+    assert exp_integral_ei(x, scaled=True) == pytest.approx(want, rel=1e-12)
 
 
 def test_strictly_increasing_on_positive_axis():
