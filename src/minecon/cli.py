@@ -32,7 +32,8 @@ _REQUIRED_KEYS = ("E", "M", "P0", "W", "c_e", "c_r", "tau", "N")
 _MAX_GRID_ROWS = 10 ** 7
 _MAX_SAMPLES = 10 ** 7          # --samples for simulate and verify
 _MAX_EPOCHS = 10 ** 7           # window length N for dist and verify
-_MAX_WINDOW_DRAWS = 10 ** 8     # epochs drawn for verify's window rows
+# epochs verify's window rows draw, in blocks: a bound on their time
+_MAX_WINDOW_DRAWS = 10 ** 8
 _RENDER_ROWS = 4096             # table rows formatted per batch
 
 
@@ -114,12 +115,12 @@ def load_scenario(path) -> Scenario:
         raise ValidationError("scenario: file is not UTF-8 text") from None
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text, object_pairs_hook=_unique)
-        except ValidationError:  # a duplicate key
+            data = json.loads(text, object_pairs_hook=_unique,
+                              parse_int=_json_int)
+        except ValidationError:  # a duplicate key or a long integer
             raise
         except (ValueError, RecursionError) as exc:
-            # also an integer past Python's digit limit, or nesting past
-            # the recursion limit
+            # also nesting past the recursion limit
             raise ValidationError(f"scenario: bad JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ValidationError("scenario: JSON root must be an object")
@@ -151,6 +152,17 @@ def _unique(pairs) -> dict:
             raise ValidationError(f"scenario: duplicate key {key!r}")
         data[key] = value
     return data
+
+
+def _json_int(literal: str) -> int:
+    """A JSON integer literal, refusing one past Python's digit limit, whose
+    own error advises a call the CLI user cannot make (Pythons before
+    3.10.7 have no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(literal.lstrip("-")) > limit:
+        raise ValidationError(f"scenario: bad JSON (an integer literal has "
+                              f"more than {limit} digits)")
+    return int(literal)
 
 
 def _json_number(key: str, value):
@@ -530,8 +542,13 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
                                                config)
         payload["report"] = asdict(result.report)
         payload["censored"] = 0  # every trial runs to its first win
-        # the step ECDF: epoch 0, then each epoch in which a trial first won
-        won, count = np.unique(result.epochs, return_counts=True)
+        # the step ECDF: epoch 0, then each epoch in which a trial first
+        # won; only the trials past epoch 1 are sorted
+        late = result.epochs[result.epochs > 1]
+        won, count = np.unique(late, return_counts=True)
+        if late.size < args.samples:
+            won = np.append(1, won)
+            count = np.append(args.samples - late.size, count)
         tables.append(_table_file(out / "simulate_ecdf", args.format,
                                   {"epoch": np.append(0, won),
                                    "cumulative_probability": np.append(
@@ -608,14 +625,16 @@ def _verify_rows(scenario: Scenario, args) -> list:
 
     # first-win waiting time vs the discrete-geometric mean 1/p0 - 1/2; the
     # band takes the geometric law's sd sqrt(1 - p0)/p0, not the sample's,
-    # which is 0 when every trial wins in epoch 1
+    # which is 0 when every trial wins in epoch 1, and is at least one step
+    # of the sample mean, 1/trials, which one late trial moves it by
     trials = max(2000, samples // 5)
     first = mcsim.estimate_first_win_time(
         network, share, mcsim.SimConfig(seed, trials, stream_id=2))
     p0 = -math.expm1(-scenario.E * q)
     rows.append(_stat_row(
         "first-win-mean", first.report.estimate, 1.0 / p0 - 0.5,
-        3.0 * math.sqrt(math.exp(-scenario.E * q) / trials) / p0,
+        max(3.0 * math.sqrt(math.exp(-scenario.E * q) / trials) / p0,
+            1.0 / trials),
         "midpoint-recorded waiting time vs exact discrete mean"))
 
     # pure-drain ruin epoch: with M = 0 the reserve falls by the same cost
@@ -659,10 +678,8 @@ def _verify_rows(scenario: Scenario, args) -> list:
     # window moments: Monte Carlo vs expected total and thinned variance
     want_mean = rewarddist.expected_total_reward(*window)
     want_var = rewarddist.variance_thinned(*window)
-    draws = mcsim.simulate_epochs(
-        network, share,
-        mcsim.SimConfig(seed, n_paths * scenario.N, stream_id=4))
-    totals = draws.rewards.reshape(n_paths, scenario.N).sum(axis=1)
+    totals = mcsim._window_totals(network, share, scenario.N,
+                                  mcsim.SimConfig(seed, n_paths, stream_id=4))
     mean = float(np.mean(totals))
     var = float(np.var(totals, ddof=1))
     rows.append(_stat_row(

@@ -11,6 +11,9 @@ spans mean -+ (60 sd + 200), clipped to its support, and sums log mass
 ratios outward from the mode, so none starts from a mass that underflows.
 One guided inversion serves both samplers: a Chen-Asau guide table settles
 most draws, and the rest are bisected between their bucket's bounds.
+Stage k of a simulator reads its stream from uniform k n on, n draws per
+stage. Philox is counter-based, so each stage can have its own cursor: the
+round, first-win and window simulators draw their stages in blocks.
 """
 
 import math
@@ -111,6 +114,16 @@ def _generator(config: SimConfig) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _cursor(config: SimConfig, offset: int) -> np.random.Generator:
+    # the generator whose first uniform is the offset-th of (seed,
+    # stream_id): Philox makes four 64-bit words per counter step, and
+    # random() takes one word per double
+    rng = _generator(config)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
+
+
 def _mean_report(values: np.ndarray, seed: int, scale: float = 1.0) -> SimReport:
     n = int(values.size)
     require(n >= 2, "need at least 2 samples to estimate a standard error")
@@ -122,6 +135,7 @@ def _mean_report(values: np.ndarray, seed: int, scale: float = 1.0) -> SimReport
 
 
 _cached_entries = 0  # cdf entries of the tables _guided caches
+_cached_keys = set()  # (build, args) of the tables _guided caches
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +146,7 @@ def _guided(build, *args) -> tuple:
     first, cdf = build(*args)
     _make_room(1, cdf.size)
     _cached_entries += cdf.size
+    _cached_keys.add((build, args))
     guide = np.searchsorted(cdf, _GUIDE_EDGES, side="right")
     guide = first + np.minimum(guide, cdf.size - 1)
     return first, cdf, _read_only(guide.astype(np.int32))
@@ -145,10 +160,12 @@ def _make_room(tables: int, entries: int) -> None:
     held = _guided.cache_info().currsize
     if held == 0:
         _cached_entries = 0
+        _cached_keys.clear()
     elif (held + tables > _MAX_TABLES
           or _cached_entries + entries > _MAX_TABLE_ENTRIES):
         _guided.cache_clear()
         _cached_entries = 0
+        _cached_keys.clear()
 
 
 def _invert(tables: dict, index: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -273,12 +290,17 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
     counts = np.flatnonzero(np.bincount(trials))
     mean = counts * q
     first, last = _span(mean, np.sqrt(mean * (1.0 - q)), counts)
-    entries = int((last - first).sum()) + counts.size
+    sizes = last - first + 1
+    entries = int(sizes.sum())
     require(entries <= _MAX_TABLE_ENTRIES,
             f"{counts.size} distinct block counts up to {counts[-1]} need "
             f"{entries} Binomial table entries, more than "
             f"{_MAX_TABLE_ENTRIES}")
-    _make_room(counts.size, entries)
+    # room for the tables not cached yet, so that the blocks of one
+    # simulation reuse their tables
+    new = np.array([(_binomial_cdf_table, (int(w), q)) not in _cached_keys
+                    for w in counts])
+    _make_room(int(new.sum()), int(sizes[new].sum()))
     return _invert({w: _guided(_binomial_cdf_table, int(w), q)
                     for w in counts}, trials, u)
 
@@ -287,7 +309,12 @@ def exponential_sample(rng: np.random.Generator, rate: float,
                        size: int) -> np.ndarray:
     """Exponential draws by inversion, -log1p(-u)/rate."""
     require(rate > 0 and math.isfinite(rate), "rate must be positive and finite")
-    return -np.log1p(-rng.random(size)) / rate
+    t = rng.random(size)
+    np.negative(t, out=t)
+    np.log1p(t, out=t)
+    np.negative(t, out=t)
+    t /= rate
+    return t
 
 
 def gamma_sample(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
@@ -347,13 +374,43 @@ class EpochBatch:
 
 def simulate_epochs(network: NetworkParams, share: MinerShare,
                     config: SimConfig) -> EpochBatch:
-    """Protocol-level epoch simulation: w ~ Poisson(E), v ~ Binomial(w, q)."""
+    """Protocol-level epoch simulation: w ~ Poisson(E), v ~ Binomial(w, q).
+
+    The Poisson counts read the stream's first n uniforms and the binomial
+    draws the next n, n = config.sample_count; all three arrays are n long.
+    """
     rng = _generator(config)
     n = config.sample_count
     w = poisson_sample(rng, network.expected_blocks, n)
     v = binomial_sample(rng, w, share.win_probability)
     return EpochBatch(blocks_total=w, blocks_won=v,
-                      rewards=network.block_reward * v.astype(float))
+                      rewards=np.multiply(v, network.block_reward,
+                                          dtype=float))
+
+
+# epochs of window paths drawn per block: smaller blocks re-concatenate the
+# binomial tables of one call too often
+_WINDOW_BLOCK = 1 << 18
+
+
+def _window_totals(network: NetworkParams, share: MinerShare, epochs: int,
+                   config: SimConfig) -> np.ndarray:
+    # total reward of each of config.sample_count paths of `epochs` epochs,
+    # the row sums of simulate_epochs' rewards over n = paths x epochs
+    # draws, reshaped one path per row: Poisson counts from offset 0 and
+    # binomial draws from offset n, whole paths per block
+    paths = config.sample_count
+    n = paths * epochs
+    counts, wins = _cursor(config, 0), _cursor(config, n)
+    totals = np.empty(paths)
+    step = max(1, _WINDOW_BLOCK // epochs)
+    for lo in range(0, paths, step):
+        k = min(step, paths - lo)
+        w = poisson_sample(counts, network.expected_blocks, k * epochs)
+        v = binomial_sample(wins, w, share.win_probability)
+        rewards = np.multiply(v, network.block_reward, dtype=float)
+        totals[lo:lo + k] = rewards.reshape(k, epochs).sum(axis=1)
+    return totals
 
 
 def estimate_first_win_time(network: NetworkParams, share: MinerShare,
@@ -371,6 +428,11 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     midpoint convention drops back out. The route never reads the closed
     form p0 = 1 - e^{-Eq}. A win rate E q below 2^-46 per epoch (zero
     included), a mean wait past 2^46 epochs, is refused.
+
+    With n = config.sample_count, the block counts read the stream from
+    uniform 0, the sweep from n, and K then the Gamma draws from 2n; each
+    stage is drawn in blocks of 2^16 trials, and the epochs are the one
+    n-sized array besides a one-byte mark per trial that lost epoch 1.
     """
     e = network.expected_blocks
     q = share.win_probability
@@ -378,16 +440,25 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     require(e * q * _MAX_MEAN_WAIT >= 1.0,
             f"win rate E q = {e * q:.6g} per epoch puts the mean first win "
             f"past {_MAX_MEAN_WAIT} epochs")
-    rng = _generator(config)
     n = config.sample_count
-
-    w = poisson_sample(rng, e, n)
-    win_given_w = _win_given_w(w, q) if q < 1.0 else w > 0
-    won = rng.random(n) < win_given_w
-    lost = np.flatnonzero(~won)
-    blocks = gamma_sample(rng, _first_won_block(rng.random(lost.size), q))
+    counts, sweep = _cursor(config, 0), _cursor(config, n)
+    lost = np.empty(n, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        w = poisson_sample(counts, e, min(_BLOCK, n - lo))
+        win_given_w = _win_given_w(w, q) if q < 1.0 else w > 0
+        np.greater_equal(sweep.random(w.size), win_given_w,
+                         out=lost[lo:lo + w.size])
+    lost = np.flatnonzero(lost)
+    # K of each lost trial from offset 2n, then the Gamma draws, in
+    # gamma_sample's own blocks, so that its stream is read in one order
+    first_won = _cursor(config, 2 * n)
+    gammas = _cursor(config, 2 * n + lost.size)
     epochs = np.ones(n, dtype=np.int64)
-    epochs[lost] += np.ceil(blocks / e).astype(np.int64)
+    for lo in range(0, lost.size, _BLOCK):
+        trials = lost[lo:lo + _BLOCK]
+        blocks = gamma_sample(gammas, _first_won_block(
+            first_won.random(trials.size), q))
+        epochs[trials] += np.ceil(blocks / e).astype(np.int64)
     return FirstWinResult(report=_mean_report(epochs - 0.5, config.seed),
                           epochs=epochs)
 
@@ -410,22 +481,30 @@ def round_payoffs(plan: growth.MinerPlan, network: NetworkParams,
     (t <= t_max) pay log((W(1 - t gamma c_e c_r) + R)/W) with R either the
     conditional mean reward or a sampled M*v, v ~ Poisson(Eq) given v >= 1;
     losses pay log(gamma).
+
+    The waits read the stream from uniform 0 and the sampled rewards, one
+    per win in trial order, from n = config.sample_count; both are drawn in
+    blocks of 2^16 trials written into the returned payoffs.
     """
     require(reward_mode in ("conditional_mean", "sampled"),
             f"unknown reward mode {reward_mode!r}")
-    rng = _generator(config)
     n = config.sample_count
-    t = exponential_sample(rng, growth.win_rate_lambda(plan, network), n)
-    win = t <= growth.t_max(plan)
-    payoff = np.full(n, math.log(plan.split))
+    rate = growth.win_rate_lambda(plan, network)
+    horizon = growth.t_max(plan)
     if reward_mode == "conditional_mean":
         rho = growth.conditional_reward(plan, network) / plan.wealth
     else:
-        q = growth.win_probability(plan, network)
-        v = _positive_poisson(rng, network.expected_blocks * q,
-                              int(win.sum()))
-        rho = network.block_reward * v.astype(float) / plan.wealth
-    payoff[win] = np.log(1.0 - plan.drain_rate * t[win] + rho)
+        mean = network.expected_blocks * growth.win_probability(plan, network)
+    waits, rewards = _cursor(config, 0), _cursor(config, n)
+    payoff = np.full(n, math.log(plan.split))
+    for lo in range(0, n, _BLOCK):
+        t = exponential_sample(waits, rate, min(_BLOCK, n - lo))
+        win = t <= horizon
+        block = payoff[lo:lo + t.size]
+        if reward_mode == "sampled":
+            v = _positive_poisson(rewards, mean, int(win.sum()))
+            rho = network.block_reward * v.astype(float) / plan.wealth
+        block[win] = np.log(1.0 - plan.drain_rate * t[win] + rho)
     return payoff
 
 

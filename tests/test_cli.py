@@ -205,6 +205,18 @@ class TestScenarioFile:
         assert self.refused(path, capsys) == (
             "error: validation: scenario: duplicate key 'E'\n")
 
+    def test_json_integer_past_the_digit_limit_names_the_cause(self,
+                                                                tmp_path,
+                                                                capsys):
+        # Python's own message advises sys.set_int_max_str_digits(), a call
+        # a CLI user cannot make
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(REFERENCE).replace(
+            '"M": 1,', '"M": ' + "1" * 5000 + ","))
+        assert self.refused(path, capsys) == (
+            "error: validation: scenario: bad JSON (an integer literal has "
+            "more than 4300 digits)\n")
+
     @pytest.mark.parametrize("name, text", [
         ("scenario.txt", "".join(f"{k} = {v}\n" for k, v in REFERENCE.items())),
         ("scenario.json", json.dumps(REFERENCE))], ids=["text", "json"])
@@ -968,6 +980,18 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    def test_largest_verify_runs_under_memory_cap(self, reference_file,
+                                                  tmp_path):
+        # --samples 10^7 draws 10^8 window epochs: in blocks it peaks near
+        # 0.5 GB; holding every stage's uniforms took 2.66 GB and ended in
+        # a MemoryError under this 1.5 GB cap
+        out = tmp_path / "artifacts"
+        result = _run_child("verify", reference_file, "--out", out,
+                            "--samples", 10 ** 7)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert read_json(out / "verify.json")["passed"]
+
     def test_quadrature_blowup_is_convergence_failure_under_memory_cap(
             self, tmp_path):
         # at --quad-tol 1e-12 this scenario's win-branch integral keeps
@@ -1305,6 +1329,25 @@ class TestVerify:
                 read_json(tmp_path / "verify.json")["rows"]}
         assert rows["first-win-mean"]["status"] == "PASS"
         assert rows["first-win-mean"]["band"] > 0
+
+    def test_first_win_band_is_at_least_one_step_of_the_mean(self,
+                                                              tmp_path):
+        # at E q = 13.4 and seed 484, one of the 2,000 first-win trials
+        # waits to epoch 2: the mean moves by 1/2000, six times the
+        # geometric law's 3 standard errors, so the band is that step
+        path = write_scenario(tmp_path, E=200, P0=696)
+        scenario = load_scenario(path)
+        first = mcsim.estimate_first_win_time(
+            scenario.network(), scenario.share(),
+            mcsim.SimConfig(484, 2000, stream_id=2))
+        assert np.count_nonzero(first.epochs > 1) == 1
+        assert first.epochs.max() == 2
+        assert run_cli("verify", path, "--out", tmp_path, "--seed", 484,
+                       "--samples", 2000) == 0
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        assert rows["first-win-mean"]["status"] == "PASS"
+        assert rows["first-win-mean"]["band"] == 1.0 / 2000
 
     def test_no_win_series_row_passes_on_the_reference(self,
                                                        reference_file,

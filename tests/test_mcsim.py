@@ -10,11 +10,13 @@ from scipy import stats
 
 from minecon import mcsim
 from minecon.errors import ValidationError
-from minecon.growth import MinerPlan, conditional_reward, t_max, win_rate_lambda
+from minecon.growth import (MinerPlan, conditional_reward, t_max,
+                            win_probability, win_rate_lambda)
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _cdf_from_steps,
-                           _first_won_block, _generator, _guided, _invert,
-                           _poisson_cdf_table, _span,
-                           _win_given_w, binomial_sample,
+                           _cursor, _first_won_block, _generator, _guided,
+                           _invert, _poisson_cdf_table, _positive_poisson,
+                           _span, _win_given_w, _window_totals,
+                           binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            gamma_sample, poisson_sample, round_oracle,
                            round_payoffs, simulate_epochs,
@@ -326,6 +328,20 @@ class TestSamplers:
             assert sum(alive) <= 5000
             assert sum(alive) == mcsim._cached_entries
         assert len(alive) < len(built)
+
+    def test_cached_tables_leave_room_for_the_next_call(self, monkeypatch):
+        # a second call on the same counts, whose tables hold more than
+        # half the limit, builds nothing: the blocks of one window
+        # simulation share their tables
+        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 5000)
+        _guided.cache_clear()
+        rng = _generator(SimConfig(seed=49, sample_count=1))
+        trials = poisson_sample(rng, 60.0, 2000)
+        binomial_sample(rng, trials, 0.5)
+        assert mcsim._cached_entries > 2500
+        misses = _guided.cache_info().misses
+        binomial_sample(rng, trials, 0.5)
+        assert _guided.cache_info().misses == misses
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0 / 21.0, 1e-3])
     def test_binomial_tables_are_sorted(self, q):
@@ -795,3 +811,103 @@ class TestWealthPath:
 def self_plan():
     return MinerPlan(wealth=100.0, split=0.5, equipment_rate=1.0,
                      running_rate=0.001)
+
+
+def round_payoffs_whole_array(plan, network, config, reward_mode):
+    """round_payoffs as it drew each stage in one array, kept as its oracle:
+    every exponential wait, then one positive Poisson reward per win."""
+    rng = _generator(config)
+    n = config.sample_count
+    t = -np.log1p(-rng.random(n)) / win_rate_lambda(plan, network)
+    win = t <= t_max(plan)
+    payoff = np.full(n, math.log(plan.split))
+    if reward_mode == "conditional_mean":
+        rho = conditional_reward(plan, network) / plan.wealth
+    else:
+        mean = network.expected_blocks * win_probability(plan, network)
+        v = _positive_poisson(rng, mean, int(win.sum()))
+        rho = network.block_reward * v.astype(float) / plan.wealth
+    payoff[win] = np.log(1.0 - plan.drain_rate * t[win] + rho)
+    return payoff
+
+
+def first_win_epochs_whole_array(network, share, config):
+    """estimate_first_win_time's epochs as it drew each stage in one array,
+    kept as its oracle: the epoch-1 sweep, then K and the Gamma draws of
+    the trials it lost."""
+    e, q = network.expected_blocks, share.win_probability
+    rng = _generator(config)
+    n = config.sample_count
+    w = poisson_sample(rng, e, n)
+    win_given_w = _win_given_w(w, q) if q < 1.0 else w > 0
+    lost = np.flatnonzero(~(rng.random(n) < win_given_w))
+    blocks = gamma_sample(rng, _first_won_block(rng.random(lost.size), q))
+    epochs = np.ones(n, dtype=np.int64)
+    epochs[lost] += np.ceil(blocks / e).astype(np.int64)
+    return epochs
+
+
+def window_totals_whole_array(network, share, epochs, config):
+    """verify's window totals as it drew them, kept as _window_totals'
+    oracle: one epoch batch of paths x epochs draws, summed per path."""
+    paths = config.sample_count
+    batch = simulate_epochs(network, share,
+                            SimConfig(config.seed, paths * epochs,
+                                      config.stream_id))
+    return batch.rewards.reshape(paths, epochs).sum(axis=1)
+
+
+class TestBlockedStages:
+    """Each stage drawn in blocks from its own cursor gives the bits of the
+    whole-array route, across the block edges at multiples of 2^16."""
+
+    SIZES = [2, 3, 65_535, 65_536, 65_537, 3 * 2 ** 16 + 5]
+
+    @pytest.mark.parametrize("offset", list(range(8))
+                             + [65_535, 65_536, 65_537, 3 * 2 ** 16 + 5])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 3])
+    @pytest.mark.parametrize("stream_id", [0, 7])
+    def test_cursor_starts_at_offset(self, offset, seed, stream_id):
+        config = SimConfig(seed=seed, sample_count=1, stream_id=stream_id)
+        want = _generator(config).random(offset + 1000)[offset:]
+        assert _cursor(config, offset).random(1000).tobytes() \
+            == want.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("e", [10.0, 200.0])
+    @pytest.mark.parametrize("p0", [49_950.0, 1000.0])  # q = 1e-3, 1/21
+    @pytest.mark.parametrize("mode", ["conditional_mean", "sampled"])
+    def test_round_payoffs(self, n, e, p0, mode):
+        # t_max = 100 epochs: wins and losses at either rate
+        plan = MinerPlan(wealth=100.0, split=0.5, equipment_rate=1.0,
+                         running_rate=0.01)
+        config = SimConfig(seed=31, sample_count=n, stream_id=3)
+        got = round_payoffs(plan, network(e=e, p=p0), config, mode)
+        want = round_payoffs_whole_array(plan, network(e=e, p=p0), config,
+                                         mode)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("e", [10.0, 200.0])
+    @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0, 1.0])
+    def test_first_win_epochs(self, n, e, q):
+        config = SimConfig(seed=32, sample_count=n, stream_id=2)
+        got = estimate_first_win_time(network(e=e), MinerShare(q), config)
+        want = first_win_epochs_whole_array(network(e=e), MinerShare(q),
+                                            config)
+        assert got.epochs.tobytes() == want.tobytes()
+
+    # (paths, epochs): 2^16 paths of 4 epochs fill a block of 2^18 epochs;
+    # a window past 2^18 epochs takes a block of its own
+    @pytest.mark.parametrize("paths, epochs", [
+        (2, 1), (3, 1), (65_535, 4), (65_536, 4), (65_537, 4),
+        (3 * 2 ** 16 + 5, 1), (5, 100_003), (3, 2 ** 18 + 3)])
+    @pytest.mark.parametrize("e", [10.0, 200.0])
+    @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0, 1.0])
+    def test_window_totals(self, paths, epochs, e, q):
+        config = SimConfig(seed=33, sample_count=paths, stream_id=4)
+        got = _window_totals(network(e=e, m=2.5), MinerShare(q), epochs,
+                             config)
+        want = window_totals_whole_array(network(e=e, m=2.5), MinerShare(q),
+                                         epochs, config)
+        assert got.tobytes() == want.tobytes()
