@@ -542,13 +542,8 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
                                                config)
         payload["report"] = asdict(result.report)
         payload["censored"] = 0  # every trial runs to its first win
-        # the step ECDF: epoch 0, then each epoch in which a trial first
-        # won; only the trials past epoch 1 are sorted
-        late = result.epochs[result.epochs > 1]
-        won, count = np.unique(late, return_counts=True)
-        if late.size < args.samples:
-            won = np.append(1, won)
-            count = np.append(args.samples - late.size, count)
+        # the step ECDF: epoch 0, then each epoch in which a trial first won
+        won, count = np.unique(result.epochs, return_counts=True)
         tables.append(_table_file(out / "simulate_ecdf", args.format,
                                   {"epoch": np.append(0, won),
                                    "cumulative_probability": np.append(

@@ -11,9 +11,9 @@ spans mean -+ (60 sd + 200), clipped to its support, and sums log mass
 ratios outward from the mode, so none starts from a mass that underflows.
 One guided inversion serves both samplers: a Chen-Asau guide table settles
 most draws, and the rest are bisected between their bucket's bounds.
-Stage k of a simulator reads its stream from uniform k n on, n draws per
-stage. Philox is counter-based, so each stage can have its own cursor: the
-round, first-win and window simulators draw their stages in blocks.
+Stage k of a simulator starts at uniform k n of its stream, n being its
+draw count. Philox is counter-based, so each stage can have its own cursor:
+the round, first-win and window simulators draw their stages in blocks.
 """
 
 import math
