@@ -431,8 +431,9 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
 
     With n = config.sample_count, the block counts read the stream from
     uniform 0, the sweep from n, and K then the Gamma draws from 2n; each
-    stage is drawn in blocks of 2^16 trials, and the epochs are the one
-    n-sized array besides a one-byte mark per trial that lost epoch 1.
+    stage is drawn in blocks of 2^16 trials. Besides the epochs, only a
+    one-byte mark per trial and the indices of the trials that lost epoch
+    1 are as long as the sample.
     """
     e = network.expected_blocks
     q = share.win_probability
