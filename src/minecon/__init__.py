@@ -13,7 +13,7 @@ from .growth import (FeeBound, GameRound, GrowthBreakdown, MinerPlan,
                      stochastic_growth_rate, t_max, tane_growth_rate,
                      tane_growth_upper_bound, wealth_trajectory,
                      win_probability, win_rate_lambda)
-from .mcsim import (EpochBatch, FirstWinResult, SimConfig, SimReport,
+from .mcsim import (EpochCounts, FirstWinResult, SimConfig, SimReport,
                     WealthPath, estimate_first_win_time, round_oracle,
                     round_payoffs, simulate_epochs, simulate_wealth_path)
 from .quadrature import adaptive_simpson

@@ -527,16 +527,23 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
                 {"trial": np.arange(1, payoffs.size + 1),
                  "log_payoff": payoffs}))
     elif args.sim == "epochs":
-        batch = mcsim.simulate_epochs(network, scenario.share(), config)
-        payload["report"] = asdict(mcsim._mean_report(batch.rewards,
-                                                      args.seed))
-        payload["total_blocks"] = int(batch.blocks_total.sum())
-        payload["total_wins"] = int(batch.blocks_won.sum())
         if args.per_trial:
+            blocks = list(mcsim._epoch_blocks(network, scenario.share(),
+                                              config))
+            counts = mcsim._epoch_counts(blocks)
+            wins = np.concatenate([v for _, v in blocks])
+            del blocks
             tables.append(_table_file(
                 out / "simulate_trials", args.format,
-                {"epoch": np.arange(1, len(batch) + 1),
-                 "wins": batch.blocks_won, "reward": batch.rewards}))
+                {"epoch": np.arange(1, wins.size + 1), "wins": wins,
+                 "reward": np.multiply(wins, network.block_reward,
+                                       dtype=float)}))
+        else:
+            counts = mcsim.simulate_epochs(network, scenario.share(), config)
+        payload["report"] = asdict(counts.report(args.seed,
+                                                 network.block_reward))
+        payload["total_blocks"] = counts.blocks_total
+        payload["total_wins"] = counts.blocks_won
     elif args.sim == "first-win":
         result = mcsim.estimate_first_win_time(network, scenario.share(),
                                                config)
@@ -591,19 +598,18 @@ def _verify_rows(scenario: Scenario, args) -> list:
             f"than {_MAX_WINDOW_DRAWS}")
     window = (network, share, _epochs(scenario))
 
-    # protocol-level epoch batch: Poisson mean and win-count pmf
+    # protocol-level epoch batch: Poisson mean and win-count pmf; the mean
+    # block count's band is 3 sd of the model's, sqrt(E/n)
     batch = mcsim.simulate_epochs(network, share,
                                   mcsim.SimConfig(seed, samples, stream_id=1))
-    w = batch.blocks_total
     rows.append(_stat_row(
-        "epoch-blocks-mean", float(np.mean(w)), scenario.E,
-        3.0 * float(np.std(w, ddof=1)) / math.sqrt(samples),
+        "epoch-blocks-mean", batch.blocks_total / samples, scenario.E,
+        3.0 * math.sqrt(scenario.E / samples),
         "sample mean of Poisson block counts vs E"))
 
-    counts = np.bincount(batch.blocks_won)
-    emp = counts / samples
-    closed = np.array([rewarddist.win_count_pmf_closed(v, network, share)
-                       for v in range(len(emp))])
+    emp = np.pad(batch.won, (batch.least_won, 0)) / samples
+    closed = rewarddist._poisson_pmf(np.arange(emp.size),
+                                     network.expected_blocks * q)
     tv = 0.5 * (float(np.abs(emp - closed).sum())
                 + max(0.0, 1.0 - float(closed.sum())))
     tv_band = max(0.005, 2.0 * float(np.sqrt(closed * (1 - closed)

@@ -13,7 +13,10 @@ One guided inversion serves both samplers: a Chen-Asau guide table settles
 most draws, and the rest are bisected between their bucket's bounds.
 Stage k of a simulator starts at uniform k n of its stream, n being its
 draw count. Philox is counter-based, so each stage can have its own cursor:
-the round, first-win and window simulators draw their stages in blocks.
+the round, epoch, first-win and window simulators draw their stages in
+blocks. Epochs come from one block generator, which the epoch simulation
+folds into exact integer counts and the window simulation into per-path
+totals, so neither holds an array as long as its sample.
 """
 
 import math
@@ -168,37 +171,92 @@ def _make_room(tables: int, entries: int) -> None:
         _cached_keys.clear()
 
 
+class _Tables:
+    """Guided cdf tables, one per key (a count w >= 0), concatenated for
+    the search: table[base[j] + d] is the cdf entry of draw d in the j-th
+    table added, whose guide starts at guide[j * _GUIDE_EDGES.size].
+
+    Tables are appended into spare room: a buffer that must grow takes room
+    for twice what it then holds, so the blocks of one simulation, which
+    keep bringing a few new counts, seldom copy what is already there.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.slots = {}  # key -> j
+        self.entries = 0
+        self.table = np.empty(0)
+        self.guide = np.empty(0, dtype=np.int32)
+        self.base = np.empty(0, dtype=np.int64)
+        self.cell = np.empty(0, dtype=np.intp)  # cell[w - w0] = j * edges
+        self.w0 = 0
+
+    def add(self, tables: dict) -> None:
+        # append {key: (first, cdf, guide)} for keys not added yet
+        firsts, cdfs, guides = zip(*tables.values())
+        sizes = np.fromiter(map(len, cdfs), dtype=np.int64, count=len(cdfs))
+        end = self.entries + int(sizes.sum())
+        self.table = _grown(self.table, self.entries, end)
+        np.concatenate(cdfs, out=self.table[self.entries:end])
+        edges = _GUIDE_EDGES.size
+        lo, hi = len(self.slots) * edges, (len(self.slots) + len(cdfs)) * edges
+        self.guide = _grown(self.guide, lo, hi)
+        np.concatenate(guides, out=self.guide[lo:hi])
+        self.base = np.append(self.base, self.entries + np.cumsum(sizes)
+                              - sizes - np.array(firsts))
+        self.entries = end
+        for key in tables:
+            self.slots[key] = len(self.slots)
+        keys = np.fromiter(self.slots, dtype=np.intp, count=len(self.slots))
+        self.w0 = keys.min()
+        self.cell = np.zeros(keys.max() - self.w0 + 1, dtype=np.intp)
+        self.cell[keys - self.w0] = np.arange(keys.size) * edges
+
+    def search(self, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # draw i is first + searchsorted(cdf, u[i], "right"), capped at the
+        # last count, for (first, cdf) the table of key index[i] and u[i] in
+        # [0, 1]: it lies between guide[b] and guide[b + 1], b = u[i]'s
+        # bucket, bisected
+        table, guide, base = self.table, self.guide, self.base
+        out = np.empty(u.size, dtype=np.int64)
+        for lo in range(0, u.size, _BLOCK):  # bounds the temporaries
+            x = u[lo:lo + _BLOCK]
+            c = (x * (1 << _GUIDE_BITS)).astype(np.intp)
+            if len(self.slots) > 1:  # one table's guide starts at 0
+                c += self.cell[index[lo:lo + _BLOCK] - self.w0]
+            found = guide[c]
+            miss = np.flatnonzero(found != guide[1:][c])
+            b, x = base[c[miss] // _GUIDE_EDGES.size], x[miss]
+            low, high = found[miss] + b, guide[1:][c[miss]] + b
+            for _ in range(int(np.max(high - low, initial=0)).bit_length()):
+                mid = (low + high) >> 1
+                right = table[mid] <= x
+                low = np.where(right, mid + 1, low)
+                high = np.where(right, high, mid)
+            found[miss] = np.minimum(low, high) - b  # key 1 ends past high
+            out[lo:lo + _BLOCK] = found
+        return out
+
+
+def _grown(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
+    # buffer with room for `need` entries, its first `used` kept: when it
+    # must grow, it takes room for 2 need, but past _MAX_TABLE_ENTRIES only
+    # for need, so the few tables later blocks bring fit without a copy
+    if need <= buffer.size:
+        return buffer
+    grown = np.empty(max(need, min(2 * need, _MAX_TABLE_ENTRIES)),
+                     dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
+
+
 def _invert(tables: dict, index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # draw i is first + searchsorted(cdf, u[i], "right"), capped at the last
-    # count, for (first, cdf, guide) = tables[index[i]] and u[i] in [0, 1]: it
-    # lies between guide[b] and guide[b + 1], b = u[i]'s bucket, bisected
-    keys = np.fromiter(tables, dtype=np.intp)
-    firsts, cdfs, guides = zip(*tables.values())
-    table, guide = np.concatenate(cdfs), np.concatenate(guides)
-    # table[base[j] + d] is the cdf entry of draw d in the j-th table
-    base = np.cumsum([0, *map(len, cdfs[:-1])]) - firsts
-    # cell[w - w0] is where the guide of tables[w] starts
-    w0 = keys.min()
-    cell = np.zeros(keys.max() - w0 + 1, dtype=np.intp)
-    cell[keys - w0] = np.arange(keys.size) * _GUIDE_EDGES.size
-    out = np.empty(u.size, dtype=np.int64)
-    for lo in range(0, u.size, _BLOCK):  # bounds the temporaries
-        x = u[lo:lo + _BLOCK]
-        c = (x * (1 << _GUIDE_BITS)).astype(np.intp)
-        if keys.size > 1:  # one table's guide starts at 0
-            c += cell[index[lo:lo + _BLOCK] - w0]
-        found = guide[c]
-        miss = np.flatnonzero(found != guide[1:][c])
-        b, x = base[c[miss] // _GUIDE_EDGES.size], x[miss]
-        low, high = found[miss] + b, guide[1:][c[miss]] + b
-        for _ in range(int(np.max(high - low, initial=0)).bit_length()):
-            mid = (low + high) >> 1
-            right = table[mid] <= x
-            low = np.where(right, mid + 1, low)
-            high = np.where(right, high, mid)
-        found[miss] = np.minimum(low, high) - b  # key 1 ends past high
-        out[lo:lo + _BLOCK] = found
-    return out
+    # draw i from the table tables[index[i]] = (first, cdf, guide) at u[i]
+    assembled = _Tables()
+    assembled.add(tables)
+    return assembled.search(index, u)
 
 
 def _span(mean, sd, top) -> tuple:
@@ -273,7 +331,7 @@ def poisson_sample(rng: np.random.Generator, mean: float,
 
 
 def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
-                    q: float) -> np.ndarray:
+                    q: float, tables: Optional[_Tables] = None) -> np.ndarray:
     """Binomial(trials[i], q) draws, one uniform per entry.
 
     Each entry is inverted against its trial count's cached cdf table,
@@ -282,12 +340,18 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
     the length of `trials`, keeping streams reproducible. Counts whose
     spans hold more than 10^7 entries in all are refused before any table
     is built.
+
+    `tables`, shared by the blocks of one simulation at one q, keeps the
+    tables assembled from call to call; a call adds the tables of its new
+    counts, or starts `tables` afresh from its own counts where the union
+    would pass 10^7 entries.
     """
     require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
     u = rng.random(trials.size)
     if not trials.size:
         return np.empty(0, dtype=np.int64)
-    counts = np.flatnonzero(np.bincount(trials))
+    least = int(trials.min())
+    counts = least + np.flatnonzero(np.bincount(trials - least))
     mean = counts * q
     first, last = _span(mean, np.sqrt(mean * (1.0 - q)), counts)
     sizes = last - first + 1
@@ -296,13 +360,21 @@ def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
             f"{counts.size} distinct block counts up to {counts[-1]} need "
             f"{entries} Binomial table entries, more than "
             f"{_MAX_TABLE_ENTRIES}")
-    # room for the tables not cached yet, so that the blocks of one
-    # simulation reuse their tables
-    new = np.array([(_binomial_cdf_table, (int(w), q)) not in _cached_keys
-                    for w in counts])
-    _make_room(int(new.sum()), int(sizes[new].sum()))
-    return _invert({w: _guided(_binomial_cdf_table, int(w), q)
-                    for w in counts}, trials, u)
+    if tables is None:
+        tables = _Tables()
+    new = np.array([w not in tables.slots for w in counts.tolist()])
+    if tables.entries + int(sizes[new].sum()) > _MAX_TABLE_ENTRIES:
+        tables.clear()
+        new[:] = True
+    if new.any():
+        # room for the tables not cached yet, so that the blocks of one
+        # simulation reuse their tables
+        fresh = [int(w) for w in counts[new]]
+        uncached = np.array([(_binomial_cdf_table, (w, q)) not in _cached_keys
+                             for w in fresh])
+        _make_room(int(uncached.sum()), int(sizes[new][uncached].sum()))
+        tables.add({w: _guided(_binomial_cdf_table, w, q) for w in fresh})
+    return tables.search(trials, u)
 
 
 def exponential_sample(rng: np.random.Generator, rate: float,
@@ -361,56 +433,103 @@ def _win_given_w(w: np.ndarray, q: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EpochBatch:
-    """Simulated epochs: per-epoch block totals, blocks won and rewards."""
+class EpochCounts:
+    """Simulated epochs folded into counts.
 
-    blocks_total: np.ndarray
-    blocks_won: np.ndarray
-    rewards: np.ndarray
+    blocks_total and blocks_won sum the epochs' block totals w and blocks
+    won v; won[k] counts the epochs in which least_won + k blocks were won.
+    """
 
-    def __len__(self):
-        return len(self.blocks_total)
+    epochs: int
+    blocks_total: int
+    blocks_won: int
+    least_won: int
+    won: np.ndarray
+
+    def report(self, seed: int, scale: float = 1.0) -> SimReport:
+        """Mean blocks won per epoch times scale (at M, the mean reward
+        per epoch), with its standard error."""
+        return _histogram_report(self.least_won, self.won, seed, scale)
+
+
+def _epoch_blocks(network: NetworkParams, share: MinerShare,
+                  config: SimConfig, path: int = 1):
+    # (w, v) blocks of the n = config.sample_count x path epochs, w ~
+    # Poisson(E) from uniform 0 of the stream and v ~ Binomial(w, q) from
+    # uniform n, as one whole-array draw puts them. Each block holds whole
+    # paths of `path` epochs, about 2^16 epochs; the blocks share one set
+    # of assembled binomial tables, to which a block adds only its new
+    # counts' tables, so blocks this small cost no more than one call
+    n = config.sample_count * path
+    counts, wins = _cursor(config, 0), _cursor(config, n)
+    tables = _Tables()
+    step = max(1, _BLOCK // path) * path
+    for lo in range(0, n, step):
+        w = poisson_sample(counts, network.expected_blocks, min(step, n - lo))
+        yield w, binomial_sample(wins, w, share.win_probability, tables)
+
+
+def _epoch_counts(blocks) -> EpochCounts:
+    # EpochCounts of (w, v) blocks
+    epochs = total = won = 0
+    least, histogram = 0, np.zeros(0, dtype=np.int64)
+    for w, v in blocks:
+        epochs += w.size
+        total += int(w.sum())
+        won += int(v.sum())
+        low = int(v.min())
+        block = np.bincount(v - low)
+        if not histogram.size:
+            least, histogram = low, block
+            continue
+        start, end = min(least, low), max(least + histogram.size,
+                                          low + block.size)
+        merged = np.zeros(end - start, dtype=np.int64)
+        merged[least - start:least - start + histogram.size] += histogram
+        merged[low - start:low - start + block.size] += block
+        least, histogram = start, merged
+    return EpochCounts(epochs=epochs, blocks_total=total, blocks_won=won,
+                       least_won=least, won=histogram)
 
 
 def simulate_epochs(network: NetworkParams, share: MinerShare,
-                    config: SimConfig) -> EpochBatch:
+                    config: SimConfig) -> EpochCounts:
     """Protocol-level epoch simulation: w ~ Poisson(E), v ~ Binomial(w, q).
 
     The Poisson counts read the stream's first n uniforms and the binomial
-    draws the next n, n = config.sample_count; all three arrays are n long.
+    draws the next n, n = config.sample_count; they are drawn in blocks of
+    2^16 epochs and folded into counts, so the memory a run takes does not
+    grow with n.
     """
-    rng = _generator(config)
-    n = config.sample_count
-    w = poisson_sample(rng, network.expected_blocks, n)
-    v = binomial_sample(rng, w, share.win_probability)
-    return EpochBatch(blocks_total=w, blocks_won=v,
-                      rewards=np.multiply(v, network.block_reward,
-                                          dtype=float))
+    return _epoch_counts(_epoch_blocks(network, share, config))
 
 
-# epochs of window paths drawn per block: smaller blocks re-concatenate the
-# binomial tables of one call too often
-_WINDOW_BLOCK = 1 << 18
+def _histogram_report(least: int, counts: np.ndarray, seed: int,
+                      scale: float = 1.0) -> SimReport:
+    # scale times the mean of the sample holding counts[k] copies of the
+    # integer least + k, from its exact moments S1 = sum x and S2 = sum x^2
+    # as Python ints: mean S1/n and sample variance (n S2 - S1^2)/(n(n-1)),
+    # each one correctly rounded division
+    counts = counts.tolist()
+    n = sum(counts)
+    require(n >= 2, "need at least 2 samples to estimate a standard error")
+    s1 = sum(k * x for x, k in enumerate(counts, least))
+    s2 = sum(k * x * x for x, k in enumerate(counts, least))
+    variance = (n * s2 - s1 * s1) / (n * (n - 1))
+    return SimReport(estimate=scale * (s1 / n),
+                     std_error=scale * math.sqrt(variance) / math.sqrt(n),
+                     samples=n, seed=seed)
 
 
 def _window_totals(network: NetworkParams, share: MinerShare, epochs: int,
                    config: SimConfig) -> np.ndarray:
-    # total reward of each of config.sample_count paths of `epochs` epochs,
-    # the row sums of simulate_epochs' rewards over n = paths x epochs
-    # draws, reshaped one path per row: Poisson counts from offset 0 and
-    # binomial draws from offset n, whole paths per block
-    paths = config.sample_count
-    n = paths * epochs
-    counts, wins = _cursor(config, 0), _cursor(config, n)
-    totals = np.empty(paths)
-    step = max(1, _WINDOW_BLOCK // epochs)
-    for lo in range(0, paths, step):
-        k = min(step, paths - lo)
-        w = poisson_sample(counts, network.expected_blocks, k * epochs)
-        v = binomial_sample(wins, w, share.win_probability)
-        rewards = np.multiply(v, network.block_reward, dtype=float)
-        totals[lo:lo + k] = rewards.reshape(k, epochs).sum(axis=1)
-    return totals
+    # total reward of each of config.sample_count paths of `epochs` epochs:
+    # the epochs of n = paths x epochs draws summed per path, as
+    # rewards.reshape(paths, epochs).sum(axis=1) sums them
+    return np.concatenate([
+        np.multiply(v, network.block_reward, dtype=float)
+        .reshape(-1, epochs).sum(axis=1)
+        for _, v in _epoch_blocks(network, share, config, epochs)])
 
 
 def estimate_first_win_time(network: NetworkParams, share: MinerShare,

@@ -17,8 +17,8 @@ from minecon.growth import (GameRound, MinerPlan, _smooth_growth_parts,
                             smooth_optimal_gamma, stochastic_growth_rate,
                             t_max, tane_growth_rate, tane_growth_upper_bound,
                             wealth_trajectory, win_rate_lambda)
-from minecon.mcsim import (SimConfig, estimate_first_win_time, round_oracle,
-                           simulate_epochs, simulate_wealth_path)
+from minecon.mcsim import (SimConfig, _window_totals, estimate_first_win_time,
+                           round_oracle, simulate_wealth_path)
 from minecon.rewarddist import (MinerShare, NetworkParams, variance_paper,
                                 variance_thinned, win_count_pmf_closed,
                                 win_count_pmf_series)
@@ -127,11 +127,9 @@ def test_04_window_moments_with_both_variances(capsys):
         n_paths, window, chunk = 1_000_000, 100, 40_000
         totals = np.empty(n_paths)
         for k in range(n_paths // chunk):
-            config = SimConfig(seed=404, sample_count=chunk * window,
-                               stream_id=k)
-            batch = simulate_epochs(net, share, config)
+            config = SimConfig(seed=404, sample_count=chunk, stream_id=k)
             totals[k * chunk:(k + 1) * chunk] = \
-                batch.rewards.reshape(chunk, window).sum(axis=1)
+                _window_totals(net, share, window, config)
 
         v_thinned = variance_thinned(net, share, window)
         v_paper = variance_paper(net, share, window)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import minecon
-from conftest import REFERENCE, run_cli, write_scenario
+from conftest import REFERENCE, epochs_whole_array, run_cli, write_scenario
 from minecon import __version__, cli, mcsim, rewarddist, waiting
 from minecon.cli import load_scenario
 from minecon.errors import NumericalError, ValidationError
@@ -57,7 +57,7 @@ def oracle_tables(scenario, seed=42):
     pmf = rewarddist.total_reward_pmf(network, share, scenario.N)
     xs = [k * 0.5 for k in range(201)]
     payoffs = mcsim.round_payoffs(plan, network, config)
-    batch = mcsim.simulate_epochs(network, share, config)
+    _, wins = epochs_whole_array(network, share, config)
     first = mcsim.estimate_first_win_time(network, share, config)
     # the dense ECDF, one row per epoch, of which the step ECDF keeps epoch
     # 0 and each epoch whose value moves
@@ -76,7 +76,7 @@ def oracle_tables(scenario, seed=42):
          enumerate(payoffs.tolist(), start=1), (*sim, "--per-trial")),
         ("simulate_trials", ["epoch", "wins", "reward"],
          [(k, int(v), float(r)) for k, v, r in
-          zip(range(1, len(batch) + 1), batch.blocks_won, batch.rewards)],
+          zip(range(1, wins.size + 1), wins, network.block_reward * wins)],
          (*sim, "--sim", "epochs", "--per-trial")),
         ("simulate_ecdf", ["epoch", "cumulative_probability"],
          zip(steps.tolist(), ecdf[steps].tolist()),
@@ -450,6 +450,29 @@ class TestArtifacts:
         mean_reward = 10.0 * 50.0 / 1050.0
         assert payload["report"]["estimate"] == pytest.approx(
             mean_reward, abs=5 * payload["report"]["std_error"])
+
+    @pytest.mark.parametrize("e", [10.0, 200.0])
+    def test_simulate_epochs_per_trial_matches_whole_array(self, tmp_path,
+                                                            e):
+        # 3 x 2^16 + 5 epochs cross three block edges
+        path = write_scenario(tmp_path, E=e, M=2.5)
+        n = 3 * 2 ** 16 + 5
+        out = tmp_path / "artifacts"
+        assert run_cli("simulate", path, "--out", out, "--sim", "epochs",
+                       "--samples", n, "--seed", 8, "--stream-id", 3,
+                       "--per-trial") == 0
+        scenario = load_scenario(path)
+        w, v = epochs_whole_array(scenario.network(), scenario.share(),
+                                  mcsim.SimConfig(8, n, stream_id=3))
+        table = np.loadtxt(out / "simulate_trials.csv", delimiter=",",
+                           skiprows=1)
+        assert table[:, 0].tolist() == list(range(1, n + 1))
+        assert table[:, 1].tolist() == v.tolist()
+        assert table[:, 2].tolist() == (2.5 * v).tolist()
+        payload = read_json(out / "simulate.json")
+        assert (payload["total_blocks"], payload["total_wins"]) \
+            == (w.sum(), v.sum())
+        assert payload["report"]["estimate"] == 2.5 * (int(v.sum()) / n)
 
     def test_simulate_first_win_ecdf(self, reference_file, tmp_path):
         out = tmp_path / "artifacts"
@@ -1348,6 +1371,19 @@ class TestVerify:
                 read_json(tmp_path / "verify.json")["rows"]}
         assert rows["first-win-mean"]["status"] == "PASS"
         assert rows["first-win-mean"]["band"] == 1.0 / 2000
+
+    def test_epoch_blocks_band_is_the_model_sd(self, tmp_path):
+        # at E = 1e-6 no block is drawn in 2,000 epochs, so the sample sd
+        # is 0; the band is the model's 3 sqrt(E/n), and the row passes
+        path = write_scenario(tmp_path, E=1e-6)
+        run_cli("verify", path, "--out", tmp_path, "--seed", 42,
+                "--samples", 2000)
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        row = rows["epoch-blocks-mean"]
+        assert row["observed"] == 0.0
+        assert row["band"] == 3.0 * math.sqrt(1e-6 / 2000)
+        assert row["status"] == "PASS"
 
     def test_no_win_series_row_passes_on_the_reference(self,
                                                        reference_file,

@@ -1,7 +1,9 @@
 """Seeded simulators against closed forms and scipy distributions."""
 
 import math
+import tracemalloc
 import weakref
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,10 +14,12 @@ from minecon import mcsim
 from minecon.errors import ValidationError
 from minecon.growth import (MinerPlan, conditional_reward, t_max,
                             win_probability, win_rate_lambda)
+from conftest import epochs_whole_array
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _cdf_from_steps,
-                           _cursor, _first_won_block, _generator, _guided,
-                           _invert, _poisson_cdf_table, _positive_poisson,
-                           _span, _win_given_w, _window_totals,
+                           _cursor, _epoch_blocks, _first_won_block,
+                           _generator, _guided, _histogram_report, _invert,
+                           _poisson_cdf_table, _positive_poisson, _span,
+                           _Tables, _win_given_w, _window_totals,
                            binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            gamma_sample, poisson_sample, round_oracle,
@@ -515,26 +519,33 @@ class TestGuideTables:
             guide[0] = 1
 
 
+def epoch_arrays(network, share, config):
+    """The per-epoch block totals and wins of simulate_epochs' draws, its
+    blocks concatenated as simulate --per-trial concatenates them."""
+    w, v = zip(*_epoch_blocks(network, share, config))
+    return np.concatenate(w), np.concatenate(v)
+
+
 class TestDeterminism:
     def test_same_config_same_draws(self):
         a = simulate_epochs(network(), MinerShare(0.01),
                             SimConfig(seed=9, sample_count=5000))
         b = simulate_epochs(network(), MinerShare(0.01),
                             SimConfig(seed=9, sample_count=5000))
-        np.testing.assert_array_equal(a.blocks_total, b.blocks_total)
-        np.testing.assert_array_equal(a.blocks_won, b.blocks_won)
-        np.testing.assert_array_equal(a.rewards, b.rewards)
+        assert (a.epochs, a.blocks_total, a.blocks_won, a.least_won) \
+            == (b.epochs, b.blocks_total, b.blocks_won, b.least_won)
+        np.testing.assert_array_equal(a.won, b.won)
 
     def test_streams_are_distinct_and_uncorrelated(self):
         share = MinerShare(0.01)
-        a = simulate_epochs(network(), share,
+        a, _ = epoch_arrays(network(), share,
                             SimConfig(seed=9, sample_count=100_000,
                                       stream_id=0))
-        b = simulate_epochs(network(), share,
+        b, _ = epoch_arrays(network(), share,
                             SimConfig(seed=9, sample_count=100_000,
                                       stream_id=1))
-        assert (a.blocks_total != b.blocks_total).any()
-        rho = np.corrcoef(a.blocks_total, b.blocks_total)[0, 1]
+        assert (a != b).any()
+        rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) <= 0.01
 
 
@@ -542,31 +553,33 @@ class TestSimulateEpochs:
     def test_zero_share_never_wins(self):
         batch = simulate_epochs(network(), MinerShare(0.0),
                                 SimConfig(seed=2, sample_count=20_000))
-        assert not batch.blocks_won.any()
-        assert not batch.rewards.any()
+        assert batch.blocks_won == 0
+        assert batch.least_won == 0 and batch.won.tolist() == [20_000]
+        assert batch.report(2, 1.0).estimate == 0.0
 
     def test_block_mean(self):
         batch = simulate_epochs(network(e=4.0),
                                 MinerShare(0.01),
                                 SimConfig(seed=3, sample_count=250_000))
-        se = math.sqrt(4.0 / len(batch))
-        assert abs(float(batch.blocks_total.mean()) - 4.0) <= 3 * se
+        se = math.sqrt(4.0 / batch.epochs)
+        assert abs(batch.blocks_total / batch.epochs - 4.0) <= 3 * se
 
     def test_win_count_distribution(self):
         share = MinerShare(0.005)
         batch = simulate_epochs(network(), share,
                                 SimConfig(seed=4, sample_count=400_000))
-        emp = np.bincount(batch.blocks_won) / len(batch)
+        emp = np.pad(batch.won, (batch.least_won, 0)) / batch.epochs
         ref = np.array([win_count_pmf_closed(v, network(), share)
                         for v in range(emp.size)])
         assert 0.5 * np.abs(emp - ref).sum() <= 0.005
 
     def test_wins_bounded_by_blocks_and_rewards_match(self):
         share = MinerShare(0.2)
-        batch = simulate_epochs(network(m=2.5), share,
-                                SimConfig(seed=6, sample_count=50_000))
-        assert (batch.blocks_won <= batch.blocks_total).all()
-        np.testing.assert_allclose(batch.rewards, 2.5 * batch.blocks_won)
+        config = SimConfig(seed=6, sample_count=50_000)
+        w, v = epoch_arrays(network(m=2.5), share, config)
+        assert (v <= w).all()
+        report = simulate_epochs(network(m=2.5), share, config).report(6, 2.5)
+        assert report.estimate == pytest.approx(float(np.mean(2.5 * v)))
 
 
 class TestFirstWinTime:
@@ -851,10 +864,11 @@ def window_totals_whole_array(network, share, epochs, config):
     """verify's window totals as it drew them, kept as _window_totals'
     oracle: one epoch batch of paths x epochs draws, summed per path."""
     paths = config.sample_count
-    batch = simulate_epochs(network, share,
-                            SimConfig(config.seed, paths * epochs,
-                                      config.stream_id))
-    return batch.rewards.reshape(paths, epochs).sum(axis=1)
+    _, v = epochs_whole_array(network, share,
+                              SimConfig(config.seed, paths * epochs,
+                                        config.stream_id))
+    rewards = np.multiply(v, network.block_reward, dtype=float)
+    return rewards.reshape(paths, epochs).sum(axis=1)
 
 
 class TestBlockedStages:
@@ -897,11 +911,12 @@ class TestBlockedStages:
                                             config)
         assert got.epochs.tobytes() == want.tobytes()
 
-    # (paths, epochs): 2^16 paths of 4 epochs fill a block of 2^18 epochs;
-    # a window past 2^18 epochs takes a block of its own
+    # (paths, epochs): 2^14 paths of 4 epochs fill a block of 2^16 epochs;
+    # a window past 2^16 epochs takes a block of its own
     @pytest.mark.parametrize("paths, epochs", [
         (2, 1), (3, 1), (65_535, 4), (65_536, 4), (65_537, 4),
-        (3 * 2 ** 16 + 5, 1), (5, 100_003), (3, 2 ** 18 + 3)])
+        (2 ** 14 + 1, 4), (3 * 2 ** 16 + 5, 1), (5, 100_003),
+        (3, 2 ** 18 + 3)])
     @pytest.mark.parametrize("e", [10.0, 200.0])
     @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0, 1.0])
     def test_window_totals(self, paths, epochs, e, q):
@@ -911,3 +926,85 @@ class TestBlockedStages:
         want = window_totals_whole_array(network(e=e, m=2.5), MinerShare(q),
                                          epochs, config)
         assert got.tobytes() == want.tobytes()
+
+
+class TestEpochCounts:
+    """simulate_epochs' blocks folded into counts, and their report."""
+
+    @pytest.mark.parametrize("e", [10.0, 200.0])
+    @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0])
+    def test_counts_match_whole_array(self, e, q):
+        config = SimConfig(seed=34, sample_count=3 * 2 ** 16 + 5,
+                           stream_id=1)
+        w, v = epochs_whole_array(network(e=e), MinerShare(q), config)
+        got = simulate_epochs(network(e=e), MinerShare(q), config)
+        assert got.epochs == w.size
+        assert (got.blocks_total, got.blocks_won) == (w.sum(), v.sum())
+        assert got.least_won == v.min()
+        assert got.won.tolist() == np.bincount(v - v.min()).tolist()
+
+    @pytest.mark.parametrize("least, counts", [
+        (0, [1, 1]), (0, [5, 0, 0, 2]), (3, [0, 7, 1, 0, 4]),
+        (10 ** 7, [1, 0, 2]), (0, [2 * 10 ** 6] + [0] * 99 + [10 ** 6]),
+        # sum x^2 = 9.8e20 and n S2 = 5.9e27 pass 2^63
+        (10 ** 7 - 3, [3 * 10 ** 6, 0, 0, 0, 0, 0, 6 * 10 ** 6])])
+    @pytest.mark.parametrize("scale", [1.0, 2.5, 1e-3])
+    def test_histogram_report_matches_fractions(self, least, counts, scale):
+        # the moments as Fractions over the centred sum of squares, a
+        # different route to the same exact values
+        report = _histogram_report(least, np.array(counts), 8, scale)
+        n = sum(counts)
+        mean = sum(Fraction(k * (least + j)) for j, k in enumerate(counts))
+        mean /= n
+        variance = sum(k * (least + j - mean) ** 2
+                       for j, k in enumerate(counts)) / (n - 1)
+        assert report.estimate == scale * float(mean)
+        assert report.std_error \
+            == scale * math.sqrt(float(variance)) / math.sqrt(n)
+        assert (report.samples, report.seed) == (n, 8)
+
+    def test_histogram_report_agrees_with_the_float_moments(self):
+        v = np.random.default_rng(12).poisson(3.0, 10_001)
+        report = _histogram_report(0, np.bincount(v), 1)
+        assert report.estimate == pytest.approx(float(np.mean(v)),
+                                                rel=1e-15)
+        assert report.std_error == pytest.approx(
+            float(np.std(v, ddof=1)) / math.sqrt(v.size), rel=1e-12)
+
+    def test_histogram_report_needs_two_samples(self):
+        with pytest.raises(ValidationError):
+            _histogram_report(4, np.array([0, 1]), 1)
+
+    def test_memory_does_not_grow_with_the_sample(self):
+        # 10^6 epochs in blocks of 2^16: the block arrays and the sampler's
+        # temporaries, a few MB, where three n-sized arrays held 24 MB
+        share, config = MinerShare(1.0 / 21.0), SimConfig(seed=35,
+                                                          sample_count=10)
+        simulate_epochs(network(), share, config)  # builds the tables
+        tracemalloc.start()
+        try:
+            simulate_epochs(network(), share,
+                            SimConfig(seed=35, sample_count=10 ** 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_shared_tables_stay_within_the_entry_limit(self, monkeypatch):
+        # with the limit at 5,000 entries, a block whose new tables would
+        # take the shared set past it starts the set afresh; the draws stay
+        # those of separate calls
+        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 5000)
+        tables, restarts = _Tables(), 0
+        for k, (e, size) in enumerate([(60.0, 3000), (60.0, 3000),
+                                       (90.0, 500), (60.0, 3000)]):
+            trials = poisson_sample(_generator(SimConfig(50, 1, k)), e, size)
+            config = SimConfig(seed=51, sample_count=1, stream_id=k)
+            got = binomial_sample(_generator(config), trials, 0.5, tables)
+            want = binomial_sample(_generator(config), trials, 0.5)
+            assert got.tobytes() == want.tobytes()
+            assert tables.entries <= 5000
+            drawn = set(np.unique(trials).tolist())
+            assert set(tables.slots) >= drawn
+            restarts += k > 0 and set(tables.slots) == drawn
+        assert restarts == 2
