@@ -1008,3 +1008,17 @@ class TestEpochCounts:
             assert set(tables.slots) >= drawn
             restarts += k > 0 and set(tables.slots) == drawn
         assert restarts == 2
+
+    def test_shared_tables_keep_their_entries_as_they_grow(self):
+        # the E = 40 block's tables outgrow the room the E = 10 block's
+        # left, so the buffers are replaced; the last block draws from the
+        # E = 10 tables the new buffers carried over
+        tables = _Tables()
+        for k, e in enumerate([10.0, 40.0, 10.0]):
+            trials = poisson_sample(_generator(SimConfig(52, 1, k)), e, 3000)
+            config = SimConfig(seed=53, sample_count=1, stream_id=k)
+            room = tables.table.size
+            got = binomial_sample(_generator(config), trials, 0.3, tables)
+            want = binomial_sample(_generator(config), trials, 0.3)
+            assert got.tobytes() == want.tobytes()
+            assert (tables.table.size > room) == (k < 2)
