@@ -4,13 +4,14 @@ All randomness flows from numpy's Philox-4x64-10 counter-based generator,
 keyed by (seed, stream_id); identical configs reproduce bit-identical
 streams on any platform. The Poisson, Binomial, Exponential and Gamma
 samplers are built here directly on the uniform bitstream (inversion
-against cached cdf tables for the Poisson at every mean and for the
-Binomial, Marsaglia-Tsang with Box-Muller normals for the Gamma), so the
-closed forms under test never feed their own verification. Every cdf table
-spans mean -+ (60 sd + 200), clipped to its support, and sums log mass
-ratios outward from the mode, so none starts from a mass that underflows.
-One guided inversion serves both samplers: a Chen-Asau guide table settles
-most draws, and the rest are bisected between their bucket's bounds.
+against cdf tables for the Poisson at every mean and for the Binomial,
+Marsaglia-Tsang with Box-Muller normals for the Gamma), so the closed forms
+under test never feed their own verification. Every cdf table spans mean
+-+ (60 sd + 200), clipped to its support, and sums log mass ratios outward
+from the mode, so none starts from a mass that underflows. One store holds
+every table drawn from, once, with its Chen-Asau guide table, and one
+guided inversion of it serves both samplers: the guide settles most draws,
+and the rest are bisected between their bucket's bounds.
 Stage k of a simulator starts at uniform k n of its stream, n being its
 draw count. Philox is counter-based, so each stage can have its own cursor:
 the round, epoch, first-win and window simulators draw their stages in
@@ -21,7 +22,6 @@ totals, so neither holds an array as long as its sample.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -39,13 +39,11 @@ _MAX_MEAN_WAIT = 2 ** 46
 # largest Poisson mean sampled: its table holds 380k entries at 10^7
 _MAX_POISSON_MEAN = 10 ** 7
 # cdf entries the tables of one binomial_sample call may hold over their
-# spans (80 MB as float64, as much again concatenated); 9.9e6 entries at
-# E = 10^7, q = 1/2 peak at 237 MB RSS, building included, with glibc's
-# default allocator settings or the CLI's (tables that size are mmapped
-# either way). The tables _guided caches hold at most as many, and at most
-# _MAX_TABLES tables (4,096 guides of 1,026 int32s: 16.8 MB)
+# spans (80 MB as float64); 9.9e6 entries at E = 10^7, q = 1/2 peak at
+# 237 MB RSS, building included, with glibc's default allocator settings
+# or the CLI's (tables that size are mmapped either way). The table store
+# holds at most as many, besides a guide of 1,026 int32s (4.1 kB) a table
 _MAX_TABLE_ENTRIES = 10 ** 7
-_MAX_TABLES = 4096
 _BLOCK = 1 << 16
 # guide[b] is the draw of key _GUIDE_EDGES[b], key u's bucket floor(u 2^10):
 # edges b / 2^10, then the last double below 1 (putting a table's tail of
@@ -137,95 +135,97 @@ def _mean_report(values: np.ndarray, seed: int, scale: float = 1.0) -> SimReport
                      samples=n, seed=seed)
 
 
-_cached_entries = 0  # cdf entries of the tables _guided caches
-_cached_keys = set()  # (build, args) of the tables _guided caches
+class _Store:
+    """Every cdf table the samplers draw from, held once with its guide and
+    concatenated for the search: slots maps (build, args) to j, and table j
+    starts at table[start[j]], its guide at guide[j * _GUIDE_EDGES.size];
+    table[base[j] + d] is the cdf entry of its draw d.
 
-
-@lru_cache(maxsize=None)
-def _guided(build, *args) -> tuple:
-    # (first, cdf, guide) for (first, cdf) = build(*args), where cdf[k] is
-    # P(X <= first + k)
-    global _cached_entries
-    first, cdf = build(*args)
-    _make_room(1, cdf.size)
-    _cached_entries += cdf.size
-    _cached_keys.add((build, args))
-    guide = np.searchsorted(cdf, _GUIDE_EDGES, side="right")
-    guide = first + np.minimum(guide, cdf.size - 1)
-    return first, cdf, _read_only(guide.astype(np.int32))
-
-
-def _make_room(tables: int, entries: int) -> None:
-    # drop every table _guided caches if `tables` more tables holding
-    # `entries` cdf entries would take the cache past _MAX_TABLES or
-    # _MAX_TABLE_ENTRIES; the count restarts after any clear
-    global _cached_entries
-    held = _guided.cache_info().currsize
-    if held == 0:
-        _cached_entries = 0
-        _cached_keys.clear()
-    elif (held + tables > _MAX_TABLES
-          or _cached_entries + entries > _MAX_TABLE_ENTRIES):
-        _guided.cache_clear()
-        _cached_entries = 0
-        _cached_keys.clear()
-
-
-class _Tables:
-    """Guided cdf tables, one per key (a count w >= 0), concatenated for
-    the search: table[base[j] + d] is the cdf entry of draw d in the j-th
-    table added, whose guide starts at guide[j * _GUIDE_EDGES.size].
-
-    Tables are appended into spare room: a buffer that must grow takes room
-    for twice what it then holds, so the blocks of one simulation, which
-    keep bringing a few new counts, seldom copy what is already there.
+    A call appends the tables it needs and the store does not hold, in one
+    batch, into spare room: a buffer that must grow takes room for twice
+    what it then holds, so the blocks of one simulation, which keep
+    bringing a few new counts, seldom copy what is already there. Where
+    they would take the store past _MAX_TABLE_ENTRIES, the tables the call
+    does not use are dropped first and the rest move down in place, so no
+    held table is built again. The class is the store: _Store.cache_clear(),
+    named as functools' caches name theirs, empties it wherever the
+    package's memo tables are cleared.
     """
 
-    def __init__(self):
-        self.clear()
+    @classmethod
+    def cache_clear(cls) -> None:
+        cls.slots = {}
+        cls.entries = 0
+        cls.table = np.empty(0)
+        cls.guide = np.empty(0, dtype=np.int32)
+        cls.start = cls.base = np.empty(0, dtype=np.int64)
 
-    def clear(self) -> None:
-        self.slots = {}  # key -> j
-        self.entries = 0
-        self.table = np.empty(0)
-        self.guide = np.empty(0, dtype=np.int32)
-        self.base = np.empty(0, dtype=np.int64)
-        self.cell = np.empty(0, dtype=np.intp)  # cell[w - w0] = j * edges
-        self.w0 = 0
+    @classmethod
+    def held(cls, build, args: list) -> np.ndarray:
+        # slot j of the table build(*a) for each of the distinct a in args,
+        # where build returns (first, cdf) with cdf[k] = P(X <= first + k)
+        keys = [(build, a) for a in args]
+        new = [key for key in keys if key not in cls.slots]
+        if new:
+            cls._add(new, set(keys))
+        return np.array([cls.slots[key] for key in keys])
 
-    def add(self, tables: dict) -> None:
-        # append {key: (first, cdf, guide)} for keys not added yet
-        firsts, cdfs, guides = zip(*tables.values())
+    @classmethod
+    def _add(cls, new: list, used: set) -> None:
+        # append the tables of the keys `new`, keeping those of `used`
+        firsts, cdfs = zip(*(build(*args) for build, args in new))
         sizes = np.fromiter(map(len, cdfs), dtype=np.int64, count=len(cdfs))
-        end = self.entries + int(sizes.sum())
-        self.table = _grown(self.table, self.entries, end)
-        np.concatenate(cdfs, out=self.table[self.entries:end])
+        if cls.entries + int(sizes.sum()) > _MAX_TABLE_ENTRIES:
+            cls._keep(np.array([key in used for key in cls.slots], bool))
+        end = cls.entries + int(sizes.sum())
+        cls.table = _grown(cls.table, cls.entries, end)
+        np.concatenate(cdfs, out=cls.table[cls.entries:end])
         edges = _GUIDE_EDGES.size
-        lo, hi = len(self.slots) * edges, (len(self.slots) + len(cdfs)) * edges
-        self.guide = _grown(self.guide, lo, hi)
-        np.concatenate(guides, out=self.guide[lo:hi])
-        self.base = np.append(self.base, self.entries + np.cumsum(sizes)
-                              - sizes - np.array(firsts))
-        self.entries = end
-        for key in tables:
-            self.slots[key] = len(self.slots)
-        keys = np.fromiter(self.slots, dtype=np.intp, count=len(self.slots))
-        self.w0 = keys.min()
-        self.cell = np.zeros(keys.max() - self.w0 + 1, dtype=np.intp)
-        self.cell[keys - self.w0] = np.arange(keys.size) * edges
+        lo, hi = len(cls.slots) * edges, (len(cls.slots) + len(new)) * edges
+        cls.guide = _grown(cls.guide, lo, hi)
+        for guide, first, cdf in zip(cls.guide[lo:hi].reshape(-1, edges),
+                                     firsts, cdfs):
+            guide[:] = first + np.minimum(
+                np.searchsorted(cdf, _GUIDE_EDGES, side="right"), cdf.size - 1)
+        start = cls.entries + np.cumsum(sizes) - sizes
+        cls.start = np.append(cls.start, start)
+        cls.base = np.append(cls.base, start - np.array(firsts))
+        cls.entries = end
+        cls.slots.update((key, j) for j, key in enumerate(new, len(cls.slots)))
 
-    def search(self, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    @classmethod
+    def _keep(cls, keep: np.ndarray) -> None:
+        # drop the tables j with keep[j] False: the rest move down in place,
+        # in order, one run of consecutive kept tables at a time
+        edges = _GUIDE_EDGES.size
+        end = np.append(cls.start[1:], cls.entries)
+        runs = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+        at = held = 0
+        for lo, hi in runs.reshape(-1, 2).tolist():
+            size = int(end[hi - 1] - cls.start[lo])
+            cls.table[at:at + size] = cls.table[cls.start[lo]:end[hi - 1]]
+            cls.guide[held * edges:(held + hi - lo) * edges] = \
+                cls.guide[lo * edges:hi * edges]
+            at, held = at + size, held + hi - lo
+        sizes = (end - cls.start)[keep]
+        start = np.cumsum(sizes) - sizes
+        cls.base = cls.base[keep] + start - cls.start[keep]
+        cls.start, cls.entries = start, at
+        kept = [key for key, k in zip(cls.slots, keep.tolist()) if k]
+        cls.slots = {key: j for j, key in enumerate(kept)}
+
+    @classmethod
+    def search(cls, u: np.ndarray, cell, index=None) -> np.ndarray:
         # draw i is first + searchsorted(cdf, u[i], "right"), capped at the
-        # last count, for (first, cdf) the table of key index[i] and u[i] in
-        # [0, 1]: it lies between guide[b] and guide[b + 1], b = u[i]'s
-        # bucket, bisected
-        table, guide, base = self.table, self.guide, self.base
+        # last count, for u[i] in [0, 1] and (first, cdf) the table whose
+        # guide starts at guide[cell] (guide[cell[index[i]]] given index): it
+        # lies between guide[b] and guide[b + 1], b = u[i]'s bucket, bisected
+        table, guide, base = cls.table, cls.guide, cls.base
         out = np.empty(u.size, dtype=np.int64)
         for lo in range(0, u.size, _BLOCK):  # bounds the temporaries
             x = u[lo:lo + _BLOCK]
             c = (x * (1 << _GUIDE_BITS)).astype(np.intp)
-            if len(self.slots) > 1:  # one table's guide starts at 0
-                c += self.cell[index[lo:lo + _BLOCK] - self.w0]
+            c += cell if index is None else cell[index[lo:lo + _BLOCK]]
             found = guide[c]
             miss = np.flatnonzero(found != guide[1:][c])
             b, x = base[c[miss] // _GUIDE_EDGES.size], x[miss]
@@ -240,6 +240,9 @@ class _Tables:
         return out
 
 
+_Store.cache_clear()
+
+
 def _grown(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
     # buffer with room for `need` entries, its first `used` kept: when it
     # must grow, it takes room for 2 need, but past _MAX_TABLE_ENTRIES only
@@ -250,13 +253,6 @@ def _grown(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
                      dtype=buffer.dtype)
     grown[:used] = buffer[:used]
     return grown
-
-
-def _invert(tables: dict, index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # draw i from the table tables[index[i]] = (first, cdf, guide) at u[i]
-    assembled = _Tables()
-    assembled.add(tables)
-    return assembled.search(index, u)
 
 
 def _span(mean, sd, top) -> tuple:
@@ -310,14 +306,14 @@ def _cdf_from_steps(step: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
-    # cached tables are shared by every later draw: refuse in-place edits
+    # a built table is only read, into the store: refuse in-place edits
     table.flags.writeable = False
     return table
 
 
 def poisson_sample(rng: np.random.Generator, mean: float,
                    size: int) -> np.ndarray:
-    """Poisson draws by inversion against the mean's cached cdf table.
+    """Poisson draws by inversion against the mean's held cdf table.
 
     One uniform per draw; the table spans mean -+ (60 sd + 200), so a mean
     past 10^7, whose table would pass 380k entries, is refused.
@@ -326,55 +322,39 @@ def poisson_sample(rng: np.random.Generator, mean: float,
             "Poisson mean must be nonnegative and finite")
     if mean == 0.0:
         return np.zeros(size, dtype=np.int64)
-    return _invert({0: _guided(_poisson_cdf_table, mean)},
-                   np.broadcast_to(0, size), rng.random(size))
+    j, = _Store.held(_poisson_cdf_table, [(mean,)])
+    return _Store.search(rng.random(size), j * _GUIDE_EDGES.size)
 
 
 def binomial_sample(rng: np.random.Generator, trials: np.ndarray,
-                    q: float, tables: Optional[_Tables] = None) -> np.ndarray:
+                    q: float) -> np.ndarray:
     """Binomial(trials[i], q) draws, one uniform per entry.
 
-    Each entry is inverted against its trial count's cached cdf table,
+    Each entry is inverted against its trial count's held cdf table,
     which spans w q -+ (60 sd + 200), clipped to 0..w, with sd =
     sqrt(w q (1 - q)). Drawing order and uniform consumption depend only on
     the length of `trials`, keeping streams reproducible. Counts whose
     spans hold more than 10^7 entries in all are refused before any table
     is built.
-
-    `tables`, shared by the blocks of one simulation at one q, keeps the
-    tables assembled from call to call; a call adds the tables of its new
-    counts, or starts `tables` afresh from its own counts where the union
-    would pass 10^7 entries.
     """
     require(0.0 <= q <= 1.0, "success probability must lie in [0, 1]")
     u = rng.random(trials.size)
     if not trials.size:
         return np.empty(0, dtype=np.int64)
     least = int(trials.min())
-    counts = least + np.flatnonzero(np.bincount(trials - least))
+    index = trials - least
+    counts = least + np.flatnonzero(np.bincount(index))
     mean = counts * q
     first, last = _span(mean, np.sqrt(mean * (1.0 - q)), counts)
-    sizes = last - first + 1
-    entries = int(sizes.sum())
+    entries = int((last - first + 1).sum())
     require(entries <= _MAX_TABLE_ENTRIES,
             f"{counts.size} distinct block counts up to {counts[-1]} need "
             f"{entries} Binomial table entries, more than "
             f"{_MAX_TABLE_ENTRIES}")
-    if tables is None:
-        tables = _Tables()
-    new = np.array([w not in tables.slots for w in counts.tolist()])
-    if tables.entries + int(sizes[new].sum()) > _MAX_TABLE_ENTRIES:
-        tables.clear()
-        new[:] = True
-    if new.any():
-        # room for the tables not cached yet, so that the blocks of one
-        # simulation reuse their tables
-        fresh = [int(w) for w in counts[new]]
-        uncached = np.array([(_binomial_cdf_table, (w, q)) not in _cached_keys
-                             for w in fresh])
-        _make_room(int(uncached.sum()), int(sizes[new][uncached].sum()))
-        tables.add({w: _guided(_binomial_cdf_table, w, q) for w in fresh})
-    return tables.search(trials, u)
+    cell = np.zeros(counts[-1] - least + 1, dtype=np.intp)
+    cell[counts - least] = _GUIDE_EDGES.size * _Store.held(
+        _binomial_cdf_table, [(w, q) for w in counts.tolist()])
+    return _Store.search(u, cell, index)
 
 
 def exponential_sample(rng: np.random.Generator, rate: float,
@@ -457,16 +437,14 @@ def _epoch_blocks(network: NetworkParams, share: MinerShare,
     # (w, v) blocks of the n = config.sample_count x path epochs, w ~
     # Poisson(E) from uniform 0 of the stream and v ~ Binomial(w, q) from
     # uniform n, as one whole-array draw puts them. Each block holds whole
-    # paths of `path` epochs, about 2^16 epochs; the blocks share one set
-    # of assembled binomial tables, to which a block adds only its new
-    # counts' tables, so blocks this small cost no more than one call
+    # paths of `path` epochs, about 2^16 epochs; a block builds only its
+    # new counts' tables, so blocks this small cost no more than one call
     n = config.sample_count * path
     counts, wins = _cursor(config, 0), _cursor(config, n)
-    tables = _Tables()
     step = max(1, _BLOCK // path) * path
     for lo in range(0, n, step):
         w = poisson_sample(counts, network.expected_blocks, min(step, n - lo))
-        yield w, binomial_sample(wins, w, share.win_probability, tables)
+        yield w, binomial_sample(wins, w, share.win_probability)
 
 
 def _epoch_counts(blocks) -> EpochCounts:
@@ -587,9 +565,10 @@ def _positive_poisson(rng: np.random.Generator, mean: float,
                       size: int) -> np.ndarray:
     # Poisson(mean) conditioned on >= 1: keys in [cdf[0], 1] skip count 0
     # (a table starting past 0 has cdf[0] = 0)
-    table = _guided(_poisson_cdf_table, mean)
-    u = table[1][0] + rng.random(size) * (1.0 - table[1][0])
-    return _invert({0: table}, np.broadcast_to(0, size), u)
+    j, = _Store.held(_poisson_cdf_table, [(mean,)])
+    low = _Store.table[_Store.start[j]]
+    u = low + rng.random(size) * (1.0 - low)
+    return _Store.search(u, j * _GUIDE_EDGES.size)
 
 
 def round_payoffs(plan: growth.MinerPlan, network: NetworkParams,

@@ -32,5 +32,13 @@ def epochs_whole_array(network, share, config):
 
 
 @pytest.fixture
+def fresh_store():
+    """The samplers' table store, emptied before the test and after it."""
+    mcsim._Store.cache_clear()
+    yield mcsim._Store
+    mcsim._Store.cache_clear()
+
+
+@pytest.fixture
 def reference_file(tmp_path):
     return write_scenario(tmp_path)

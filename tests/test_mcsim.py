@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import mpmath
@@ -17,10 +16,9 @@ from minecon.growth import (MinerPlan, conditional_reward, t_max,
 from conftest import epochs_whole_array
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _cdf_from_steps,
                            _cursor, _epoch_blocks, _first_won_block,
-                           _generator, _guided, _histogram_report, _invert,
+                           _generator, _histogram_report,
                            _poisson_cdf_table, _positive_poisson, _span,
-                           _Tables, _win_given_w, _window_totals,
-                           binomial_sample,
+                           _win_given_w, _window_totals, binomial_sample,
                            estimate_first_win_time, exponential_sample,
                            gamma_sample, poisson_sample, round_oracle,
                            round_payoffs, simulate_epochs,
@@ -46,6 +44,24 @@ def binomial_sample_per_count(rng, trials, q):
         first, cdf = _binomial_cdf_table(int(w), q)
         out[mask] = first + np.searchsorted(cdf, u[mask], side="right")
     return out
+
+
+def record_builds(monkeypatch):
+    """Wrap both table builds: built[key] lists the sizes of the tables
+    built under key = (build, args), the key the table store holds them
+    by."""
+    built = {}
+
+    def recording(build):
+        def record(*args):
+            first, cdf = build(*args)
+            built.setdefault((record, args), []).append(cdf.size)
+            return first, cdf
+        return record
+
+    for name in ("_poisson_cdf_table", "_binomial_cdf_table"):
+        monkeypatch.setattr(mcsim, name, recording(getattr(mcsim, name)))
+    return built
 
 
 def binomial_cdf_table_full(trials, q):
@@ -287,12 +303,14 @@ class TestSamplers:
         ref = stats.binom(trials, q).pmf(np.arange(trials + 1))
         assert 0.5 * np.abs(emp - ref).sum() <= 0.01
 
-    def test_binomial_refuses_oversized_tables_before_building(self):
+    def test_binomial_refuses_oversized_tables_before_building(
+            self, fresh_store):
         # at most 10^7 span entries in all: at q = 1/2 each count w spans
         # w/2 -+ (30 sqrt(w) + 200), about 60,400 entries near w = 10^6, so
         # 166 counts from 10^6 pass the limit
         rng = _generator(SimConfig(seed=47, sample_count=1))
-        before = _guided.cache_info().misses
+        poisson_sample(rng, 3.0, 10)
+        before = dict(fresh_store.slots), fresh_store.entries
         trials = np.arange(10 ** 6, 10 ** 6 + 166)
         half = [30.0 * math.sqrt(w) + 200.0 for w in trials.tolist()]
         want = sum(int(w / 2 + h) - int(w / 2 - h) + 1
@@ -301,58 +319,73 @@ class TestSamplers:
         with pytest.raises(ValidationError, match=f"{want} Binomial table "
                                                   "entries"):
             binomial_sample(rng, trials, 0.5)
-        assert _guided.cache_info().misses == before
+        assert (fresh_store.slots, fresh_store.entries) == before
 
-    def test_table_cache_stays_within_the_entry_limit(self, monkeypatch):
+    def test_table_cache_stays_within_the_entry_limit(self, monkeypatch,
+                                                      fresh_store):
         # with the limit at 5,000 entries, each round's Binomial(~50) and
-        # Poisson(~1,000) tables pass it together: cached tables are
-        # dropped, and the tables still alive after each call (the cached
-        # ones, watched by weak reference) never hold more than the limit
+        # Poisson(~1,000) tables pass it together: held tables are
+        # dropped, and the tables held after each call, whose entries the
+        # store counts, never hold more than the limit
         monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 5000)
-        built = []
-
-        def recording(build):
-            def record(*args):
-                first, cdf = build(*args)
-                built.append(weakref.ref(cdf))
-                return first, cdf
-            return record
-
-        for name in ("_poisson_cdf_table", "_binomial_cdf_table"):
-            monkeypatch.setattr(mcsim, name, recording(getattr(mcsim, name)))
-        _guided.cache_clear()
+        built = record_builds(monkeypatch)
         rng = _generator(SimConfig(seed=48, sample_count=1))
         for q in (0.5, 0.49, 0.48, 0.3):
             trials = poisson_sample(rng, 50.0, 2000)
             draws = binomial_sample(rng, trials, q)
             assert (draws <= trials).all()
             poisson_sample(rng, 2000.0 * q, 100)
-            alive = [cdf.size for cdf in (ref() for ref in built)
-                     if cdf is not None]
-            assert sum(alive) <= 5000
-            assert sum(alive) == mcsim._cached_entries
-        assert len(alive) < len(built)
+            held = sum(built[key][-1] for key in fresh_store.slots)
+            assert held == fresh_store.entries <= 5000
+        assert len(fresh_store.slots) < len(built)
 
-    def test_cached_tables_leave_room_for_the_next_call(self, monkeypatch):
+    def test_cached_tables_leave_room_for_the_next_call(self, monkeypatch,
+                                                        fresh_store):
         # a second call on the same counts, whose tables hold more than
         # half the limit, builds nothing: the blocks of one window
         # simulation share their tables
         monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 5000)
-        _guided.cache_clear()
+        built = record_builds(monkeypatch)
         rng = _generator(SimConfig(seed=49, sample_count=1))
         trials = poisson_sample(rng, 60.0, 2000)
         binomial_sample(rng, trials, 0.5)
-        assert mcsim._cached_entries > 2500
-        misses = _guided.cache_info().misses
+        assert fresh_store.entries > 2500
+        builds = sum(map(len, built.values()))
         binomial_sample(rng, trials, 0.5)
-        assert _guided.cache_info().misses == misses
+        assert sum(map(len, built.values())) == builds
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: poisson_sample(rng, 30.0, 5000),
+        lambda rng: _positive_poisson(rng, 0.2, 5000),
+        lambda rng: binomial_sample(rng, poisson_sample(rng, 80.0, 5000),
+                                    0.3)])
+    def test_held_tables_are_not_built_again(self, monkeypatch, fresh_store,
+                                             draw):
+        # a second call on the keys the store holds builds nothing and
+        # leaves the store as it was: the same buffers, entries and slots
+        built = record_builds(monkeypatch)
+        draw(_generator(SimConfig(seed=54, sample_count=1)))
+        assert built
+        before = (dict(fresh_store.slots), fresh_store.entries,
+                  fresh_store.table, fresh_store.guide, fresh_store.start,
+                  fresh_store.base)
+        contents = [a.copy() for a in before[2:]]
+        builds = sum(map(len, built.values()))
+        draw(_generator(SimConfig(seed=54, sample_count=1)))
+        assert sum(map(len, built.values())) == builds
+        after = (fresh_store.slots, fresh_store.entries, fresh_store.table,
+                 fresh_store.guide, fresh_store.start, fresh_store.base)
+        assert after[:2] == before[:2]
+        for old, new, content in zip(before[2:], after[2:], contents):
+            assert new is old
+            np.testing.assert_array_equal(new, content)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0 / 21.0, 1e-3])
     def test_binomial_tables_are_sorted(self, q):
         # cumulative masses divided by their sum, the last, stay sorted and
         # end at 1.0, so the guide and the bisection search sorted tables
         for w in range(400):
-            cdf = _guided(_binomial_cdf_table, w, q)[1]
+            cdf = _binomial_cdf_table(w, q)[1]
             assert (np.diff(cdf) >= 0).all(), w
             assert cdf[-1] == 1.0
 
@@ -458,8 +491,7 @@ class TestGuideTables:
     def test_poisson_matches_plain_search(self, mean):
         # a draw is the table's first count, above 0 past mean 3,990, plus
         # the capped plain search
-        table = _guided(_poisson_cdf_table, mean)
-        first, cdf = table[:2]
+        first, cdf = _poisson_cdf_table(mean)
         u = np.concatenate([edge_uniforms(cdf),
                             np.random.default_rng(7).random(20_000)])
         want = first + np.minimum(np.searchsorted(cdf, u, side="right"),
@@ -471,8 +503,9 @@ class TestGuideTables:
         # the conditioned draw maps uniforms into [cdf[0], 1], 1 included
         x = np.concatenate([cdf[0] + u * (1.0 - cdf[0]), [1.0]])
         want = np.searchsorted(cdf, x, side="right")
+        j, = mcsim._Store.held(_poisson_cdf_table, [(mean,)])
         np.testing.assert_array_equal(
-            _invert({0: table}, np.broadcast_to(0, x.size), x),
+            mcsim._Store.search(x, j * 1026),
             first + np.minimum(want, cdf.size - 1))
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.3, 1.0 / 21.0, 1e-3, 0.5])
@@ -506,17 +539,24 @@ class TestGuideTables:
         (_poisson_cdf_table, (1e4,)), (_binomial_cdf_table, (5, 0.2)),
         (_binomial_cdf_table, (0, 0.2)), (_binomial_cdf_table, (5, 0.0)),
         (_binomial_cdf_table, (5, 1.0)), (_binomial_cdf_table, (300, 1.0))])
-    def test_guides_are_read_only_and_count_entries(self, build, args):
+    def test_held_guides_count_entries(self, build, args, fresh_store):
         # guide[b] is the capped draw of key b / 1024, then of the last
-        # double below 1, then of 1
-        first, cdf, guide = _guided(build, *args)
+        # double below 1, then of 1; the store holds the cdf as built,
+        # table[base[j] + d] being the entry of draw d
+        poisson_sample(_generator(SimConfig(seed=55, sample_count=1)), 7.0,
+                       10)
+        j, = fresh_store.held(build, [args])
+        first, cdf = build(*args)
+        guide = fresh_store.guide[j * 1026:(j + 1) * 1026]
         edges = np.append(np.arange(1024) / 1024, [1.0 - 2.0 ** -53, 1.0])
-        assert guide.shape == (1026,)
         np.testing.assert_array_equal(
             guide, first + np.minimum(np.searchsorted(cdf, edges, "right"),
                                       cdf.size - 1))
-        with pytest.raises(ValueError):
-            guide[0] = 1
+        start = fresh_store.start[j]
+        assert fresh_store.base[j] == start - first
+        assert fresh_store.entries == start + cdf.size
+        np.testing.assert_array_equal(
+            fresh_store.table[start:start + cdf.size], cdf)
 
 
 def epoch_arrays(network, share, config):
@@ -672,7 +712,7 @@ class TestFirstWinTime:
         np.testing.assert_array_equal(a.epochs, b.epochs)
 
     @pytest.mark.parametrize("q", [1e-3, 1e-7])
-    def test_largest_mean_is_drawn_from_its_table(self, q):
+    def test_largest_mean_is_drawn_from_its_table(self, q, fresh_store):
         # E = 10^7, the sampler's limit: one table of under 400k entries
         e, n = 1e7, 2_000
         result = estimate_first_win_time(network(e=e), MinerShare(q),
@@ -681,7 +721,8 @@ class TestFirstWinTime:
         assert math.isfinite(report.estimate)
         want = 1.0 / -math.expm1(-e * q) - 0.5
         assert abs(report.estimate - want) <= 5 * report.std_error
-        assert _guided(_poisson_cdf_table, e)[0].size < 400_000
+        assert list(fresh_store.slots) == [(_poisson_cdf_table, (e,))]
+        assert fresh_store.entries < 400_000
 
     def test_mean_wait_past_exact_epochs_is_refused(self, monkeypatch):
         # E q just under 2^-46: epochs past 2^52 would lose their midpoints'
@@ -990,35 +1031,72 @@ class TestEpochCounts:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-    def test_shared_tables_stay_within_the_entry_limit(self, monkeypatch):
+    def test_shared_tables_stay_within_the_entry_limit(self, monkeypatch,
+                                                       fresh_store):
         # with the limit at 5,000 entries, a block whose new tables would
-        # take the shared set past it starts the set afresh; the draws stay
-        # those of separate calls
+        # take the store past it drops the tables it does not use; the
+        # draws stay those of separate calls
         monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 5000)
-        tables, restarts = _Tables(), 0
+        restarts = 0
         for k, (e, size) in enumerate([(60.0, 3000), (60.0, 3000),
                                        (90.0, 500), (60.0, 3000)]):
             trials = poisson_sample(_generator(SimConfig(50, 1, k)), e, size)
             config = SimConfig(seed=51, sample_count=1, stream_id=k)
-            got = binomial_sample(_generator(config), trials, 0.5, tables)
-            want = binomial_sample(_generator(config), trials, 0.5)
+            held = set(fresh_store.slots)
+            got = binomial_sample(_generator(config), trials, 0.5)
+            want = binomial_sample_per_count(_generator(config), trials, 0.5)
             assert got.tobytes() == want.tobytes()
-            assert tables.entries <= 5000
-            drawn = set(np.unique(trials).tolist())
-            assert set(tables.slots) >= drawn
-            restarts += k > 0 and set(tables.slots) == drawn
+            assert fresh_store.entries <= 5000
+            drawn = {(_binomial_cdf_table, (w, 0.5))
+                     for w in np.unique(trials).tolist()}
+            assert set(fresh_store.slots) >= drawn
+            restarts += not held <= set(fresh_store.slots)
         assert restarts == 2
 
-    def test_shared_tables_keep_their_entries_as_they_grow(self):
+    def test_shared_tables_keep_their_entries_as_they_grow(self,
+                                                           fresh_store):
         # the E = 40 block's tables outgrow the room the E = 10 block's
         # left, so the buffers are replaced; the last block draws from the
         # E = 10 tables the new buffers carried over
-        tables = _Tables()
         for k, e in enumerate([10.0, 40.0, 10.0]):
+            room = fresh_store.table.size
             trials = poisson_sample(_generator(SimConfig(52, 1, k)), e, 3000)
             config = SimConfig(seed=53, sample_count=1, stream_id=k)
-            room = tables.table.size
-            got = binomial_sample(_generator(config), trials, 0.3, tables)
-            want = binomial_sample(_generator(config), trials, 0.3)
+            got = binomial_sample(_generator(config), trials, 0.3)
+            want = binomial_sample_per_count(_generator(config), trials, 0.3)
             assert got.tobytes() == want.tobytes()
-            assert (tables.table.size > room) == (k < 2)
+            assert (fresh_store.table.size > room) == (k < 2)
+
+    def test_blocks_past_the_limit_build_only_absent_tables(self,
+                                                            monkeypatch,
+                                                            fresh_store):
+        # with the limit at 5,000 entries, blocks of 1,000 epochs at E from
+        # 40 to 70, q = 1/2, each fit while together they pass it: a block
+        # builds only the tables the store does not hold, a restart keeps
+        # every table of the block that caused it, and the draws stay
+        # those of separate calls
+        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 5000)
+        built = record_builds(monkeypatch)
+        binomial = mcsim._binomial_cdf_table
+        restarts = requested = 0
+        for k, e in enumerate([40.0, 55.0, 70.0, 40.0, 55.0, 70.0, 40.0]):
+            trials = poisson_sample(_generator(SimConfig(56, 1, k)), e, 1000)
+            keys = {(binomial, (w, 0.5)) for w in np.unique(trials).tolist()}
+            requested += len(keys)
+            held = set(fresh_store.slots)
+            before = {key: len(n) for key, n in built.items()}
+            config = SimConfig(seed=57, sample_count=1, stream_id=k)
+            got = binomial_sample(_generator(config), trials, 0.5)
+            want = binomial_sample_per_count(_generator(config), trials, 0.5)
+            assert got.tobytes() == want.tobytes()
+            new = {key for key, n in built.items()
+                   if len(n) != before.get(key, 0)}
+            assert new == keys - held
+            if not held <= set(fresh_store.slots):
+                restarts += 1
+                assert set(fresh_store.slots) == keys
+            assert keys <= set(fresh_store.slots)
+            assert fresh_store.entries <= 5000
+        assert restarts >= 2
+        assert sum(len(n) for (build, _), n in built.items()
+                   if build is binomial) < requested
