@@ -676,21 +676,24 @@ def _verify_rows(scenario: Scenario, args) -> list:
         "smooth-dual-eval", quad, closed_form, dual_band,
         "quadrature vs closed-form antiderivative"))
 
-    # window moments: Monte Carlo vs expected total and thinned variance
+    # window moments: Monte Carlo vs expected total and thinned variance.
+    # The bands are 3 sd of the model's, not the sample's, which are 0 when
+    # no path wins: a window's total is M Poisson(mu), mu = N E q, whose
+    # sample variance over n paths has variance M^4 (mu (1 + 3 mu) - mu^2
+    # (n - 3)/(n - 1))/n
     want_mean = rewarddist.expected_total_reward(*window)
     want_var = rewarddist.variance_thinned(*window)
     totals = mcsim._window_totals(network, share, scenario.N,
                                   mcsim.SimConfig(seed, n_paths, stream_id=4))
-    mean = float(np.mean(totals))
-    var = float(np.var(totals, ddof=1))
     rows.append(_stat_row(
-        "window-mean", mean, want_mean,
-        3.0 * float(np.std(totals, ddof=1)) / math.sqrt(n_paths),
+        "window-mean", float(np.mean(totals)), want_mean,
+        3.0 * math.sqrt(want_var / n_paths),
         f"mean total reward over N={scenario.N} epochs"))
-    centered = totals - mean
-    m4 = float(np.mean(centered ** 4))
-    se_var = math.sqrt(max(m4 - var * var * (n_paths - 3) / (n_paths - 1),
-                           0.0) / n_paths)
+    var = float(np.var(totals, ddof=1))
+    mu = scenario.N * network.expected_blocks * q
+    se_var = network.block_reward ** 2 * math.sqrt(
+        (mu * (1.0 + 3.0 * mu) - mu * mu * (n_paths - 3) / (n_paths - 1))
+        / n_paths)
     rows.append(_stat_row(
         "window-variance", var, want_var, 3.0 * se_var,
         f"variance of total reward over N={scenario.N} epochs"))

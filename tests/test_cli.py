@@ -1385,6 +1385,28 @@ class TestVerify:
         assert row["band"] == 3.0 * math.sqrt(1e-6 / 2000)
         assert row["status"] == "PASS"
 
+    def test_window_bands_are_the_model_sd(self, tmp_path):
+        # at P0 = 5e10, N E q ~ 1e-6: no path of 2,000 wins a block, so the
+        # sample's moments and sds are 0; the bands are 3 sd of the
+        # model's, a window's total being M Poisson(mu), mu = N E q, and
+        # both rows pass (the exit code also reads other rows)
+        path = write_scenario(tmp_path, P0=5e10)
+        run_cli("verify", path, "--out", tmp_path, "--seed", 42,
+                "--samples", 2000)
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        scenario = load_scenario(path)
+        network, share = scenario.network(), scenario.share()
+        n, mu = 2000, 100 * 10.0 * share.win_probability
+        assert mu == pytest.approx(1e-6, rel=0.01)
+        mean, var = rows["window-mean"], rows["window-variance"]
+        assert mean["observed"] == var["observed"] == 0.0
+        assert mean["band"] == 3.0 * math.sqrt(
+            rewarddist.variance_thinned(network, share, 100) / n)
+        assert var["band"] == 3.0 * math.sqrt(
+            (mu * (1.0 + 3.0 * mu) - mu * mu * (n - 3) / (n - 1)) / n)
+        assert mean["status"] == var["status"] == "PASS"
+
     def test_no_win_series_row_passes_on_the_reference(self,
                                                        reference_file,
                                                        tmp_path):
