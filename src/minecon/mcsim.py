@@ -9,9 +9,8 @@ Marsaglia-Tsang with Box-Muller normals for the Gamma), so the closed forms
 under test never feed their own verification. Every cdf table spans mean
 -+ (60 sd + 200), clipped to its support, and sums log mass ratios outward
 from the mode, so none starts from a mass that underflows. One store holds
-every table drawn from, once, with its Chen-Asau guide table, and one
-guided inversion of it serves both samplers: the guide settles most draws,
-and the rest are bisected between their bucket's bounds.
+every table once, with its Chen-Asau guide, for both samplers' inversion:
+the guide settles most draws, the rest are bisected within their bucket.
 Stage k of a simulator starts at uniform k n of its stream, n being its
 draw count. Philox is counter-based, so each stage can have its own cursor:
 the round, epoch, first-win and window simulators draw their stages in
@@ -42,7 +41,7 @@ _MAX_POISSON_MEAN = 10 ** 7
 # spans (80 MB as float64); 9.9e6 entries at E = 10^7, q = 1/2 peak at
 # 237 MB RSS, building included, with glibc's default allocator settings
 # or the CLI's (tables that size are mmapped either way). The table store
-# holds at most as many, besides a guide of 1,026 int32s (4.1 kB) a table
+# keeps as many beyond one call's own, a guide counting as _GUIDE_ENTRIES
 _MAX_TABLE_ENTRIES = 10 ** 7
 _BLOCK = 1 << 16
 # guide[b] is the draw of key _GUIDE_EDGES[b], key u's bucket floor(u 2^10):
@@ -51,6 +50,7 @@ _BLOCK = 1 << 16
 _GUIDE_BITS = 10
 _GUIDE_EDGES = np.append(np.arange(1 << _GUIDE_BITS) / (1 << _GUIDE_BITS),
                          [np.nextafter(1.0, 0.0), 1.0])
+_GUIDE_ENTRIES = _GUIDE_EDGES.size // 2  # a guide's 4.1 kB, in cdf entries
 # epochs one wealth path may hold (a few float64 arrays of 80 MB)
 _MAX_HORIZON = 10 ** 7
 
@@ -139,17 +139,17 @@ class _Store:
     """Every cdf table the samplers draw from, held once with its guide and
     concatenated for the search: slots maps (build, args) to j, and table j
     starts at table[start[j]], its guide at guide[j * _GUIDE_EDGES.size];
-    table[base[j] + d] is the cdf entry of its draw d.
+    table[base[j] + d] is the cdf entry of its draw d, stamped last[j] by
+    the latest call to draw from it.
 
     A call appends the tables it needs and the store does not hold, in one
     batch, into spare room: a buffer that must grow takes room for twice
     what it then holds, so the blocks of one simulation, which keep
     bringing a few new counts, seldom copy what is already there. Where
-    they would take the store past _MAX_TABLE_ENTRIES, the tables the call
-    does not use are dropped first and the rest move down in place, so no
-    held table is built again. The class is the store: _Store.cache_clear(),
-    named as functools' caches name theirs, empties it wherever the
-    package's memo tables are cleared.
+    they would take the store past _MAX_TABLE_ENTRIES, guides counted, it
+    keeps the call's tables and the latest drawn from that fit, moved down
+    in place, so no held table is built again. _Store.cache_clear(), named
+    as functools' caches name theirs, empties it where memo tables are cleared.
     """
 
     @classmethod
@@ -158,7 +158,7 @@ class _Store:
         cls.entries = 0
         cls.table = np.empty(0)
         cls.guide = np.empty(0, dtype=np.int32)
-        cls.start = cls.base = np.empty(0, dtype=np.int64)
+        cls.start = cls.base = cls.last = np.empty(0, dtype=np.int64)
 
     @classmethod
     def held(cls, build, args: list) -> np.ndarray:
@@ -168,15 +168,18 @@ class _Store:
         new = [key for key in keys if key not in cls.slots]
         if new:
             cls._add(new, set(keys))
-        return np.array([cls.slots[key] for key in keys])
+        slots = np.array([cls.slots[key] for key in keys])
+        cls.last[slots] = cls.last.max(initial=0) + 1
+        return slots
 
     @classmethod
     def _add(cls, new: list, used: set) -> None:
         # append the tables of the keys `new`, keeping those of `used`
         firsts, cdfs = zip(*(build(*args) for build, args in new))
         sizes = np.fromiter(map(len, cdfs), dtype=np.int64, count=len(cdfs))
-        if cls.entries + int(sizes.sum()) > _MAX_TABLE_ENTRIES:
-            cls._keep(np.array([key in used for key in cls.slots], bool))
+        room = _MAX_TABLE_ENTRIES - len(new) * _GUIDE_ENTRIES - sizes.sum()
+        if cls.entries + len(cls.slots) * _GUIDE_ENTRIES > room:
+            cls._keep(np.array([key in used for key in cls.slots], bool), room)
         end = cls.entries + int(sizes.sum())
         cls.table = _grown(cls.table, cls.entries, end)
         np.concatenate(cdfs, out=cls.table[cls.entries:end])
@@ -190,15 +193,19 @@ class _Store:
         start = cls.entries + np.cumsum(sizes) - sizes
         cls.start = np.append(cls.start, start)
         cls.base = np.append(cls.base, start - np.array(firsts))
+        cls.last = np.append(cls.last, np.zeros(len(new), dtype=np.int64))
         cls.entries = end
         cls.slots.update((key, j) for j, key in enumerate(new, len(cls.slots)))
 
     @classmethod
-    def _keep(cls, keep: np.ndarray) -> None:
-        # drop the tables j with keep[j] False: the rest move down in place,
-        # in order, one run of consecutive kept tables at a time
+    def _keep(cls, keep: np.ndarray, room: int) -> None:
+        # keep the tables j with keep[j], then, latest first, those that fit
+        # in room entries: they move down in place, one run at a time
         edges = _GUIDE_EDGES.size
         end = np.append(cls.start[1:], cls.entries)
+        charge = end - cls.start + _GUIDE_ENTRIES
+        order = np.lexsort((-cls.last, ~keep))
+        keep[order[np.cumsum(charge[order]) <= room]] = True
         runs = np.flatnonzero(np.diff(keep, prepend=False, append=False))
         at = held = 0
         for lo, hi in runs.reshape(-1, 2).tolist():
@@ -210,7 +217,7 @@ class _Store:
         sizes = (end - cls.start)[keep]
         start = np.cumsum(sizes) - sizes
         cls.base = cls.base[keep] + start - cls.start[keep]
-        cls.start, cls.entries = start, at
+        cls.start, cls.last, cls.entries = start, cls.last[keep], at
         kept = [key for key, k in zip(cls.slots, keep.tolist()) if k]
         cls.slots = {key: j for j, key in enumerate(kept)}
 
@@ -281,7 +288,7 @@ def _binomial_cdf_table(trials: int, q: float) -> tuple:
     mean = trials * q
     first, last = _span(mean, np.sqrt(mean * (1.0 - q)), trials)
     if q in (0.0, 1.0):  # the log of q or of 1 - q is -inf
-        return first, _read_only(np.append(np.full(last - first, 1 - q), 1.0))
+        return first, np.append(np.full(last - first, 1 - q), 1.0)
     step = np.arange(trials - first, trials - last, -1.0)
     step /= np.arange(first + 1.0, last + 1)
     np.log(step, out=step)
@@ -302,13 +309,7 @@ def _cdf_from_steps(step: np.ndarray, mode: int) -> np.ndarray:
     np.add.accumulate(step[mode:], out=cdf[mode + 1:])
     np.exp(cdf, out=cdf)
     np.add.accumulate(cdf, out=cdf)
-    return _read_only(np.divide(cdf, cdf[-1], out=cdf))
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    # a built table is only read, into the store: refuse in-place edits
-    table.flags.writeable = False
-    return table
+    return np.divide(cdf, cdf[-1], out=cdf)
 
 
 def poisson_sample(rng: np.random.Generator, mean: float,
