@@ -550,11 +550,11 @@ def _cmd_simulate(scenario: Scenario, args, out: Path) -> None:
         payload["report"] = asdict(result.report)
         payload["censored"] = 0  # every trial runs to its first win
         # the step ECDF: epoch 0, then each epoch in which a trial first won
-        won, count = np.unique(result.epochs, return_counts=True)
         tables.append(_table_file(out / "simulate_ecdf", args.format,
-                                  {"epoch": np.append(0, won),
+                                  {"epoch": np.append(0, result.won),
                                    "cumulative_probability": np.append(
-                                       0.0, np.cumsum(count) / args.samples)}))
+                                       0.0, np.cumsum(result.count)
+                                       / args.samples)}))
     else:  # wealth
         path = mcsim.simulate_wealth_path(scenario.plan(), network,
                                           args.horizon, config)
@@ -651,7 +651,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
                      "M=0 ruin epoch equals ceil(reserve/cost)"))
 
     # bankruptcy: first-win trials with no win by the horizon
-    ruined = np.count_nonzero(first.epochs > horizon)
+    ruined = int(first.count[first.won > horizon].sum())
     p_bankrupt = waiting.bankruptcy_probability(inputs, network, share)
     rows.append(_stat_row(
         "bankruptcy-probability", ruined / trials, p_bankrupt,

@@ -16,11 +16,13 @@ draw count. Philox is counter-based, so each stage can have its own cursor:
 the round, epoch, first-win and window simulators draw their stages in
 blocks. Epochs come from one block generator, which the epoch simulation
 folds into exact integer counts and the window simulation into per-path
-totals, so neither holds an array as long as its sample.
+totals, and first-win folds its trials into a histogram of epochs, so
+none holds an array as long as its sample.
 """
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -86,14 +88,15 @@ class SimReport:
 
 @dataclass(frozen=True)
 class FirstWinResult:
-    """First-win waiting times: summary stats plus the drawn sample.
+    """First-win waiting times: summary stats plus their histogram.
 
-    epochs[i] is the epoch (1, 2, ...) of trial i's first win; every trial
-    runs to its first win.
+    count[k] > 0 trials first won in epoch won[k] (1, 2, ...), won rising;
+    every trial runs to its first win, so the counts sum to the trials.
     """
 
     report: SimReport
-    epochs: np.ndarray
+    won: np.ndarray
+    count: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,11 +148,11 @@ class _Store:
     A call appends the tables it needs and the store does not hold, in one
     batch, into spare room: a buffer that must grow takes room for twice
     what it then holds, so the blocks of one simulation, which keep
-    bringing a few new counts, seldom copy what is already there. Where
-    they would take the store past _MAX_TABLE_ENTRIES, guides counted, it
-    keeps the call's tables and the latest drawn from that fit, moved down
-    in place, so no held table is built again. _Store.cache_clear(), named
-    as functools' caches name theirs, empties it where memo tables are cleared.
+    bringing a few new counts, seldom copy what is already there. Beside a
+    call's tables it keeps others up to _MAX_TABLE_ENTRIES, guides counted,
+    latest drawn from first, moved down in place, so no held table is built
+    again. _Store.cache_clear(), named as functools' caches name theirs,
+    empties it where memo tables are cleared.
     """
 
     @classmethod
@@ -177,9 +180,7 @@ class _Store:
         # append the tables of the keys `new`, keeping those of `used`
         firsts, cdfs = zip(*(build(*args) for build, args in new))
         sizes = np.fromiter(map(len, cdfs), dtype=np.int64, count=len(cdfs))
-        room = _MAX_TABLE_ENTRIES - len(new) * _GUIDE_ENTRIES - sizes.sum()
-        if cls.entries + len(cls.slots) * _GUIDE_ENTRIES > room:
-            cls._keep(np.array([key in used for key in cls.slots], bool), room)
+        cls._keep(np.array([key in used for key in cls.slots], bool))
         end = cls.entries + int(sizes.sum())
         cls.table = _grown(cls.table, cls.entries, end)
         np.concatenate(cdfs, out=cls.table[cls.entries:end])
@@ -198,14 +199,17 @@ class _Store:
         cls.slots.update((key, j) for j, key in enumerate(new, len(cls.slots)))
 
     @classmethod
-    def _keep(cls, keep: np.ndarray, room: int) -> None:
-        # keep the tables j with keep[j], then, latest first, those that fit
-        # in room entries: they move down in place, one run at a time
+    def _keep(cls, keep: np.ndarray) -> None:
+        # keep the tables j with keep[j], then, latest first, others that
+        # fit in _MAX_TABLE_ENTRIES: they move down in place, one run at a time
         edges = _GUIDE_EDGES.size
         end = np.append(cls.start[1:], cls.entries)
         charge = end - cls.start + _GUIDE_ENTRIES
         order = np.lexsort((-cls.last, ~keep))
+        room = charge[keep].sum() + _MAX_TABLE_ENTRIES
         keep[order[np.cumsum(charge[order]) <= room]] = True
+        if keep.all():
+            return
         runs = np.flatnonzero(np.diff(keep, prepend=False, append=False))
         at = held = 0
         for lo, hi in runs.reshape(-1, 2).tolist():
@@ -252,11 +256,11 @@ _Store.cache_clear()
 
 def _grown(buffer: np.ndarray, used: int, need: int) -> np.ndarray:
     # buffer with room for `need` entries, its first `used` kept: when it
-    # must grow, it takes room for 2 need, but past _MAX_TABLE_ENTRIES only
-    # for need, so the few tables later blocks bring fit without a copy
+    # must grow, it takes room for 2 need, but past 2 _MAX_TABLE_ENTRIES
+    # only for need, so the few tables later blocks bring fit without a copy
     if need <= buffer.size:
         return buffer
-    grown = np.empty(max(need, min(2 * need, _MAX_TABLE_ENTRIES)),
+    grown = np.empty(max(need, min(2 * need, 2 * _MAX_TABLE_ENTRIES)),
                      dtype=buffer.dtype)
     grown[:used] = buffer[:used]
     return grown
@@ -430,7 +434,8 @@ class EpochCounts:
     def report(self, seed: int, scale: float = 1.0) -> SimReport:
         """Mean blocks won per epoch times scale (at M, the mean reward
         per epoch), with its standard error."""
-        return _histogram_report(self.least_won, self.won, seed, scale)
+        return _histogram_report(self.least_won + np.arange(self.won.size),
+                                 self.won, seed, scale)
 
 
 def _epoch_blocks(network: NetworkParams, share: MinerShare,
@@ -483,17 +488,17 @@ def simulate_epochs(network: NetworkParams, share: MinerShare,
     return _epoch_counts(_epoch_blocks(network, share, config))
 
 
-def _histogram_report(least: int, counts: np.ndarray, seed: int,
+def _histogram_report(values: np.ndarray, counts: np.ndarray, seed: int,
                       scale: float = 1.0) -> SimReport:
-    # scale times the mean of the sample holding counts[k] copies of the
-    # integer least + k, from its exact moments S1 = sum x and S2 = sum x^2
-    # as Python ints: mean S1/n and sample variance (n S2 - S1^2)/(n(n-1)),
-    # each one correctly rounded division
-    counts = counts.tolist()
-    n = sum(counts)
+    # scale times the mean of counts[i] copies of each integer values[i],
+    # from exact Python-int moments S1 = sum x, S2 = sum x^2 (2^16 entries
+    # at a time): mean S1/n, variance (n S2 - S1^2)/(n(n-1)), each rounded once
+    n = s1 = s2 = 0
+    for lo in range(0, values.size, _BLOCK):
+        x, k = (a[lo:lo + _BLOCK].tolist() for a in (values, counts))
+        kx = list(map(mul, k, x))
+        n, s1, s2 = n + sum(k), s1 + sum(kx), s2 + sum(map(mul, kx, x))
     require(n >= 2, "need at least 2 samples to estimate a standard error")
-    s1 = sum(k * x for x, k in enumerate(counts, least))
-    s2 = sum(k * x * x for x, k in enumerate(counts, least))
     variance = (n * s2 - s1 * s1) / (n * (n - 1))
     return SimReport(estimate=scale * (s1 / n),
                      std_error=scale * math.sqrt(variance) / math.sqrt(n),
@@ -522,16 +527,15 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
     the K-th after it, K ~ Geometric(q), and arrives G/E epochs later with
     G ~ Gamma(K, 1) (gamma_sample): the win lands in epoch 1 + ceil(G/E).
     Wins land at the epoch midpoint k - 1/2, the natural continuous-time
-    reading of "during epoch k"; the integer epochs are returned, where the
-    midpoint convention drops back out. The route never reads the closed
-    form p0 = 1 - e^{-Eq}. A win rate E q below 2^-46 per epoch (zero
-    included), a mean wait past 2^46 epochs, is refused.
+    reading of "during epoch k": the midpoints (2k - 1)/2 have the mean
+    (2 S1 - n)/(2n), S1 the exact sum of the histogram's integer epochs.
+    The route never reads the closed form p0 = 1 - e^{-Eq}. A win rate E q
+    below 2^-46 per epoch (zero included), a mean wait past 2^46, is refused.
 
     With n = config.sample_count, the block counts read the stream from
     uniform 0, the sweep from n, and K then the Gamma draws from 2n; each
-    stage is drawn in blocks of 2^16 trials. Besides the epochs, only a
-    one-byte mark per trial and the indices of the trials that lost epoch
-    1 are as long as the sample.
+    stage is drawn in blocks of 2^16 trials folded into the histogram, whose
+    entry per distinct epoch is all that can grow with the sample.
     """
     e = network.expected_blocks
     q = share.win_probability
@@ -541,25 +545,31 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
             f"past {_MAX_MEAN_WAIT} epochs")
     n = config.sample_count
     counts, sweep = _cursor(config, 0), _cursor(config, n)
-    lost = np.empty(n, dtype=bool)
+    lost = 0
     for lo in range(0, n, _BLOCK):
         w = poisson_sample(counts, e, min(_BLOCK, n - lo))
         win_given_w = _win_given_w(w, q) if q < 1.0 else w > 0
-        np.greater_equal(sweep.random(w.size), win_given_w,
-                         out=lost[lo:lo + w.size])
-    lost = np.flatnonzero(lost)
-    # K of each lost trial from offset 2n, then the Gamma draws, in
-    # gamma_sample's own blocks, so that its stream is read in one order
-    first_won = _cursor(config, 2 * n)
-    gammas = _cursor(config, 2 * n + lost.size)
-    epochs = np.ones(n, dtype=np.int64)
-    for lo in range(0, lost.size, _BLOCK):
-        trials = lost[lo:lo + _BLOCK]
+        lost += int(np.count_nonzero(sweep.random(w.size) >= win_given_w))
+    # K of each lost trial from offset 2n, then the Gamma draws in one order,
+    # in gamma_sample's own blocks; their histograms merge at the last block
+    # and once they outnumber the first part's blocks of 2^16 (O(h log h))
+    first_won, gammas = _cursor(config, 2 * n), _cursor(config, 2 * n + lost)
+    parts = [(np.array([1]), np.array([n - lost]))] if lost < n else []
+    for lo in range(0, lost, _BLOCK):
         blocks = gamma_sample(gammas, _first_won_block(
-            first_won.random(trials.size), q))
-        epochs[trials] += np.ceil(blocks / e).astype(np.int64)
-    return FirstWinResult(report=_mean_report(epochs - 0.5, config.seed),
-                          epochs=epochs)
+            first_won.random(min(_BLOCK, lost - lo)), q))
+        parts.append(np.unique(1 + np.ceil(blocks / e).astype(np.int64),
+                               return_counts=True))
+        if lo + _BLOCK >= lost or len(parts) > 1 + parts[0][0].size // _BLOCK:
+            won, count = (np.concatenate(column) for column in zip(*parts))
+            parts.clear()  # frees the parts before the sort
+            order = np.argsort(won, kind="stable")  # merges the sorted runs
+            won, count = won[order], count[order]
+            first = np.flatnonzero(np.append(True, won[1:] != won[:-1]))
+            parts = [(won[first], np.add.reduceat(count, first))]
+    won, count = parts[0]
+    return FirstWinResult(_histogram_report(2 * won - 1, count, config.seed,
+                                            0.5), won, count)
 
 
 def _positive_poisson(rng: np.random.Generator, mean: float,

@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import minecon
-from conftest import REFERENCE, epochs_whole_array, run_cli, write_scenario
+from conftest import (REFERENCE, epochs_whole_array,
+                      first_win_epochs_whole_array, run_cli, write_scenario)
 from minecon import __version__, cli, mcsim, rewarddist, waiting
 from minecon.cli import load_scenario
 from minecon.errors import NumericalError, ValidationError
@@ -58,10 +59,10 @@ def oracle_tables(scenario, seed=42):
     xs = [k * 0.5 for k in range(201)]
     payoffs = mcsim.round_payoffs(plan, network, config)
     _, wins = epochs_whole_array(network, share, config)
-    first = mcsim.estimate_first_win_time(network, share, config)
+    epochs = first_win_epochs_whole_array(network, share, config)
     # the dense ECDF, one row per epoch, of which the step ECDF keeps epoch
     # 0 and each epoch whose value moves
-    ecdf = np.cumsum(np.bincount(first.epochs)) / first.epochs.size
+    ecdf = np.cumsum(np.bincount(epochs)) / epochs.size
     steps = np.flatnonzero(np.diff(ecdf, prepend=-1.0))
     path = mcsim.simulate_wealth_path(plan, network, 9000, config)
     sim = ("simulate", "--samples", 9000)
@@ -1015,6 +1016,29 @@ class TestExitCodes:
         assert result.stderr == ""
         assert read_json(out / "verify.json")["passed"]
 
+    @pytest.mark.parametrize("overrides", [{"E": 200}, {"P0": 49950}])
+    def test_first_win_memory_does_not_grow_with_the_trials(self, tmp_path,
+                                                            overrides):
+        # 10^7 trials at E = 200 and at q = 0.001 (E q = 0.01, 99% of trials
+        # past epoch 1) fold into a histogram of at most a few thousand
+        # epochs: the child's peak RSS grows 4-12 MB past its import, where
+        # an epoch per trial and its temporaries grew it by 240-320 MB
+        path = write_scenario(tmp_path, **overrides)
+        script = ("import resource, sys\n"
+                  "from minecon.cli import main\n"
+                  "peak = lambda: resource.getrusage("
+                  "resource.RUSAGE_SELF).ru_maxrss\n"
+                  "before = peak()\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('grew', peak() - before)\n"
+                  "sys.exit(code)\n")
+        result = _run_python(script, "simulate", path, "--out",
+                             tmp_path / "artifacts", "--sim", "first-win",
+                             "--samples", 10 ** 7)
+        assert result.returncode == 0, result.stderr
+        grew = int(result.stdout.split("grew")[-1])  # KiB on Linux
+        assert grew < 48 * 1024
+
     def test_quadrature_blowup_is_convergence_failure_under_memory_cap(
             self, tmp_path):
         # at --quad-tol 1e-12 this scenario's win-branch integral keeps
@@ -1363,8 +1387,8 @@ class TestVerify:
         first = mcsim.estimate_first_win_time(
             scenario.network(), scenario.share(),
             mcsim.SimConfig(484, 2000, stream_id=2))
-        assert np.count_nonzero(first.epochs > 1) == 1
-        assert first.epochs.max() == 2
+        assert first.count[first.won > 1].sum() == 1
+        assert first.won[-1] == 2
         assert run_cli("verify", path, "--out", tmp_path, "--seed", 484,
                        "--samples", 2000) == 0
         rows = {row["name"]: row for row in

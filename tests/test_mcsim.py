@@ -13,7 +13,7 @@ from minecon import mcsim
 from minecon.errors import ValidationError
 from minecon.growth import (MinerPlan, conditional_reward, t_max,
                             win_probability, win_rate_lambda)
-from conftest import epochs_whole_array
+from conftest import epochs_whole_array, first_win_epochs_whole_array
 from minecon.mcsim import (SimConfig, _binomial_cdf_table, _cdf_from_steps,
                            _cursor, _epoch_blocks, _first_won_block,
                            _generator, _histogram_report,
@@ -64,10 +64,14 @@ def record_builds(monkeypatch):
     return built
 
 
-def charge(store):
-    """What the store holds against its limit: its cdf entries, each guide
-    counting as _GUIDE_ENTRIES (513) more."""
-    return store.entries + mcsim._GUIDE_ENTRIES * len(store.slots)
+def charge(store, beside=()):
+    """What the store holds against its limit, beside the tables of the
+    keys `beside` (those the latest call drew from): each other table's cdf
+    entries, its guide counting as _GUIDE_ENTRIES (513) more."""
+    end = np.append(store.start[1:], store.entries)
+    size = dict(zip(store.slots, (end - store.start).tolist()))
+    return sum(size[key] + mcsim._GUIDE_ENTRIES for key in store.slots
+               if key not in beside)
 
 
 def binomial_cdf_table_full(trials, q):
@@ -346,7 +350,8 @@ class TestSamplers:
             poisson_sample(rng, 2000.0 * q, 100)
             held = sum(built[key][-1] for key in fresh_store.slots)
             assert held == fresh_store.entries
-            assert charge(fresh_store) <= 40_000
+            drawn = {(mcsim._poisson_cdf_table, (2000.0 * q,))}
+            assert charge(fresh_store, drawn) <= 40_000
         assert len(fresh_store.slots) < len(built)
 
     def test_cached_tables_leave_room_for_the_next_call(self, monkeypatch,
@@ -633,8 +638,8 @@ class TestFirstWinTime:
         want = 1.0 / p0 - 0.5
         assert abs(result.report.estimate - want) <= \
             3 * result.report.std_error
-        assert result.epochs.dtype == np.int64
-        assert result.epochs.size == 100_000
+        assert result.won.dtype == result.count.dtype == np.int64
+        assert result.count.sum() == 100_000
 
     def test_ecdf_is_a_cdf_on_integer_grid(self):
         # the step ECDF simulate writes: epoch 0, then each win epoch
@@ -642,7 +647,7 @@ class TestFirstWinTime:
         result = estimate_first_win_time(network(), share,
                                          SimConfig(seed=13,
                                                    sample_count=20_000))
-        won, count = np.unique(result.epochs, return_counts=True)
+        won, count = result.won, result.count
         cdf = np.append(0.0, np.cumsum(count) / 20_000)
         assert won[0] >= 1
         assert (np.diff(cdf) > 0).all()
@@ -681,9 +686,9 @@ class TestFirstWinTime:
                                          SimConfig(seed=21, sample_count=n))
         sweep = first_win_sweep(network(e=e), MinerShare(q),
                                 SimConfig(seed=22, sample_count=n))
-        grid = np.arange(int(max(result.epochs.max(), sweep.max() + 0.5))
-                         + 1)
-        ours = np.searchsorted(np.sort(result.epochs), grid, side="right") / n
+        grid = np.arange(int(max(result.won[-1], sweep.max() + 0.5)) + 1)
+        ours = np.append(0, np.cumsum(result.count))[
+            np.searchsorted(result.won, grid, side="right")] / n
         theirs = np.searchsorted(np.sort(sweep), grid, side="right") / n
         assert float(np.max(np.abs(ours - theirs))) <= 1.95 * math.sqrt(2 / n)
 
@@ -692,7 +697,8 @@ class TestFirstWinTime:
         config = SimConfig(seed=23, sample_count=20_000)
         result = estimate_first_win_time(network(e=e), MinerShare(q), config)
         sweep = first_win_sweep(network(e=e), MinerShare(q), config)
-        assert np.mean(result.epochs == 1) == np.mean(sweep == 0.5)
+        assert result.count[result.won == 1].sum() / 20_000 \
+            == np.mean(sweep == 0.5)
 
     @pytest.mark.parametrize("e, q", [(10.0, 0.05), (0.5, 0.3)])
     def test_tail_is_exactly_exponential_in_epochs(self, e, q):
@@ -702,7 +708,7 @@ class TestFirstWinTime:
                                          SimConfig(seed=24, sample_count=n))
         for k in (1, 2, 5):
             tail = math.exp(-k * e * q)
-            assert abs(np.count_nonzero(result.epochs > k) / n - tail) \
+            assert abs(result.count[result.won > k].sum() / n - tail) \
                 <= 4 * math.sqrt(tail * (1.0 - tail) / n)
 
     def test_same_config_same_result(self):
@@ -710,7 +716,8 @@ class TestFirstWinTime:
         a = estimate_first_win_time(network(), MinerShare(0.01), config)
         b = estimate_first_win_time(network(), MinerShare(0.01), config)
         assert a.report == b.report
-        np.testing.assert_array_equal(a.epochs, b.epochs)
+        np.testing.assert_array_equal(a.won, b.won)
+        np.testing.assert_array_equal(a.count, b.count)
 
     @pytest.mark.parametrize("q", [1e-3, 1e-7])
     def test_largest_mean_is_drawn_from_its_table(self, q, fresh_store):
@@ -724,6 +731,24 @@ class TestFirstWinTime:
         assert abs(report.estimate - want) <= 5 * report.std_error
         assert list(fresh_store.slots) == [(_poisson_cdf_table, (e,))]
         assert fresh_store.entries < 400_000
+
+    def test_memory_follows_the_distinct_epochs(self):
+        # E q = 10^-4: 4 x 10^6 trials spread over some 65,000 epochs, about
+        # 30,000 distinct in each block of 2^16 trials; the block histograms
+        # merge as they come, so the run peaks near 13 MB of sampler
+        # temporaries, where holding all 62 until the last block took 57 MB
+        share = MinerShare(1e-5)
+        estimate_first_win_time(network(), share,
+                                SimConfig(seed=36, sample_count=10))
+        tracemalloc.start()
+        try:
+            result = estimate_first_win_time(
+                network(), share, SimConfig(seed=36, sample_count=4 * 10 ** 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.won.size > 50_000
+        assert peak < 24 * 2 ** 20
 
     def test_mean_wait_past_exact_epochs_is_refused(self, monkeypatch):
         # E q just under 2^-46: epochs past 2^52 would lose their midpoints'
@@ -886,22 +911,6 @@ def round_payoffs_whole_array(plan, network, config, reward_mode):
     return payoff
 
 
-def first_win_epochs_whole_array(network, share, config):
-    """estimate_first_win_time's epochs as it drew each stage in one array,
-    kept as its oracle: the epoch-1 sweep, then K and the Gamma draws of
-    the trials it lost."""
-    e, q = network.expected_blocks, share.win_probability
-    rng = _generator(config)
-    n = config.sample_count
-    w = poisson_sample(rng, e, n)
-    win_given_w = _win_given_w(w, q) if q < 1.0 else w > 0
-    lost = np.flatnonzero(~(rng.random(n) < win_given_w))
-    blocks = gamma_sample(rng, _first_won_block(rng.random(lost.size), q))
-    epochs = np.ones(n, dtype=np.int64)
-    epochs[lost] += np.ceil(blocks / e).astype(np.int64)
-    return epochs
-
-
 def window_totals_whole_array(network, share, epochs, config):
     """verify's window totals as it drew them, kept as _window_totals'
     oracle: one epoch batch of paths x epochs draws, summed per path."""
@@ -943,15 +952,19 @@ class TestBlockedStages:
                                          mode)
         assert got.tobytes() == want.tobytes()
 
+    # at q = 2^-40 / 10, E q is near 2^-40: nearly every trial waits to an
+    # epoch of its own, and past two blocks the block histograms merge
+    # before the last block as well as at it
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("e", [10.0, 200.0])
-    @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0, 1.0])
+    @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0, 1.0, 2.0 ** -40 / 10.0])
     def test_first_win_epochs(self, n, e, q):
         config = SimConfig(seed=32, sample_count=n, stream_id=2)
         got = estimate_first_win_time(network(e=e), MinerShare(q), config)
-        want = first_win_epochs_whole_array(network(e=e), MinerShare(q),
-                                            config)
-        assert got.epochs.tobytes() == want.tobytes()
+        won, count = np.unique(first_win_epochs_whole_array(
+            network(e=e), MinerShare(q), config), return_counts=True)
+        assert got.won.tobytes() == won.tobytes()
+        assert got.count.tobytes() == count.tobytes()
 
     # (paths, epochs): 2^14 paths of 4 epochs fill a block of 2^16 epochs;
     # a window past 2^16 epochs takes a block of its own
@@ -994,7 +1007,8 @@ class TestEpochCounts:
     def test_histogram_report_matches_fractions(self, least, counts, scale):
         # the moments as Fractions over the centred sum of squares, a
         # different route to the same exact values
-        report = _histogram_report(least, np.array(counts), 8, scale)
+        report = _histogram_report(least + np.arange(len(counts)),
+                                   np.array(counts), 8, scale)
         n = sum(counts)
         mean = sum(Fraction(k * (least + j)) for j, k in enumerate(counts))
         mean /= n
@@ -1007,7 +1021,8 @@ class TestEpochCounts:
 
     def test_histogram_report_agrees_with_the_float_moments(self):
         v = np.random.default_rng(12).poisson(3.0, 10_001)
-        report = _histogram_report(0, np.bincount(v), 1)
+        counts = np.bincount(v)
+        report = _histogram_report(np.arange(counts.size), counts, 1)
         assert report.estimate == pytest.approx(float(np.mean(v)),
                                                 rel=1e-15)
         assert report.std_error == pytest.approx(
@@ -1015,7 +1030,7 @@ class TestEpochCounts:
 
     def test_histogram_report_needs_two_samples(self):
         with pytest.raises(ValidationError):
-            _histogram_report(4, np.array([0, 1]), 1)
+            _histogram_report(np.array([4, 5]), np.array([0, 1]), 1)
 
     def test_memory_does_not_grow_with_the_sample(self):
         # 10^6 epochs in blocks of 2^16: the block arrays and the sampler's
@@ -1034,25 +1049,45 @@ class TestEpochCounts:
 
     def test_shared_tables_stay_within_the_entry_limit(self, monkeypatch,
                                                        fresh_store):
-        # with the limit at 40,000 entries, guides counted, a block whose
-        # new tables would take the store past it drops tables it does not
-        # use; the draws stay those of separate calls
-        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 40_000)
+        # with the limit at 15,000 entries, guides counted, a block that
+        # would leave more than that beside its own tables drops tables it
+        # does not use, which a switch between E = 60 and E = 150 does each
+        # time; the draws stay those of separate calls
+        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 15_000)
         restarts = 0
         for k, (e, size) in enumerate([(60.0, 3000), (60.0, 3000),
-                                       (90.0, 500), (60.0, 3000)]):
+                                       (150.0, 3000), (60.0, 3000)]):
             trials = poisson_sample(_generator(SimConfig(50, 1, k)), e, size)
             config = SimConfig(seed=51, sample_count=1, stream_id=k)
             held = set(fresh_store.slots)
             got = binomial_sample(_generator(config), trials, 0.5)
             want = binomial_sample_per_count(_generator(config), trials, 0.5)
             assert got.tobytes() == want.tobytes()
-            assert charge(fresh_store) <= 40_000
             drawn = {(_binomial_cdf_table, (w, 0.5))
                      for w in np.unique(trials).tolist()}
+            assert charge(fresh_store, drawn) <= 15_000
             assert set(fresh_store.slots) >= drawn
             restarts += not held <= set(fresh_store.slots)
         assert restarts == 2
+
+    def test_blocks_past_the_limit_build_each_table_once(self, monkeypatch,
+                                                         fresh_store):
+        # with the limit at 30,000 entries, guides counted, the binomial
+        # tables of each 2^16-epoch block at E = 60, q = 1/2 charge more
+        # than it, as at E = 6e4, q = 1/21 with the real limit: the store
+        # keeps the other blocks' tables and the Poisson table beside each
+        # block's own, so one simulation builds every table once, and its
+        # draws stay the whole-array draws
+        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 30_000)
+        built = record_builds(monkeypatch)
+        share, config = MinerShare(0.5), SimConfig(seed=59, sample_count=3
+                                                   * 2 ** 16 + 5, stream_id=1)
+        w, v = epoch_arrays(network(e=60.0), share, config)
+        assert charge(fresh_store) > 30_000
+        assert len(built) > 50 and all(len(n) == 1 for n in built.values())
+        fresh_store.cache_clear()
+        want = epochs_whole_array(network(e=60.0), share, config)
+        assert (w.tobytes(), v.tobytes()) == tuple(a.tobytes() for a in want)
 
     def test_shared_tables_keep_their_entries_as_they_grow(self,
                                                            fresh_store):
@@ -1071,18 +1106,18 @@ class TestEpochCounts:
     def test_blocks_past_the_limit_build_only_absent_tables(self,
                                                             monkeypatch,
                                                             fresh_store):
-        # with the limit at 40,000 entries, guides counted, blocks of 1,000
-        # epochs at E from 40 to 70, q = 1/2, each fit while together they
-        # pass it: a block builds only the tables the store does not hold,
-        # a restart keeps every table of the block that caused it and
-        # drops only tables drawn from no later than those it keeps, so
-        # the block's Poisson table stays, and the draws stay those of
-        # separate calls
-        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 40_000)
+        # with the limit at 25,000 entries, guides counted, blocks of 1,000
+        # epochs at E from 40 to 140, q = 1/2, each fit beside the last
+        # while together they pass it: a block builds only the tables the
+        # store does not hold, a restart keeps every table of the block
+        # that caused it and drops only tables drawn from no later than
+        # those it keeps, so the block's Poisson table stays, and the draws
+        # stay those of separate calls
+        monkeypatch.setattr(mcsim, "_MAX_TABLE_ENTRIES", 25_000)
         built = record_builds(monkeypatch)
         binomial = mcsim._binomial_cdf_table
         restarts = requested = 0
-        for k, e in enumerate([40.0, 55.0, 70.0, 40.0, 55.0, 70.0, 40.0]):
+        for k, e in enumerate([40.0, 90.0, 140.0, 40.0, 90.0, 140.0, 40.0]):
             trials = poisson_sample(_generator(SimConfig(56, 1, k)), e, 1000)
             keys = {(binomial, (w, 0.5)) for w in np.unique(trials).tolist()}
             requested += len(keys)
@@ -1105,7 +1140,7 @@ class TestEpochCounts:
                            for gone in dropped for key in kept)
             assert keys <= set(fresh_store.slots)
             assert (mcsim._poisson_cdf_table, (e,)) in fresh_store.slots
-            assert charge(fresh_store) <= 40_000
+            assert charge(fresh_store, keys) <= 25_000
         assert restarts >= 2
         assert sum(len(n) for (build, _), n in built.items()
                    if build is binomial) < requested
@@ -1115,4 +1150,5 @@ class TestEpochCounts:
         poisson_sample(_generator(SimConfig(58, 1)), 3000.0, 10)
         assert not held <= set(fresh_store.slots)
         assert keys <= set(fresh_store.slots)
-        assert charge(fresh_store) <= 40_000
+        assert charge(fresh_store, {(mcsim._poisson_cdf_table,
+                                     (3000.0,))}) <= 25_000
