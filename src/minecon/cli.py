@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, growth, mcsim, rewarddist, waiting
+from . import __version__, growth, mcsim, quadrature, rewarddist, waiting
 from .errors import (CertainRuinError, ConvergenceError, MineconError,
                      NoRootError, NoViableStrategyError, NumericalError,
                      ValidationError, require)
@@ -607,7 +607,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
         3.0 * math.sqrt(scenario.E / samples),
         "sample mean of Poisson block counts vs E"))
 
-    emp = np.pad(batch.won, (batch.least_won, 0)) / samples
+    emp = np.bincount(batch.won, weights=batch.count) / samples
     closed = rewarddist._poisson_pmf(np.arange(emp.size),
                                      network.expected_blocks * q)
     tv = 0.5 * (float(np.abs(emp - closed).sum())
@@ -658,14 +658,23 @@ def _verify_rows(scenario: Scenario, args) -> list:
         3.0 * math.sqrt(p_bankrupt * (1 - p_bankrupt) / trials),
         "first-win trials with no win by the horizon vs exp(-x* E q)"))
 
-    # growth rate: quadrature vs the formula-faithful game simulation
+    # growth rate: quadrature vs the formula-faithful game simulation, in 3
+    # sd of the model's payoff (the sample's is 0 if no round wins)
     breakdown = growth.stochastic_growth_rate(plan, network,
                                               quad_tol=args.quad_tol)
     oracle = mcsim.round_oracle(plan, network,
                                 mcsim.SimConfig(seed, samples, stream_id=3))
+    g, lam = breakdown.growth_rate, breakdown.win_rate
+    horizon, rho = breakdown.t_max, breakdown.conditional_reward / plan.wealth
+    loss, tol = math.log(plan.split), args.quad_tol
+    m2 = quadrature.adaptive_simpson(lambda t: lam * np.exp(-lam * t) * np.log(
+        1.0 - plan.drain_rate * t + rho) ** 2, 0.0, horizon, rel_tol=tol,
+        abs_tol=0.01 * tol * max(-loss, math.log1p(rho)) ** 2)[0]
+    m2 += loss * loss * math.exp(-lam * horizon)  # the payoff's E[x^2]
     rows.append(_stat_row(
-        "growth-rate-mc", oracle.estimate, breakdown.growth_rate,
-        3.0 * oracle.std_error,
+        "growth-rate-mc", oracle.estimate, g,
+        max(3.0 * lam * math.sqrt(max(m2 - (g / lam) ** 2, 0.0) / samples),
+            1e3 * tol * abs(g)),
         "round simulation vs adaptive quadrature"))
 
     # smooth growth: quadrature vs antiderivative
@@ -676,20 +685,21 @@ def _verify_rows(scenario: Scenario, args) -> list:
         "smooth-dual-eval", quad, closed_form, dual_band,
         "quadrature vs closed-form antiderivative"))
 
-    # window moments: Monte Carlo vs expected total and thinned variance.
-    # The bands are 3 sd of the model's, not the sample's, which are 0 when
-    # no path wins: a window's total is M Poisson(mu), mu = N E q, whose
-    # sample variance over n paths has variance M^4 (mu (1 + 3 mu) - mu^2
-    # (n - 3)/(n - 1))/n
+    # window moments from the paths' exact block sums S1, S2 and M = a/b vs
+    # expected total and thinned variance. The bands are 3 sd of the model's,
+    # not the sample's, which are 0 when no path wins: a window's total is M
+    # Poisson(mu), mu = N E q, whose sample variance over n paths has
+    # variance M^4 (mu (1 + 3 mu) - mu^2 (n - 3)/(n - 1))/n
     want_mean = rewarddist.expected_total_reward(*window)
     want_var = rewarddist.variance_thinned(*window)
-    totals = mcsim._window_totals(network, share, scenario.N,
-                                  mcsim.SimConfig(seed, n_paths, stream_id=4))
+    n, s1, s2 = mcsim._moments(*mcsim._window_totals(
+        network, share, scenario.N, mcsim.SimConfig(seed, n_paths, 4)))
+    a, b = scenario.M.as_integer_ratio()
     rows.append(_stat_row(
-        "window-mean", float(np.mean(totals)), want_mean,
+        "window-mean", a * s1 / (b * n), want_mean,
         3.0 * math.sqrt(want_var / n_paths),
         f"mean total reward over N={scenario.N} epochs"))
-    var = float(np.var(totals, ddof=1))
+    var = a * a * (n * s2 - s1 * s1) / (b * b * n * (n - 1))
     mu = scenario.N * network.expected_blocks * q
     se_var = network.block_reward ** 2 * math.sqrt(
         (mu * (1.0 + 3.0 * mu) - mu * mu * (n_paths - 3) / (n_paths - 1))

@@ -14,10 +14,9 @@ the guide settles most draws, the rest are bisected within their bucket.
 Stage k of a simulator starts at uniform k n of its stream, n being its
 draw count. Philox is counter-based, so each stage can have its own cursor:
 the round, epoch, first-win and window simulators draw their stages in
-blocks. Epochs come from one block generator, which the epoch simulation
-folds into exact integer counts and the window simulation into per-path
-totals, and first-win folds its trials into a histogram of epochs, so
-none holds an array as long as its sample.
+blocks. One fold merges the blocks' integer histograms of blocks won per
+epoch, per window path and of first-win epochs, so none of these holds an
+array as long as its sample.
 """
 
 import math
@@ -422,20 +421,19 @@ class EpochCounts:
     """Simulated epochs folded into counts.
 
     blocks_total and blocks_won sum the epochs' block totals w and blocks
-    won v; won[k] counts the epochs in which least_won + k blocks were won.
+    won v; count[k] > 0 epochs won won[k] blocks, won rising.
     """
 
     epochs: int
     blocks_total: int
     blocks_won: int
-    least_won: int
     won: np.ndarray
+    count: np.ndarray
 
     def report(self, seed: int, scale: float = 1.0) -> SimReport:
-        """Mean blocks won per epoch times scale (at M, the mean reward
-        per epoch), with its standard error."""
-        return _histogram_report(self.least_won + np.arange(self.won.size),
-                                 self.won, seed, scale)
+        """Mean blocks won per epoch times scale, M for the mean reward
+        per epoch, with its standard error."""
+        return _histogram_report(self.won, self.count, seed, scale)
 
 
 def _epoch_blocks(network: NetworkParams, share: MinerShare,
@@ -455,25 +453,36 @@ def _epoch_blocks(network: NetworkParams, share: MinerShare,
 
 def _epoch_counts(blocks) -> EpochCounts:
     # EpochCounts of (w, v) blocks
-    epochs = total = won = 0
-    least, histogram = 0, np.zeros(0, dtype=np.int64)
-    for w, v in blocks:
-        epochs += w.size
-        total += int(w.sum())
-        won += int(v.sum())
-        low = int(v.min())
-        block = np.bincount(v - low)
-        if not histogram.size:
-            least, histogram = low, block
-            continue
-        start, end = min(least, low), max(least + histogram.size,
-                                          low + block.size)
-        merged = np.zeros(end - start, dtype=np.int64)
-        merged[least - start:least - start + histogram.size] += histogram
-        merged[low - start:low - start + block.size] += block
-        least, histogram = start, merged
-    return EpochCounts(epochs=epochs, blocks_total=total, blocks_won=won,
-                       least_won=least, won=histogram)
+    total = 0
+
+    def runs():
+        nonlocal total
+        for w, v in blocks:
+            total += int(w.sum())
+            yield np.unique(v, return_counts=True)
+    won, count = _fold(runs())
+    return EpochCounts(epochs=int(count.sum()), blocks_total=total,
+                       blocks_won=int(won @ count), won=won, count=count)
+
+
+def _fold(runs) -> tuple:
+    # one histogram of sorted (value, count) runs, as np.unique(x,
+    # return_counts=True) gives them: held runs merge at the end and once
+    # they outnumber the first's 2^16-entry blocks, O(h log h) for h values
+    held = []
+
+    def merged():
+        value, count = (np.concatenate(column) for column in zip(*held))
+        held.clear()  # frees the runs before the sort
+        order = np.argsort(value, kind="stable")  # merges the sorted runs
+        value, count = value[order], count[order]
+        first = np.flatnonzero(np.diff(value, prepend=value[:1] - 1))
+        return [(value[first], np.add.reduceat(count, first))]
+    for run in runs:
+        held.append(run)
+        if len(held) > 1 + held[0][0].size // _BLOCK:
+            held = merged()
+    return (merged() if len(held) > 1 else held)[0]
 
 
 def simulate_epochs(network: NetworkParams, share: MinerShare,
@@ -488,32 +497,40 @@ def simulate_epochs(network: NetworkParams, share: MinerShare,
     return _epoch_counts(_epoch_blocks(network, share, config))
 
 
-def _histogram_report(values: np.ndarray, counts: np.ndarray, seed: int,
-                      scale: float = 1.0) -> SimReport:
-    # scale times the mean of counts[i] copies of each integer values[i],
-    # from exact Python-int moments S1 = sum x, S2 = sum x^2 (2^16 entries
-    # at a time): mean S1/n, variance (n S2 - S1^2)/(n(n-1)), each rounded once
+def _moments(values: np.ndarray, counts: np.ndarray) -> tuple:
+    # n, S1 = sum x and S2 = sum x^2 of counts[i] copies of each integer
+    # values[i], as exact Python ints (2^16 entries at a time)
     n = s1 = s2 = 0
     for lo in range(0, values.size, _BLOCK):
         x, k = (a[lo:lo + _BLOCK].tolist() for a in (values, counts))
         kx = list(map(mul, k, x))
         n, s1, s2 = n + sum(k), s1 + sum(kx), s2 + sum(map(mul, kx, x))
     require(n >= 2, "need at least 2 samples to estimate a standard error")
-    variance = (n * s2 - s1 * s1) / (n * (n - 1))
+    return n, s1, s2
+
+
+def _histogram_report(values: np.ndarray, counts: np.ndarray, seed: int,
+                      scale: float = 1.0) -> SimReport:
+    # scale times the mean S1/n of counts[i] copies of each integer values[i]
+    # and times its standard error, the root of (n S2 - S1^2)/(n^2 (n - 1))
+    # from an integer root of 64 bits or more rounded to odd: each rounded once
+    n, s1, s2 = _moments(values, counts)
+    num, den = n * s2 - s1 * s1, n * n * (n - 1)
+    k = max(0, 65 + (den.bit_length() - num.bit_length()) // 2)
+    root = math.isqrt((num << 2 * k) // den)
+    root |= root * root * den != num << 2 * k
     return SimReport(estimate=scale * (s1 / n),
-                     std_error=scale * math.sqrt(variance) / math.sqrt(n),
+                     std_error=scale * (root / (1 << k)),
                      samples=n, seed=seed)
 
 
 def _window_totals(network: NetworkParams, share: MinerShare, epochs: int,
-                   config: SimConfig) -> np.ndarray:
-    # total reward of each of config.sample_count paths of `epochs` epochs:
-    # the epochs of n = paths x epochs draws summed per path, as
-    # rewards.reshape(paths, epochs).sum(axis=1) sums them
-    return np.concatenate([
-        np.multiply(v, network.block_reward, dtype=float)
-        .reshape(-1, epochs).sum(axis=1)
-        for _, v in _epoch_blocks(network, share, config, epochs)])
+                   config: SimConfig) -> tuple:
+    # (won, paths): paths[k] > 0 of config.sample_count paths of `epochs`
+    # epochs won won[k] blocks, summed as v.reshape(paths, epochs).sum(1)
+    return _fold(np.unique(v.reshape(-1, epochs).sum(axis=1),
+                           return_counts=True)
+                 for _, v in _epoch_blocks(network, share, config, epochs))
 
 
 def estimate_first_win_time(network: NetworkParams, share: MinerShare,
@@ -551,23 +568,18 @@ def estimate_first_win_time(network: NetworkParams, share: MinerShare,
         win_given_w = _win_given_w(w, q) if q < 1.0 else w > 0
         lost += int(np.count_nonzero(sweep.random(w.size) >= win_given_w))
     # K of each lost trial from offset 2n, then the Gamma draws in one order,
-    # in gamma_sample's own blocks; their histograms merge at the last block
-    # and once they outnumber the first part's blocks of 2^16 (O(h log h))
+    # in gamma_sample's own blocks, each block's epochs folded in
     first_won, gammas = _cursor(config, 2 * n), _cursor(config, 2 * n + lost)
-    parts = [(np.array([1]), np.array([n - lost]))] if lost < n else []
-    for lo in range(0, lost, _BLOCK):
-        blocks = gamma_sample(gammas, _first_won_block(
-            first_won.random(min(_BLOCK, lost - lo)), q))
-        parts.append(np.unique(1 + np.ceil(blocks / e).astype(np.int64),
-                               return_counts=True))
-        if lo + _BLOCK >= lost or len(parts) > 1 + parts[0][0].size // _BLOCK:
-            won, count = (np.concatenate(column) for column in zip(*parts))
-            parts.clear()  # frees the parts before the sort
-            order = np.argsort(won, kind="stable")  # merges the sorted runs
-            won, count = won[order], count[order]
-            first = np.flatnonzero(np.append(True, won[1:] != won[:-1]))
-            parts = [(won[first], np.add.reduceat(count, first))]
-    won, count = parts[0]
+
+    def runs():
+        if lost < n:
+            yield np.array([1]), np.array([n - lost])
+        for lo in range(0, lost, _BLOCK):
+            blocks = gamma_sample(gammas, _first_won_block(
+                first_won.random(min(_BLOCK, lost - lo)), q))
+            yield np.unique(1 + np.ceil(blocks / e).astype(np.int64),
+                            return_counts=True)
+    won, count = _fold(runs())
     return FirstWinResult(_histogram_report(2 * won - 1, count, config.seed,
                                             0.5), won, count)
 

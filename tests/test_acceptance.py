@@ -17,8 +17,9 @@ from minecon.growth import (GameRound, MinerPlan, _smooth_growth_parts,
                             smooth_optimal_gamma, stochastic_growth_rate,
                             t_max, tane_growth_rate, tane_growth_upper_bound,
                             wealth_trajectory, win_rate_lambda)
-from minecon.mcsim import (SimConfig, _window_totals, estimate_first_win_time,
-                           round_oracle, simulate_wealth_path)
+from minecon.mcsim import (SimConfig, _fold, _window_totals,
+                           estimate_first_win_time, round_oracle,
+                           simulate_wealth_path)
 from minecon.rewarddist import (MinerShare, NetworkParams, variance_paper,
                                 variance_thinned, win_count_pmf_closed,
                                 win_count_pmf_series)
@@ -126,24 +127,26 @@ def test_04_window_moments_with_both_variances(capsys):
                             power=200.0)
         share = MinerShare(1.0 / 200.0)
         n_paths, window, chunk = 1_000_000, 100, 40_000
-        totals = np.empty(n_paths)
-        for k in range(n_paths // chunk):
-            config = SimConfig(seed=404, sample_count=chunk, stream_id=k)
-            totals[k * chunk:(k + 1) * chunk] = \
-                _window_totals(net, share, window, config)
+        # each path's total blocks won, and the share of paths winning it
+        totals, paths = _fold(
+            _window_totals(net, share, window,
+                           SimConfig(seed=404, sample_count=chunk,
+                                     stream_id=k))
+            for k in range(n_paths // chunk))
+        weight = paths / n_paths
 
         v_thinned = variance_thinned(net, share, window)
         v_paper = variance_paper(net, share, window)
         assert v_thinned == pytest.approx(5.0, rel=1e-12)
 
-        mean = float(totals.mean())
-        se_mean = float(totals.std(ddof=1)) / math.sqrt(n_paths)
+        mean = float(totals @ weight)
+        centered = totals - mean
+        m2 = float(centered ** 2 @ weight)
+        m4 = float(centered ** 4 @ weight)
+        sample_var = m2 * n_paths / (n_paths - 1)
+        se_mean = math.sqrt(sample_var / n_paths)
         assert abs(mean - 5.0) <= 3.0 * se_mean
 
-        sample_var = float(totals.var(ddof=1))
-        centered = totals - mean
-        m2 = float(np.mean(centered ** 2))
-        m4 = float(np.mean(centered ** 4))
         se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / n_paths)
         assert abs(sample_var - v_thinned) <= 3.0 * se_var
 

@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import minecon
 from conftest import (REFERENCE, epochs_whole_array,
                       first_win_epochs_whole_array, run_cli, write_scenario)
-from minecon import __version__, cli, mcsim, rewarddist, waiting
+from minecon import __version__, cli, growth, mcsim, rewarddist, waiting
 from minecon.cli import load_scenario
 from minecon.errors import NumericalError, ValidationError
 
@@ -99,14 +100,30 @@ def _run_python(script, *argv):
                           timeout=120)
 
 
-def _run_child(*argv):
-    """The CLI in a child process capped at 1.5 GB of address space."""
+def _run_child(*argv, cap=3 * 2 ** 29):
+    """The CLI in a child process capped at cap bytes (1.5 GB) of address
+    space."""
     script = ("import resource, sys\n"
               "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, hard))\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, hard))\n"
               "from minecon.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
     return _run_python(script, *argv)
+
+
+def _rss_growth(*argv):
+    """The CLI in a child process: its result and how far its peak RSS grew
+    past the import, in KiB (ru_maxrss on Linux)."""
+    script = ("import resource, sys\n"
+              "from minecon.cli import main\n"
+              "peak = lambda: resource.getrusage("
+              "resource.RUSAGE_SELF).ru_maxrss\n"
+              "before = peak()\n"
+              "code = main(sys.argv[1:])\n"
+              "print('grew', peak() - before)\n"
+              "sys.exit(code)\n")
+    result = _run_python(script, *argv)
+    return result, int(result.stdout.split("grew")[-1])
 
 
 class TestScenarioFile:
@@ -973,18 +990,8 @@ class TestExitCodes:
         # in a child capped at 3 GB of address space, so a regression that
         # allocates the window fails here instead of exhausting the machine
         path = write_scenario(tmp_path, N=10 ** 9)
-        script = ("import resource, sys\n"
-                  "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, hard))\n"
-                  "from minecon.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        src = str(Path(minecon.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
-            [sys.executable, "-c", script, command, str(path), "--out",
-             str(tmp_path / "artifacts")],
-            capture_output=True, text=True, env=env, timeout=120)
+        result = _run_child(command, path, "--out", tmp_path / "artifacts",
+                            cap=3 * 2 ** 30)
         assert result.returncode == 1
         assert result.stderr.startswith("error: validation:")
         assert result.stderr.count("\n") == 1
@@ -1024,19 +1031,22 @@ class TestExitCodes:
         # epochs: the child's peak RSS grows 4-12 MB past its import, where
         # an epoch per trial and its temporaries grew it by 240-320 MB
         path = write_scenario(tmp_path, **overrides)
-        script = ("import resource, sys\n"
-                  "from minecon.cli import main\n"
-                  "peak = lambda: resource.getrusage("
-                  "resource.RUSAGE_SELF).ru_maxrss\n"
-                  "before = peak()\n"
-                  "code = main(sys.argv[1:])\n"
-                  "print('grew', peak() - before)\n"
-                  "sys.exit(code)\n")
-        result = _run_python(script, "simulate", path, "--out",
-                             tmp_path / "artifacts", "--sim", "first-win",
-                             "--samples", 10 ** 7)
+        result, grew = _rss_growth("simulate", path, "--out",
+                                   tmp_path / "artifacts", "--sim",
+                                   "first-win", "--samples", 10 ** 7)
         assert result.returncode == 0, result.stderr
-        grew = int(result.stdout.split("grew")[-1])  # KiB on Linux
+        assert grew < 48 * 1024
+
+    def test_window_rows_memory_does_not_grow_with_the_paths(self, tmp_path):
+        # at N = 1, --samples 10^6 draws 10^7 window paths, folded block by
+        # block into a histogram of their few distinct totals: the child's
+        # peak RSS grows 17 MB past its import, where one float per path
+        # and the blocks' concatenation grew it by 157 MB
+        path = write_scenario(tmp_path, N=1)
+        result, grew = _rss_growth("verify", path, "--out",
+                                   tmp_path / "artifacts", "--samples",
+                                   10 ** 6)
+        assert result.returncode == 0, result.stderr
         assert grew < 48 * 1024
 
     def test_quadrature_blowup_is_convergence_failure_under_memory_cap(
@@ -1050,18 +1060,8 @@ class TestExitCodes:
                               W=6077.389262852754, gamma=0.2539707959746659,
                               c_e=1.2724858899622544,
                               c_r=0.0002296703841974319)
-        script = ("import resource, sys\n"
-                  "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, hard))\n"
-                  "from minecon.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        src = str(Path(minecon.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
-            [sys.executable, "-c", script, "growth", str(path), "--out",
-             str(tmp_path / "artifacts"), "--quad-tol", "1e-12"],
-            capture_output=True, text=True, env=env, timeout=120)
+        result = _run_child("growth", path, "--out", tmp_path / "artifacts",
+                            "--quad-tol", "1e-12")
         assert result.returncode == 2
         assert result.stderr.startswith(
             "error: convergence: adaptive Simpson did not reach tolerance")
@@ -1430,6 +1430,33 @@ class TestVerify:
         assert var["band"] == 3.0 * math.sqrt(
             (mu * (1.0 + 3.0 * mu) - mu * mu * (n - 3) / (n - 1)) / n)
         assert mean["status"] == var["status"] == "PASS"
+
+    def test_growth_band_is_the_model_sd(self, tmp_path):
+        # at P0 = 1e9, lambda t_max = 5e-4: no round of 2,000 wins, so the
+        # sample's sd is 0 and a band from it (3.7e-24) missed the 9.7e-11
+        # gap to a correct expected g; the band is 3 sd of the model's
+        # payoff, lambda sqrt((m2 - m1^2)/n), here checked against mpmath
+        path = write_scenario(tmp_path, P0=1e9)
+        assert run_cli("verify", path, "--out", tmp_path, "--seed", 42,
+                       "--samples", 2000) == 0
+        row = {row["name"]: row for row in
+               read_json(tmp_path / "verify.json")["rows"]}["growth-rate-mc"]
+        scenario = load_scenario(path)
+        plan, network = scenario.plan(), scenario.network()
+        lam = mpmath.mpf(growth.win_rate_lambda(plan, network))
+        horizon = mpmath.mpf(growth.t_max(plan))
+        rho = mpmath.mpf(growth.conditional_reward(plan, network)) / plan.wealth
+        with mpmath.workdps(40):
+            moments = [mpmath.quad(lambda t: lam * mpmath.exp(-lam * t)
+                                   * mpmath.log(1 + rho - plan.drain_rate
+                                                * t) ** k, [0, horizon])
+                       + mpmath.log(plan.split) ** k
+                       * mpmath.exp(-lam * horizon) for k in (1, 2)]
+            band = 3 * lam * mpmath.sqrt((moments[1] - moments[0] ** 2)
+                                         / 2000)
+        assert row["band"] == pytest.approx(float(band), rel=1e-6)
+        assert 5e-11 < abs(row["observed"] - row["expected"]) < row["band"]
+        assert row["status"] == "PASS"
 
     def test_no_win_series_row_passes_on_the_reference(self,
                                                        reference_file,

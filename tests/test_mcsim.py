@@ -1,5 +1,6 @@
 """Seeded simulators against closed forms and scipy distributions."""
 
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
@@ -578,9 +579,10 @@ class TestDeterminism:
                             SimConfig(seed=9, sample_count=5000))
         b = simulate_epochs(network(), MinerShare(0.01),
                             SimConfig(seed=9, sample_count=5000))
-        assert (a.epochs, a.blocks_total, a.blocks_won, a.least_won) \
-            == (b.epochs, b.blocks_total, b.blocks_won, b.least_won)
+        assert (a.epochs, a.blocks_total, a.blocks_won) \
+            == (b.epochs, b.blocks_total, b.blocks_won)
         np.testing.assert_array_equal(a.won, b.won)
+        np.testing.assert_array_equal(a.count, b.count)
 
     def test_streams_are_distinct_and_uncorrelated(self):
         share = MinerShare(0.01)
@@ -600,7 +602,7 @@ class TestSimulateEpochs:
         batch = simulate_epochs(network(), MinerShare(0.0),
                                 SimConfig(seed=2, sample_count=20_000))
         assert batch.blocks_won == 0
-        assert batch.least_won == 0 and batch.won.tolist() == [20_000]
+        assert batch.won.tolist() == [0] and batch.count.tolist() == [20_000]
         assert batch.report(2, 1.0).estimate == 0.0
 
     def test_block_mean(self):
@@ -614,7 +616,7 @@ class TestSimulateEpochs:
         share = MinerShare(0.005)
         batch = simulate_epochs(network(), share,
                                 SimConfig(seed=4, sample_count=400_000))
-        emp = np.pad(batch.won, (batch.least_won, 0)) / batch.epochs
+        emp = np.bincount(batch.won, weights=batch.count) / batch.epochs
         ref = np.array([win_count_pmf_closed(v, network(), share)
                         for v in range(emp.size)])
         assert 0.5 * np.abs(emp - ref).sum() <= 0.005
@@ -913,13 +915,13 @@ def round_payoffs_whole_array(plan, network, config, reward_mode):
 
 def window_totals_whole_array(network, share, epochs, config):
     """verify's window totals as it drew them, kept as _window_totals'
-    oracle: one epoch batch of paths x epochs draws, summed per path."""
+    oracle: one epoch batch of paths x epochs draws, each path's blocks
+    won summed."""
     paths = config.sample_count
     _, v = epochs_whole_array(network, share,
                               SimConfig(config.seed, paths * epochs,
                                         config.stream_id))
-    rewards = np.multiply(v, network.block_reward, dtype=float)
-    return rewards.reshape(paths, epochs).sum(axis=1)
+    return v.reshape(paths, epochs).sum(axis=1)
 
 
 class TestBlockedStages:
@@ -976,11 +978,35 @@ class TestBlockedStages:
     @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0, 1.0])
     def test_window_totals(self, paths, epochs, e, q):
         config = SimConfig(seed=33, sample_count=paths, stream_id=4)
-        got = _window_totals(network(e=e, m=2.5), MinerShare(q), epochs,
-                             config)
-        want = window_totals_whole_array(network(e=e, m=2.5), MinerShare(q),
-                                         epochs, config)
-        assert got.tobytes() == want.tobytes()
+        won, paths_won = _window_totals(network(e=e, m=2.5), MinerShare(q),
+                                        epochs, config)
+        want = np.unique(window_totals_whole_array(
+            network(e=e, m=2.5), MinerShare(q), epochs, config),
+            return_counts=True)
+        assert won.tobytes() == want[0].tobytes()
+        assert paths_won.tobytes() == want[1].tobytes()
+
+
+class TestFold:
+    """_fold merges sorted (value, count) runs into one histogram."""
+
+    # (values drawn, their range, cut points): runs that merge as they come,
+    # a first run of 4 x 2^16 distinct values that holds five more before
+    # they merge, nearly distinct values in runs of 2^16, and empty runs
+    @pytest.mark.parametrize("size, high, cuts", [
+        (1, 5, []), (1000, 50, [3, 3, 400, 401, 999]),
+        (300_000, 2 ** 40, [2 ** 18] + list(range(2 ** 18 + 7, 300_000,
+                                                  5003))),
+        (400_000, 2 ** 40, list(range(0, 400_000, 2 ** 16))),
+        (50_000, 10 ** 6, [0, 0, 17, 50_000, 50_000])])
+    def test_fold_equals_unique_of_the_concatenation(self, size, high, cuts):
+        x = np.random.default_rng(size).integers(0, high, size)
+        runs = (np.unique(part, return_counts=True)
+                for part in np.split(x, cuts))
+        won, count = mcsim._fold(runs)
+        want = np.unique(x, return_counts=True)
+        assert won.tobytes() == want[0].tobytes()
+        assert count.tobytes() == want[1].tobytes()
 
 
 class TestEpochCounts:
@@ -995,18 +1021,22 @@ class TestEpochCounts:
         got = simulate_epochs(network(e=e), MinerShare(q), config)
         assert got.epochs == w.size
         assert (got.blocks_total, got.blocks_won) == (w.sum(), v.sum())
-        assert got.least_won == v.min()
-        assert got.won.tolist() == np.bincount(v - v.min()).tolist()
+        won, count = np.unique(v, return_counts=True)
+        assert got.won.tobytes() == won.tobytes()
+        assert got.count.tobytes() == count.tobytes()
 
     @pytest.mark.parametrize("least, counts", [
         (0, [1, 1]), (0, [5, 0, 0, 2]), (3, [0, 7, 1, 0, 4]),
         (10 ** 7, [1, 0, 2]), (0, [2 * 10 ** 6] + [0] * 99 + [10 ** 6]),
         # sum x^2 = 9.8e20 and n S2 = 5.9e27 pass 2^63
-        (10 ** 7 - 3, [3 * 10 ** 6, 0, 0, 0, 0, 0, 6 * 10 ** 6])])
+        (10 ** 7 - 3, [3 * 10 ** 6, 0, 0, 0, 0, 0, 6 * 10 ** 6]),
+        # its standard error's 65-bit root truncates onto a rounding midpoint
+        (0, [18, 18, 23])])
     @pytest.mark.parametrize("scale", [1.0, 2.5, 1e-3])
     def test_histogram_report_matches_fractions(self, least, counts, scale):
         # the moments as Fractions over the centred sum of squares, a
-        # different route to the same exact values
+        # different route to the same exact values; the standard error is
+        # the double nearest a 60-digit Decimal root of variance/n
         report = _histogram_report(least + np.arange(len(counts)),
                                    np.array(counts), 8, scale)
         n = sum(counts)
@@ -1015,8 +1045,10 @@ class TestEpochCounts:
         variance = sum(k * (least + j - mean) ** 2
                        for j, k in enumerate(counts)) / (n - 1)
         assert report.estimate == scale * float(mean)
-        assert report.std_error \
-            == scale * math.sqrt(float(variance)) / math.sqrt(n)
+        context = decimal.Context(prec=60)
+        ratio = variance / n
+        root = context.divide(ratio.numerator, ratio.denominator).sqrt(context)
+        assert report.std_error == scale * float(root)
         assert (report.samples, report.seed) == (n, 8)
 
     def test_histogram_report_agrees_with_the_float_moments(self):
