@@ -618,10 +618,13 @@ def _verify_rows(scenario: Scenario, args) -> list:
                      tv, 0.0, tv_band,
                      "total-variation distance, empirical vs thinned pmf"))
 
-    # no-win mass: the series behind conditional_reward's exp(-E q)
+    # no-win mass: the series behind conditional_reward's exp(-E q), within
+    # 1e-12 or the rounding of the E + 10 sqrt(E) terms it sums
+    no_win = math.exp(-scenario.E * q)
     rows.append(_stat_row(
         "no-win-series", rewarddist.win_count_pmf_series(0, network, share),
-        math.exp(-scenario.E * q), 1e-12,
+        no_win, max(1e-12, (scenario.E + 10.0 * math.sqrt(scenario.E))
+                    * sys.float_info.epsilon * no_win),
         "truncated series vs closed form exp(-E q)"))
 
     # first-win waiting time vs the discrete-geometric mean 1/p0 - 1/2; the
@@ -655,7 +658,7 @@ def _verify_rows(scenario: Scenario, args) -> list:
     p_bankrupt = waiting.bankruptcy_probability(inputs, network, share)
     rows.append(_stat_row(
         "bankruptcy-probability", ruined / trials, p_bankrupt,
-        3.0 * math.sqrt(p_bankrupt * (1 - p_bankrupt) / trials),
+        3.0 * math.sqrt(p_bankrupt) * math.sqrt((1 - p_bankrupt) / trials),
         "first-win trials with no win by the horizon vs exp(-x* E q)"))
 
     # growth rate: quadrature vs the formula-faithful game simulation, in 3
@@ -689,23 +692,38 @@ def _verify_rows(scenario: Scenario, args) -> list:
     # expected total and thinned variance. The bands are 3 sd of the model's,
     # not the sample's, which are 0 when no path wins: a window's total is M
     # Poisson(mu), mu = N E q, whose sample variance over n paths has
-    # variance M^4 (mu (1 + 3 mu) - mu^2 (n - 3)/(n - 1))/n
+    # variance M^4 (mu (1 + 3 mu) - mu^2 (n - 3)/(n - 1))/n. S1 ~ Poisson(lam),
+    # lam = n mu, is skewed where lam is small: both bands also take in, with
+    # half a count to spare, each S1 within its exact 0.00135 tails (3 sd's),
+    # summed over lam -+ (9 sd + 40), past which each tail is below 1e-18.
+    # Past the Poisson samplers' limit, 10^7, that spread is within 2e-4 of
+    # 3 sqrt(lam) and is left out
     want_mean = rewarddist.expected_total_reward(*window)
     want_var = rewarddist.variance_thinned(*window)
     n, s1, s2 = mcsim._moments(*mcsim._window_totals(
         network, share, scenario.N, mcsim.SimConfig(seed, n_paths, 4)))
     a, b = scenario.M.as_integer_ratio()
+    mu = scenario.N * network.expected_blocks * q
+    lam, spread = n_paths * mu, 0.0
+    if lam <= mcsim._MAX_POISSON_MEAN:
+        half = 9.0 * math.sqrt(lam) + 40.0
+        lo, hi = int(max(lam - half, 0.0)), int(lam + half)
+        masses = rewarddist._poisson_pmf(np.arange(lo, hi + 1), lam)
+        k_lo = int(lo + np.argmax(np.cumsum(masses) > 0.00135))
+        k_hi = int(hi - np.argmax(np.cumsum(masses[::-1]) > 0.00135))
+        spread = max(k_hi - lam, lam - k_lo) + 0.5
     rows.append(_stat_row(
         "window-mean", a * s1 / (b * n), want_mean,
-        3.0 * math.sqrt(want_var / n_paths),
+        max(3.0 * math.sqrt(want_var / n_paths),
+            scenario.M * spread / n_paths),
         f"mean total reward over N={scenario.N} epochs"))
     var = a * a * (n * s2 - s1 * s1) / (b * b * n * (n - 1))
-    mu = scenario.N * network.expected_blocks * q
     se_var = network.block_reward ** 2 * math.sqrt(
         (mu * (1.0 + 3.0 * mu) - mu * mu * (n_paths - 3) / (n_paths - 1))
         / n_paths)
     rows.append(_stat_row(
-        "window-variance", var, want_var, 3.0 * se_var,
+        "window-variance", var, want_var,
+        max(3.0 * se_var, scenario.M ** 2 * spread / n_paths),
         f"variance of total reward over N={scenario.N} epochs"))
     rows.append(_row(
         "variance-paper", "REPORT", rewarddist.variance_paper(*window),

@@ -39,10 +39,10 @@ _MAX_MEAN_WAIT = 2 ** 46
 # largest Poisson mean sampled: its table holds 380k entries at 10^7
 _MAX_POISSON_MEAN = 10 ** 7
 # cdf entries the tables of one binomial_sample call may hold over their
-# spans (80 MB as float64); 9.9e6 entries at E = 10^7, q = 1/2 peak at
-# 237 MB RSS, building included, with glibc's default allocator settings
-# or the CLI's (tables that size are mmapped either way). The table store
-# keeps as many beyond one call's own, a guide counting as _GUIDE_ENTRIES
+# spans (80 MB as float64); 9.9e6 entries at E = 10^7, q = 1/2 (52 epochs)
+# peak at 200 MB RSS, building included, through the CLI, and at 237 MB
+# under glibc's default allocator settings. The table store keeps as many
+# beyond one call's own, a guide counting as _GUIDE_ENTRIES
 _MAX_TABLE_ENTRIES = 10 ** 7
 _BLOCK = 1 << 16
 # guide[b] is the draw of key _GUIDE_EDGES[b], key u's bucket floor(u 2^10):

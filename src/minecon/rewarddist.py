@@ -11,6 +11,7 @@ N times its one-epoch term. Masses come from Loader's saddle-point form
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,6 +116,11 @@ _STIRLERR = np.array([
 _MAX_MASSES = 10 ** 7
 # win_count_pmf_series stops once a term falls below this share of the sum
 _TERM_TOL = 1e-16
+# ln 2 = _LN2_HI + _LN2_LO to 1e-23, _LN2_HI on 24 bits: j * _LN2_HI is exact
+# for |j| < 2^29
+_LN2_HI = 11629079 / 2 ** 24
+_LN2_LO = 5.7699990475432854e-08
+_RESCALE = 2.0 ** 500
 
 
 def _stirlerr(n: np.ndarray) -> np.ndarray:
@@ -167,7 +173,9 @@ def win_count_pmf_series(v: int, network: NetworkParams,
 
     Sums Binomial(v; w, q) * Poisson(w; E) over w >= v, truncating once terms
     fall below _TERM_TOL times the running sum and w has cleared the Poisson
-    bulk E + 10*sqrt(E).
+    bulk E + 10*sqrt(E). A first term below the normal range, e^{-E} past
+    E ~ 708 at v = 0, is carried as 2^j e^r, r = log(term) - j ln 2 reduced
+    in Cody and Waite's two steps, and the sum is scaled by 2^j at the end.
     """
     require(v >= 0, "win count must be nonnegative")
     e, q = network.expected_blocks, share.win_probability
@@ -175,8 +183,11 @@ def win_count_pmf_series(v: int, network: NetworkParams,
         return 1.0 if v == 0 else 0.0
 
     # the w = v term, Binomial(v; v, q) Poisson(v; E) = q^v e^{-E} E^v / v!
-    term = math.exp(-e) if v == 0 else math.exp(
-        -e + v * (math.log(e) + math.log(q)) - math.lgamma(v + 1))
+    log_term = -e + v * (math.log(e) + math.log(q)) - math.lgamma(v + 1)
+    term, scale = math.exp(log_term), 0
+    if term < sys.float_info.min:
+        scale = math.floor(log_term / math.log(2.0))
+        term = math.exp(log_term - scale * _LN2_HI - scale * _LN2_LO)
     total = term
     bulk = e + 10.0 * math.sqrt(e)
     w = v
@@ -185,9 +196,11 @@ def win_count_pmf_series(v: int, network: NetworkParams,
         w += 1
         term *= (1.0 - q) * e / (w - v)
         total += term
+        if term > _RESCALE:  # only when scale < 0; exact, as total > term
+            term, total, scale = term / _RESCALE, total / _RESCALE, scale + 500
         if w > bulk and (term == 0.0 or term < _TERM_TOL * total):
             break
-    return min(total, 1.0)
+    return min(math.ldexp(total, scale), 1.0)
 
 
 def win_count_pmf_closed(v: int, network: NetworkParams,

@@ -3,78 +3,46 @@
 Only real arguments are supported; everything here is pure and thread-safe.
 """
 
-import math
+import numpy as np
 
 from .errors import ValidationError
 
 # Euler-Mascheroni constant, double-precision nearest.
 EULER_MASCHERONI = 0.5772156649015329
 
-# Series/asymptotic crossover. Both branches hold ~1e-15 relative accuracy
-# throughout [35, 45], see the agreement tests.
+# Series/asymptotic crossover. At 40 the asymptotic sum's 30th term is 2e-16
+# of the sum, and the series' 160th is below 1e-46 of it.
 _POS_CROSSOVER = 40.0
-# exp(x) overflows just above 709.78; Ei(x) ~ e^x/x overflows slightly later,
-# but the evaluation path needs exp(x) itself.
+# exp(x) overflows just above 709.78
 _OVERFLOW_LIMIT = 709.7
+_SERIES_K = np.arange(1.0, 161.0)
+_ASYMPTOTIC_K = np.arange(1.0, 31.0)
 
-_MAX_SERIES_TERMS = 1000
-_MAX_ASYMPTOTIC_TERMS = 400
 
-
-def exp_integral_ei(x: float, scaled: bool = False) -> float:
+def exp_integral_ei(x, scaled: bool = False):
     """Exponential integral Ei(x) for real x > 0, or e^{-x} Ei(x) if scaled.
 
-    Relative error <= 1e-12 for 1e-6 <= x <= 700. Power series
-    gamma + ln x + sum x^k/(k*k!) on (0, 40]; optimally truncated
-    asymptotic expansion e^x/x * sum k!/x^k above 40, which the scaled form
-    divides by x alone, so it has no overflow limit. NaN and x <= 0 raise
-    ValidationError; unscaled, x > 709.7 raises OverflowError.
+    A float gives a float and an array an array. e^{-x} Ei(x) is
+    e^{-x} (gamma + ln x + sum_{k<=160} x^k/(k k!)) on (0, 40] and
+    (1 + sum_{k<=30} k!/x^k)/x above, both fixed-length sums, within 2e-15
+    relative of exact (1e-16 absolute next to Ei's zero at 0.3725); Ei(x)
+    is e^x times it. NaN and x <= 0 raise ValidationError; unscaled,
+    x > 709.7 raises OverflowError.
     """
-    if not x > 0.0:
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs > 0.0):
         raise ValidationError(f"Ei is defined here only for x > 0, got {x!r}")
-    if scaled:
-        if x > _POS_CROSSOVER:
-            return _asymptotic_sum(x) / x
-        return math.exp(-x) * _ei_series(x)
-    if x > _OVERFLOW_LIMIT:
+    if not scaled and np.any(xs > _OVERFLOW_LIMIT):
         raise OverflowError(f"Ei({x!r}) overflows double precision")
-    if x > _POS_CROSSOVER:
-        return _ei_asymptotic(x)
-    return _ei_series(x)
-
-
-def _ei_series(x: float) -> float:
-    # gamma + ln x + sum_{k>=1} x^k / (k * k!)
-    total = EULER_MASCHERONI + math.log(x)
-    term = 1.0
-    k = 1
-    while k <= _MAX_SERIES_TERMS:
-        term *= x / k
-        contrib = term / k
-        total += contrib
-        # past the hump of the series, terms decay faster than geometrically
-        if abs(contrib) < 1e-17 * max(abs(total), 1e-300) and k > x + 5:
-            return total
-        k += 1
-    return total
-
-
-def _ei_asymptotic(x: float) -> float:
-    return math.exp(x) / x * _asymptotic_sum(x)
-
-
-def _asymptotic_sum(x: float) -> float:
-    # sum_{k>=0} k!/x^k, truncated at the smallest term: Ei(x) e^{-x} x
-    total = 1.0
-    term = 1.0
-    k = 1
-    while k < _MAX_ASYMPTOTIC_TERMS:
-        nxt = term * k / x
-        if nxt >= term:
-            break
-        term = nxt
-        total += term
-        if term < 1e-18 * total:
-            break
-        k += 1
-    return total
+    small = np.minimum(xs, _POS_CROSSOVER)
+    large = np.maximum(xs, _POS_CROSSOVER)
+    # running products x^k/k!, k!/x^k of x clamped to each branch's side of 40
+    series = np.cumprod(small[..., None] / _SERIES_K, axis=-1) / _SERIES_K
+    asymptotic = np.cumprod(_ASYMPTOTIC_K / large[..., None], axis=-1)
+    value = np.where(
+        xs > _POS_CROSSOVER, (1.0 + asymptotic.sum(axis=-1)) / large,
+        np.exp(-small) * (EULER_MASCHERONI + np.log(small)
+                          + series.sum(axis=-1)))
+    if not scaled:
+        value = np.exp(xs) * value
+    return value if np.ndim(x) else float(value)

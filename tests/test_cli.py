@@ -1411,9 +1411,11 @@ class TestVerify:
 
     def test_window_bands_are_the_model_sd(self, tmp_path):
         # at P0 = 5e10, N E q ~ 1e-6: no path of 2,000 wins a block, so the
-        # sample's moments and sds are 0; the bands are 3 sd of the
-        # model's, a window's total being M Poisson(mu), mu = N E q, and
-        # both rows pass (the exit code also reads other rows)
+        # sample's moments and sds are 0; the bands are at least 3 sd of
+        # the model's, a window's total being M Poisson(mu), mu = N E q, and
+        # both rows pass (the exit code also reads other rows). Here the
+        # paths' sum S1 ~ Poisson(n mu) is past its 0.00135 tail at 2, so
+        # the bands are the spread to 1 win, plus half a count, over n
         path = write_scenario(tmp_path, P0=5e10)
         run_cli("verify", path, "--out", tmp_path, "--seed", 42,
                 "--samples", 2000)
@@ -1425,11 +1427,55 @@ class TestVerify:
         assert mu == pytest.approx(1e-6, rel=0.01)
         mean, var = rows["window-mean"], rows["window-variance"]
         assert mean["observed"] == var["observed"] == 0.0
-        assert mean["band"] == 3.0 * math.sqrt(
+        assert mean["band"] > 3.0 * math.sqrt(
             rewarddist.variance_thinned(network, share, 100) / n)
-        assert var["band"] == 3.0 * math.sqrt(
+        assert var["band"] > 3.0 * math.sqrt(
             (mu * (1.0 + 3.0 * mu) - mu * mu * (n - 3) / (n - 1)) / n)
+        assert -math.expm1(-n * mu) > 0.00135 > -math.expm1(-n * mu) \
+            - n * mu * math.exp(-n * mu)
+        assert mean["band"] == var["band"] == (1.0 - n * mu + 0.5) / n
         assert mean["status"] == var["status"] == "PASS"
+
+    @pytest.mark.parametrize("seed, wins", [(42, 2), (111, 3)])
+    def test_window_bands_take_in_the_poisson_tails(self, tmp_path, seed,
+                                                    wins):
+        # S1, the paths' block sum, is Poisson(0.275): at seeds 42 and 111
+        # it is 2 and 3, which 3 Gaussian sd, 1.57 wins, failed. The exact
+        # tails of 0.00135 leave S1 in [0, 3], so each band is the spread
+        # 3 - 0.275 plus half a count, over n
+        path = write_scenario(tmp_path, E=0.795, P0=1.3e7, W=39.9,
+                              gamma=0.517, c_e=1.09, c_r=3.8e-4)
+        assert run_cli("verify", path, "--out", tmp_path, "--seed", seed,
+                       "--samples", 2000) == 0
+        rows = {row["name"]: row for row in
+                read_json(tmp_path / "verify.json")["rows"]}
+        q = load_scenario(path).share().win_probability
+        lam = 2000 * 100 * 0.795 * q
+        assert lam == pytest.approx(0.275, rel=1e-3)
+        tail = [math.fsum(math.exp(-lam) * lam ** j / math.factorial(j)
+                          for j in range(k, 40)) for k in (3, 4)]
+        assert tail[0] > 0.00135 > tail[1]
+        for name in ("window-mean", "window-variance"):
+            assert rows[name]["status"] == "PASS"
+            assert rows[name]["band"] == pytest.approx((3 - lam + 0.5) / 2000,
+                                                       rel=1e-15)
+        assert rows["window-mean"]["observed"] == wins / 2000
+
+    def test_bankruptcy_band_stays_positive_at_a_subnormal_probability(
+            self, tmp_path):
+        # at E = 744, q = 0.001 and a 1,000-epoch horizon the probability
+        # is e^-744 = 9.9e-324; 3 sqrt(p (1 - p)/n) rounded to 0 and failed
+        # the observed 0
+        path = write_scenario(tmp_path, E=744, P0=49950)
+        run_cli("verify", path, "--out", tmp_path, "--seed", 42,
+                "--samples", 2000)
+        row = {row["name"]: row for row in read_json(
+            tmp_path / "verify.json")["rows"]}["bankruptcy-probability"]
+        assert 0.0 < row["expected"] < sys.float_info.min
+        assert row["band"] == pytest.approx(
+            3.0 * math.sqrt(row["expected"]) / math.sqrt(2000), rel=1e-15)
+        assert row["observed"] == 0.0
+        assert row["status"] == "PASS"
 
     def test_growth_band_is_the_model_sd(self, tmp_path):
         # at P0 = 1e9, lambda t_max = 5e-4: no round of 2,000 wins, so the
@@ -1524,6 +1570,27 @@ class TestVerify:
             scale * math.exp(-2.0 * 10.0 * 50.0 / 1050.0), rel=1e-12)
         assert row["status"] == status
         assert code == (0 if status == "PASS" else 2)
+
+
+# verify --samples 2000 past e^-E's normal range, at the reference's q and at
+# q = 0.001, and at a window mean of 1.4e-4 (S1 ~ Poisson(0.275))
+_SWEEP = [({"E": e, "P0": p0}, 42) for e in (744, 800, 5000, 20000)
+          for p0 in (49950, 1000)]
+_SWEEP += [({"E": 0.795, "P0": 1.3e7, "W": 39.9, "gamma": 0.517,
+             "c_e": 1.09, "c_r": 3.8e-4}, seed) for seed in (42, 111)]
+
+
+@pytest.mark.parametrize("overrides, seed", _SWEEP)
+def test_verify_holds_past_ei_overflow_and_at_tiny_window_means(
+        tmp_path, overrides, seed):
+    path = write_scenario(tmp_path, **overrides)
+    assert run_cli("verify", path, "--out", tmp_path, "--seed", seed,
+                   "--samples", 2000) == 0
+    rows = read_json(tmp_path / "verify.json")["rows"]
+    assert {row["status"] for row in rows} <= {"PASS", "REPORT"}
+    assert all(row["band"] > 0 for row in rows
+               if row["name"] in ("no-win-series", "window-mean",
+                                  "window-variance"))
 
 
 def _log_uniform(low, high):

@@ -89,6 +89,24 @@ class TestWinCountPmf:
             assert win_count_pmf_closed(v, *epoch(e, q)) == pytest.approx(
                 float(dist.pmf(v)), rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("e", [744.0, 800.0, 5000.0, 2e4])
+    @pytest.mark.parametrize("q", [1e-3, 1e-6])
+    def test_series_past_the_normal_range(self, e, q):
+        # e^{-E}, the first term at v = 0, is subnormal past E ~ 708 and 0
+        # past 745; carried as 2^j e^r, the sum still reaches the closed form
+        for v in (0, 1, 3):
+            assert win_count_pmf_series(v, *epoch(e, q)) == pytest.approx(
+                win_count_pmf_closed(v, *epoch(e, q)), rel=1e-11)
+        assert win_count_pmf_series(0, *epoch(e, q)) == pytest.approx(
+            math.exp(-e * q), rel=1e-12)
+
+    def test_series_with_a_normal_first_term_keeps_its_bits(self):
+        # up to E = 708 e^{-E} is normal, and the loop runs as it always has
+        assert win_count_pmf_series(0, *epoch(700.0, 1e-3)) \
+            == 0.4965853037913878
+        assert win_count_pmf_series(0, *epoch(708.0, 1e-6)) \
+            == 0.9992922505728294
+
     def test_series_sums_to_one(self):
         total = math.fsum(win_count_pmf_series(v, *epoch(10.0, 0.5))
                           for v in range(0, 80))

@@ -3,10 +3,11 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from minecon.specfun import (EULER_MASCHERONI, _ei_asymptotic, _ei_series,
-                             exp_integral_ei)
+from minecon import specfun
+from minecon.specfun import EULER_MASCHERONI, exp_integral_ei
 from minecon.errors import ValidationError
 
 # mpmath.ei at 50 digits, rounded to the nearest double
@@ -46,13 +47,15 @@ def test_small_x_series_limit():
         EULER_MASCHERONI, abs=1e-9)
 
 
-def test_crossover_band_agreement():
-    # the two positive-axis strategies agree where either could be used
-    for k in range(21):
-        x = 35.0 + 0.5 * k
-        series = _ei_series(x)
-        asym = _ei_asymptotic(x)
-        assert abs(series - asym) <= 1e-10 * abs(asym)
+def test_crossover_band_agreement(monkeypatch):
+    # the 160-term series and the 30-term asymptotic sum agree on [35, 45],
+    # where either could be used: the crossover moved past one, then the other
+    xs = np.linspace(35.0, 45.0, 21)
+    monkeypatch.setattr(specfun, "_POS_CROSSOVER", math.inf)
+    series = exp_integral_ei(xs, scaled=True)
+    monkeypatch.setattr(specfun, "_POS_CROSSOVER", 1e-300)
+    asym = exp_integral_ei(xs, scaled=True)
+    assert np.all(np.abs(series - asym) <= 1e-13 * asym)
 
 
 @pytest.mark.parametrize("x", [-1e-300, -0.0, 0.0, -1.0, -math.inf,
@@ -83,6 +86,38 @@ def test_scaled_matches_mpmath_and_the_unscaled_form():
                                     rel=1e-12, abs=1e-15), x
 
 
+def test_scaled_matches_40_digit_mpmath_to_2e_15():
+    # e^{-x} Ei(x) to 2e-15 relative at 40 digits; next to Ei's zero at
+    # 0.3725, where no relative bound can hold, to 1e-16 absolute
+    xs = [v / 7.0 for v in range(1, 400)] + [1e-6]
+    xs += list(np.linspace(35.0, 45.0, 41)) + list(range(150, 801, 25))
+    xs += [1e4, 1e7, 1e300]
+    got = exp_integral_ei(np.array(xs), scaled=True)
+    with mpmath.workdps(40):
+        for x, value in zip(xs, got):
+            want = mpmath.exp(-x) * mpmath.ei(x)
+            assert abs(value - want) <= 2e-15 * abs(want), x
+        for x in (0.36, 0.3725, 0.37250741078136663, 0.38):
+            want = mpmath.exp(-x) * mpmath.ei(x)
+            assert abs(exp_integral_ei(x, scaled=True) - want) <= 1e-16, x
+
+
+def test_array_in_array_out():
+    # one code path: an array gives each of its elements' float results
+    xs = np.array([[1e-6, 0.5, 40.0], [40.5, 700.0, 1e300]])
+    scaled = exp_integral_ei(xs, scaled=True)
+    assert scaled.shape == xs.shape
+    assert scaled.tolist() == [[exp_integral_ei(float(x), scaled=True)
+                                for x in row] for row in xs]
+    assert type(exp_integral_ei(2.0)) is float
+    assert exp_integral_ei(xs[:, :2]).tolist() == [
+        [exp_integral_ei(float(x)) for x in row] for row in xs[:, :2]]
+    with pytest.raises(OverflowError):
+        exp_integral_ei(xs)
+    with pytest.raises(ValidationError):
+        exp_integral_ei(np.array([1.0, 0.0]), scaled=True)
+
+
 @pytest.mark.parametrize("x", [709.8, 800.0, 1e4, 1e7, 1e300])
 def test_scaled_has_no_overflow_limit(x):
     with mpmath.workdps(30):
@@ -91,7 +126,6 @@ def test_scaled_has_no_overflow_limit(x):
 
 
 def test_strictly_increasing_on_positive_axis():
-    import numpy as np
     rng = np.random.default_rng(1918)
     draws = rng.uniform(1e-3, 100.0, size=(200, 2))
     for a, b in draws:
@@ -102,7 +136,6 @@ def test_strictly_increasing_on_positive_axis():
 
 
 def test_derivative_is_exp_over_x():
-    import numpy as np
     rng = np.random.default_rng(52)
     for x in rng.uniform(0.1, 20.0, size=50):
         x = float(x)
