@@ -32,7 +32,9 @@ _REQUIRED_KEYS = ("E", "M", "P0", "W", "c_e", "c_r", "tau", "N")
 _MAX_GRID_ROWS = 10 ** 7
 _MAX_SAMPLES = 10 ** 7          # --samples for simulate and verify
 _MAX_EPOCHS = 10 ** 7           # window length N for dist and verify
-# epochs verify's window rows draw, in blocks: a bound on their time
+# paths x N of verify's window rows, the exit contract's limit; it bounds
+# their time only where they draw each path's N epochs, not one total
+# (mcsim._window_totals: N <= 5 on the reference)
 _MAX_WINDOW_DRAWS = 10 ** 8
 _RENDER_ROWS = 4096             # table rows formatted per batch
 
@@ -697,7 +699,10 @@ def _verify_rows(scenario: Scenario, args) -> list:
     # half a count to spare, each S1 within its exact 0.00135 tails (3 sd's),
     # summed over lam -+ (9 sd + 40), past which each tail is below 1e-18.
     # Past the Poisson samplers' limit, 10^7, that spread is within 2e-4 of
-    # 3 sqrt(lam) and is left out
+    # 3 sqrt(lam) and is left out. Each path's total is drawn whole where
+    # that takes fewer uniforms than its epochs (mcsim._window_totals), from
+    # Poisson and binomial additivity alone: never the thinning identity or
+    # rewarddist, which these rows test
     want_mean = rewarddist.expected_total_reward(*window)
     want_var = rewarddist.variance_thinned(*window)
     n, s1, s2 = mcsim._moments(*mcsim._window_totals(

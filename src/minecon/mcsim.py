@@ -14,14 +14,18 @@ the guide settles most draws, the rest are bisected within their bucket.
 Stage k of a simulator starts at uniform k n of its stream, n being its
 draw count. Philox is counter-based, so each stage can have its own cursor:
 the round, epoch, first-win and window simulators draw their stages in
-blocks. One fold merges the blocks' integer histograms of blocks won per
-epoch, per window path and of first-win epochs, so none of these holds an
-array as long as its sample.
+blocks. A window path of N epochs draws its total in one go where that
+takes fewer uniforms than its 2 N epoch draws: W ~ Poisson(N E) from
+uniform 0, then Binomial(W, q) as the sum of Binomial(2^b, q) over W's
+binary digits, a fixed `bits` draws a path from uniform n (the paths), so
+its binomial tables are those of 0 and of the powers of two. One fold
+merges the blocks' integer histograms of blocks won per epoch, per window
+path and of first-win epochs, so none of these holds an array as long as
+its sample.
 """
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -498,14 +502,27 @@ def simulate_epochs(network: NetworkParams, share: MinerShare,
 
 
 def _moments(values: np.ndarray, counts: np.ndarray) -> tuple:
-    # n, S1 = sum x and S2 = sum x^2 of counts[i] copies of each integer
-    # values[i], as exact Python ints (2^16 entries at a time)
-    n = s1 = s2 = 0
-    for lo in range(0, values.size, _BLOCK):
-        x, k = (a[lo:lo + _BLOCK].tolist() for a in (values, counts))
-        kx = list(map(mul, k, x))
-        n, s1, s2 = n + sum(k), s1 + sum(kx), s2 + sum(map(mul, kx, x))
+    # n, S1 = sum x and S2 = sum x^2 of counts[i] copies of each nonnegative
+    # integer values[i], as exact Python ints. x splits into limbs x_a of
+    # `width` bits, (63 - bit length of n) // 2, so every int64 sum of
+    # k x_a x_b, below n 2^(2 width), stays under 2^63 (width 18 at verify's
+    # 10^8 window paths at N = 1); the limb sums of each 2^16 entries join
+    # as Python ints
+    n = int(counts.sum())
     require(n >= 2, "need at least 2 samples to estimate a standard error")
+    width = (63 - n.bit_length()) // 2
+    shifts = range(0, int(values.max()).bit_length(), width)
+    s1 = s2 = 0
+    for lo in range(0, values.size, _BLOCK):
+        k = counts[lo:lo + _BLOCK]
+        limbs = [values[lo:lo + _BLOCK] >> s & (1 << width) - 1
+                 for s in shifts]
+        for a, (s, x) in enumerate(zip(shifts, limbs)):
+            kx = k * x
+            s1 += int(kx.sum()) << s
+            s2 += int(kx @ x) << 2 * s
+            s2 += sum(int(kx @ y) << s + t + 1
+                      for t, y in zip(shifts[a + 1:], limbs[a + 1:]))
     return n, s1, s2
 
 
@@ -526,11 +543,36 @@ def _histogram_report(values: np.ndarray, counts: np.ndarray, seed: int,
 
 def _window_totals(network: NetworkParams, share: MinerShare, epochs: int,
                    config: SimConfig) -> tuple:
-    # (won, paths): paths[k] > 0 of config.sample_count paths of `epochs`
-    # epochs won won[k] blocks, summed as v.reshape(paths, epochs).sum(1)
-    return _fold(np.unique(v.reshape(-1, epochs).sum(axis=1),
-                           return_counts=True)
-                 for _, v in _epoch_blocks(network, share, config, epochs))
+    # (won, paths): paths[k] > 0 of the n = config.sample_count paths of
+    # `epochs` epochs won won[k] blocks in all. Each path draws its total in
+    # one go: its blocks W ~ Poisson(epochs E), since independent Poisson
+    # counts add, then its wins Binomial(W, q), the sum of Binomial(2^b, q)
+    # over W's set binary digits b, since independent binomials of one q
+    # add. Only these two additivities are used, never the thinning identity
+    # (nor rewarddist) that the window rows test. The totals read the stream
+    # from uniform 0 and the `bits` digit draws of each path, zero digits
+    # included, from n, bits being the bit length of the Poisson table's
+    # last count; blocks of _BLOCK // bits paths put every uniform where a
+    # whole-array draw does. Where that takes as many uniforms as the
+    # paths' epochs, 2 epochs <= bits + 1, or the mean passes the Poisson
+    # sampler's limit, the epochs are drawn (_epoch_blocks) and summed
+    n, mean = config.sample_count, epochs * network.expected_blocks
+    bits = int(_span(mean, math.sqrt(mean), math.inf)[1]).bit_length()
+
+    def digit_draws():
+        totals, digits = _cursor(config, 0), _cursor(config, n)
+        step = max(1, _BLOCK // bits)
+        for lo in range(0, n, step):
+            w = poisson_sample(totals, mean, min(step, n - lo))
+            yield binomial_sample(digits, (w[:, None] & 1 << np.arange(bits))
+                                  .ravel(), share.win_probability)
+    if 2 * epochs <= bits + 1 or mean > _MAX_POISSON_MEAN:
+        draws = (v for _, v in _epoch_blocks(network, share, config, epochs))
+        per_path = epochs
+    else:
+        draws, per_path = digit_draws(), bits
+    return _fold(np.unique(v.reshape(-1, per_path).sum(axis=1),
+                           return_counts=True) for v in draws)
 
 
 def estimate_first_win_time(network: NetworkParams, share: MinerShare,

@@ -1436,13 +1436,14 @@ class TestVerify:
         assert mean["band"] == var["band"] == (1.0 - n * mu + 0.5) / n
         assert mean["status"] == var["status"] == "PASS"
 
-    @pytest.mark.parametrize("seed, wins", [(42, 2), (111, 3)])
+    @pytest.mark.parametrize("seed, wins", [(8, 2), (730, 3)])
     def test_window_bands_take_in_the_poisson_tails(self, tmp_path, seed,
                                                     wins):
-        # S1, the paths' block sum, is Poisson(0.275): at seeds 42 and 111
-        # it is 2 and 3, which 3 Gaussian sd, 1.57 wins, failed. The exact
-        # tails of 0.00135 leave S1 in [0, 3], so each band is the spread
-        # 3 - 0.275 plus half a count, over n
+        # S1, the paths' block sum, is Poisson(0.275): at seeds 8 and 730
+        # (the first of seeds 0-4999 to draw each) it is 2 and 3, which 3
+        # Gaussian sd, 1.57 wins, would fail. The exact tails of 0.00135
+        # leave S1 in [0, 3], so each band is the spread 3 - 0.275 plus
+        # half a count, over n
         path = write_scenario(tmp_path, E=0.795, P0=1.3e7, W=39.9,
                               gamma=0.517, c_e=1.09, c_r=3.8e-4)
         assert run_cli("verify", path, "--out", tmp_path, "--seed", seed,

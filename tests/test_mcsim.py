@@ -630,6 +630,39 @@ class TestSimulateEpochs:
         assert report.estimate == pytest.approx(float(np.mean(2.5 * v)))
 
 
+class TestWindowLaw:
+    """A window's blocks won, summed over N epochs, is Poisson(N E q)
+    whichever route draws it."""
+
+    # (E, N, q, paths): q = 1/21 and 1e-3 per path; q ~ 1e-6, a mean of
+    # 1e-3; q = 1, where the total is the block count itself; and N = 5
+    # and 6 at E = 10, the epochs' route and the per-path one
+    @pytest.mark.parametrize("e, epochs, q, paths", [
+        (10.0, 100, 1.0 / 21.0, 20_000), (200.0, 100, 1e-3, 20_000),
+        (10.0, 100, 1e-6, 10 ** 6), (3.0, 50, 1.0, 20_000),
+        (10.0, 5, 0.3, 20_000), (10.0, 6, 0.3, 20_000)])
+    def test_totals_are_poisson(self, e, epochs, q, paths):
+        # chi-square over the totals, each tail pooled into one bin that
+        # expects at least 5 paths; it fails at p < 1e-4, a false alarm
+        # rate of 1e-4 per case and below 6e-4 for the six
+        won, count = _window_totals(
+            network(e=e), MinerShare(q), epochs,
+            SimConfig(seed=35, sample_count=paths, stream_id=4))
+        law = stats.poisson(epochs * e * q)
+        top = max(int(won[-1]), int(law.isf(1e-12))) + 1
+        observed = np.bincount(won, weights=count, minlength=top + 1)
+        expected = paths * law.pmf(np.arange(top + 1))
+        expected[-1] += paths * law.sf(top)
+        lo = int(np.argmax(np.cumsum(expected) >= 5.0))
+        hi = top - int(np.argmax(np.cumsum(expected[::-1]) >= 5.0))
+        assert lo < hi
+        pooled = [np.concatenate(([x[:lo + 1].sum()], x[lo + 1:hi],
+                                  [x[hi:].sum()]))
+                  for x in (observed, expected)]
+        chi2 = float(((pooled[0] - pooled[1]) ** 2 / pooled[1]).sum())
+        assert stats.chi2.sf(chi2, pooled[0].size - 1) > 1e-4
+
+
 class TestFirstWinTime:
     def test_mean_against_waiting_model(self):
         share = MinerShare(0.001)
@@ -913,11 +946,32 @@ def round_payoffs_whole_array(plan, network, config, reward_mode):
     return payoff
 
 
+def window_digits(e, epochs):
+    """The bits of the per-path window route, or 0 where _window_totals
+    draws the paths' epochs: bits is the bit length of the last count of
+    the Poisson(epochs E) table, epochs E + 60 sqrt(epochs E) + 200, and
+    the route runs where its (1 + bits) uniforms a path are fewer than the
+    epochs' 2 epochs and epochs E is within the Poisson sampler's 10^7."""
+    mean = epochs * e
+    bits = int(mean + 60.0 * math.sqrt(mean) + 200.0).bit_length()
+    return bits if 2 * epochs > bits + 1 and mean <= 10 ** 7 else 0
+
+
 def window_totals_whole_array(network, share, epochs, config):
-    """verify's window totals as it drew them, kept as _window_totals'
-    oracle: one epoch batch of paths x epochs draws, each path's blocks
-    won summed."""
-    paths = config.sample_count
+    """verify's window totals as one whole-array call draws them, kept as
+    _window_totals' oracle. Per path (window_digits): every path's block
+    total W ~ Poisson(epochs E), then every path's bits draws Binomial(W &
+    2^b, q), b < bits, from one generator, each path's draws summed. Else
+    one epoch batch of paths x epochs draws, each path's blocks won
+    summed."""
+    paths, bits = config.sample_count, window_digits(
+        network.expected_blocks, epochs)
+    if bits:
+        rng = _generator(config)
+        w = poisson_sample(rng, epochs * network.expected_blocks, paths)
+        trials = (w[:, None] & 1 << np.arange(bits)).ravel()
+        v = binomial_sample(rng, trials, share.win_probability)
+        return v.reshape(paths, bits).sum(axis=1)
     _, v = epochs_whole_array(network, share,
                               SimConfig(config.seed, paths * epochs,
                                         config.stream_id))
@@ -969,7 +1023,9 @@ class TestBlockedStages:
         assert got.count.tobytes() == count.tobytes()
 
     # (paths, epochs): 2^14 paths of 4 epochs fill a block of 2^16 epochs;
-    # a window past 2^16 epochs takes a block of its own
+    # a window past 2^16 epochs takes a block of its own. At E = 10 the
+    # windows past 10^5 epochs draw one total per path (21 and 22 bits), at
+    # E = 200 their epochs, as epochs E passes 10^7
     @pytest.mark.parametrize("paths, epochs", [
         (2, 1), (3, 1), (65_535, 4), (65_536, 4), (65_537, 4),
         (2 ** 14 + 1, 4), (3 * 2 ** 16 + 5, 1), (5, 100_003),
@@ -983,6 +1039,37 @@ class TestBlockedStages:
         want = np.unique(window_totals_whole_array(
             network(e=e, m=2.5), MinerShare(q), epochs, config),
             return_counts=True)
+        assert won.tobytes() == want[0].tobytes()
+        assert paths_won.tobytes() == want[1].tobytes()
+
+    # per-path blocks hold 2^16 // bits paths: 5,461 at E = 10, N = 100
+    # (12 bits) and 4,369 at E = 200 (15 bits); paths = blocks x step + extra
+    @pytest.mark.parametrize("e, step", [(10.0, 5_461), (200.0, 4_369)])
+    @pytest.mark.parametrize("blocks, extra", [
+        (0, 2), (1, -1), (1, 0), (1, 1), (2, 1), (3, 5)])
+    @pytest.mark.parametrize("q", [1e-3, 1.0 / 21.0, 0.5, 1.0])
+    def test_window_totals_per_path_across_blocks(self, e, step, blocks,
+                                                  extra, q):
+        assert mcsim._BLOCK // window_digits(e, 100) == step
+        config = SimConfig(seed=36, sample_count=blocks * step + extra,
+                           stream_id=4)
+        won, paths_won = _window_totals(network(e=e), MinerShare(q), 100,
+                                        config)
+        want = np.unique(window_totals_whole_array(
+            network(e=e), MinerShare(q), 100, config), return_counts=True)
+        assert won.tobytes() == want[0].tobytes()
+        assert paths_won.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("epochs", [5, 6])
+    def test_window_route_turns_at_six_epochs(self, epochs):
+        # at E = 10, N = 6 draws per path: its total and 10 digits take 11
+        # uniforms a path against 12 for its epochs (N = 5: 11 against 10)
+        assert window_digits(10.0, epochs) == (10 if epochs == 6 else 0)
+        config = SimConfig(seed=37, sample_count=1000, stream_id=4)
+        won, paths_won = _window_totals(network(), MinerShare(0.3), epochs,
+                                        config)
+        want = np.unique(window_totals_whole_array(
+            network(), MinerShare(0.3), epochs, config), return_counts=True)
         assert won.tobytes() == want[0].tobytes()
         assert paths_won.tobytes() == want[1].tobytes()
 
@@ -1050,6 +1137,23 @@ class TestEpochCounts:
         root = context.divide(ratio.numerator, ratio.denominator).sqrt(context)
         assert report.std_error == scale * float(root)
         assert (report.samples, report.seed) == (n, 8)
+
+    @pytest.mark.parametrize("spread", [True, False])
+    def test_moments_equal_the_python_int_sums(self, spread):
+        # 70,000 values just below 2^52 (past one block of 2^16), bits 20
+        # to 51 set, whose counts sum to 10^7, spread over them or nearly
+        # all on the largest: the int64 limb sums against the Python-int
+        # sums they replaced
+        rng = np.random.default_rng(75)
+        values = 2 ** 52 - 2 ** 20 + np.sort(
+            rng.choice(2 ** 20, 70_000, replace=False))
+        counts = (rng.multinomial(10 ** 7, np.full(70_000, 1 / 70_000))
+                  if spread else np.append(np.ones(69_999, np.int64),
+                                           10 ** 7 - 69_999))
+        x, k = values.tolist(), counts.tolist()
+        assert mcsim._moments(values, counts) == (
+            10 ** 7, sum(a * b for a, b in zip(k, x)),
+            sum(a * b * b for a, b in zip(k, x)))
 
     def test_histogram_report_agrees_with_the_float_moments(self):
         v = np.random.default_rng(12).poisson(3.0, 10_001)
